@@ -135,8 +135,8 @@ def discretize(sd: SpectralDensity, n_modes: int, temperature: float = 0.0) -> D
     return DiscreteBath(w, masses, couplings, temperature)
 
 
-def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:
-    """Block-diagonal thermal covariance of the bath modes (interleaved q, pi)."""
+def thermal_bath_variances(bath: DiscreteBath) -> np.ndarray:
+    """Diagonal of the thermal bath covariance, interleaved (q, pi)."""
     w, mk = bath.frequencies, bath.masses
     t = bath.temperature
     if t == 0.0:
@@ -146,7 +146,12 @@ def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:
     diag = np.empty(2 * bath.n_modes)
     diag[0::2] = occ / (2.0 * mk * w)
     diag[1::2] = mk * w * occ / 2.0
-    return CovarianceMatrix(np.diag(diag), Ordering.FULL)
+    return diag
+
+
+def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:
+    """Block-diagonal thermal covariance of the bath modes (interleaved q, pi)."""
+    return CovarianceMatrix(np.diag(thermal_bath_variances(bath)), Ordering.FULL)
 
 
 def modes_for_window(cutoff: float, t_max: float, margin: float = 0.8) -> int:

@@ -82,10 +82,19 @@ def build_drift(cfg: RunConfig, bath: DiscreteBath) -> ex.DriftMatrix:
 def initial_system_state(
     cfg: RunConfig, m_scale: float, omega_scale: float
 ) -> CovarianceMatrix:
-    """Prepared two-oscillator state, squeezing measured at the given scale."""
+    """Prepared two-oscillator state, squeezing measured at the given scale.
+
+    An unphysical ``custom_covariance`` is a config error, refused here
+    before any route runs.
+    """
     ini = cfg.initial_state
     if ini.kind == "custom_covariance":
-        return CovarianceMatrix(np.array(ini.covariance, dtype=float), Ordering.PHYSICAL)
+        try:
+            v = CovarianceMatrix(np.array(ini.covariance, dtype=float), Ordering.PHYSICAL)
+            v.validate_physical()
+        except UnphysicalStateError as err:
+            raise ConfigError(f"initial_state.covariance: {err}") from err
+        return v
     if ini.kind == "coherent":
         base = separable_squeezed(0.0, m_scale, omega_scale)
     elif ini.kind == "separable_squeezed":
@@ -403,6 +412,7 @@ def cmd_asymptotics(cfg: RunConfig, out: str | None) -> int:
     sy = cfg.system
     t = cfg.bath.temperature
     m_minus, omega_minus = minus_scale(cfg)
+    initial_system_state(cfg, m_minus, omega_minus)  # refuses an unphysical state
     dx_p, dp_p = equilibrium_plus(cfg, t)
     product = cfg.initial_state.purity_product
     r_minus = _initial_minus_r(cfg, cfg.initial_state.r)
@@ -462,19 +472,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     sd = spectral_density(cfg)
     ev = cfg.evolution
     # named refusals on the config as given
-    if ev.integrator == "rk4" and ev.dt > ex.RK4_STEP_FACTOR / sd.cutoff:
-        raise StepSizeError(
-            f"evolution.dt={ev.dt:g} exceeds {ex.RK4_STEP_FACTOR}/cutoff "
-            f"= {ex.RK4_STEP_FACTOR / sd.cutoff:g} for the RK4 integrator"
-        )
+    if ev.integrator == "rk4":
+        ex.check_rk4_step(ev.dt, sd.cutoff, label="evolution.dt",
+                          note=" for the RK4 integrator")
     if cfg.bath.n_modes is not None:
-        t_rec = 2.0 * math.pi * cfg.bath.n_modes / sd.cutoff
-        if ev.t_max > ex.RECURRENCE_MARGIN * t_rec:
-            raise RecurrenceWindowError(
-                f"evolution.t_max={ev.t_max:g} exceeds "
-                f"{ex.RECURRENCE_MARGIN} * recurrence time = "
-                f"{ex.RECURRENCE_MARGIN * t_rec:g} for bath.n_modes={cfg.bath.n_modes}"
-            )
+        ex.check_recurrence(
+            ev.t_max, 2.0 * math.pi * cfg.bath.n_modes / sd.cutoff,
+            label="evolution.t_max", note=f" for bath.n_modes={cfg.bath.n_modes}",
+        )
 
     n = 48
     bath = discretize(sd, n, cfg.bath.temperature)
@@ -484,8 +489,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     v0 = ex.initial_covariance(v_sys, bath)
 
     checks: list[tuple[str, bool, str]] = []
-    form = ex.normal_mode_form(drift)
-    s = form.propagator(t_val)
+    s = drift.normal_form.propagator(t_val)
     defect = ex.symplecticity_defect(s)
     checks.append(("symplecticity", defect <= 1e-8, f"defect={defect:.3e}"))
 

@@ -142,6 +142,12 @@ def _require_number(value, name: str, *, positive=False, nonnegative=False):
     return float(value)
 
 
+def _require_count(value, name: str) -> None:
+    # bool is an int subclass; YAML `true` is not a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name}: expected positive integer, got {value!r}")
+
+
 def validate(cfg: RunConfig) -> RunConfig:
     """Check every field; raises ConfigError naming the offending field."""
     if cfg.model is None:
@@ -171,8 +177,7 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("system.c12_tilde: momentum coupling needs model=symmetric")
     ba = cfg.bath
     if ba.n_modes is not None:
-        if not isinstance(ba.n_modes, int) or ba.n_modes < 1:
-            raise ConfigError(f"bath.n_modes: expected positive integer, got {ba.n_modes!r}")
+        _require_count(ba.n_modes, "bath.n_modes")
     _require_number(ba.temperature, "bath.temperature", nonnegative=True)
     ini = cfg.initial_state
     if ini.kind not in STATE_KINDS:
@@ -192,8 +197,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     ev = cfg.evolution
     _require_number(ev.dt, "evolution.dt", positive=True)
     _require_number(ev.t_max, "evolution.t_max", positive=True)
-    if not isinstance(ev.sample_stride, int) or ev.sample_stride < 1:
-        raise ConfigError(f"evolution.sample_stride: expected positive integer, got {ev.sample_stride!r}")
+    _require_count(ev.sample_stride, "evolution.sample_stride")
     if ev.integrator not in INTEGRATORS:
         raise ConfigError(f"evolution.integrator: must be one of {INTEGRATORS}")
     sw = cfg.sweep
@@ -206,10 +210,8 @@ def validate(cfg: RunConfig) -> RunConfig:
             _require_number(v, name)
         if name == "sweep.t_grid" and any(v < 0 for v in grid):
             raise ConfigError(f"{name}: temperatures must be nonnegative")
-    if sw.parallelism is not None and (
-        not isinstance(sw.parallelism, int) or sw.parallelism < 1
-    ):
-        raise ConfigError(f"sweep.parallelism: expected positive integer, got {sw.parallelism!r}")
+    if sw.parallelism is not None:
+        _require_count(sw.parallelism, "sweep.parallelism")
     return cfg
 
 

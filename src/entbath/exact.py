@@ -5,18 +5,22 @@ phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  Two
 integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
 built from one eigendecomposition (exactly symplectic, arbitrary t), and a
-fixed-step RK4 march used as an independent cross-check.
+fixed-step RK4 march used as an independent cross-check.  Position coupling
+has real second-order normal modes (one symmetric eigensolve of size N+2);
+the symmetric model uses the complex form of size 2N+4.  Both are cached on
+the drift.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bath import DiscreteBath, thermal_bath_covariance
+from .bath import DiscreteBath, thermal_bath_covariance, thermal_bath_variances
 from .errors import (
     RecurrenceWindowError,
     StepSizeError,
@@ -71,7 +75,9 @@ class DriftMatrix:
     """Drift K = J H of the Lyapunov equation plus the decoupled minus mode.
 
     ``m_minus``/``omega_minus`` are the exact parameters of the bath-free
-    minus oscillator implied by the (possibly renormalized) model.
+    minus oscillator implied by the (possibly renormalized) model.  Each
+    normal-mode factorization is computed on first use and kept, so a drift
+    is factorized at most once however many states are evolved with it.
     """
 
     k: np.ndarray
@@ -91,6 +97,16 @@ class DriftMatrix:
     def dim(self) -> int:
         return self.k.shape[0]
 
+    @cached_property
+    def normal_form(self) -> NormalModeForm:
+        """Complex normal-mode form of the general drift."""
+        return normal_mode_form(self)
+
+    @cached_property
+    def position_modes(self) -> PositionModes:
+        """Real second-order normal modes; position coupling only."""
+        return position_normal_modes(self)
+
 
 def _bath_block(h: np.ndarray, bath: DiscreteBath) -> None:
     for k in range(bath.n_modes):
@@ -100,10 +116,24 @@ def _bath_block(h: np.ndarray, bath: DiscreteBath) -> None:
 
 
 def _check_stable(h: np.ndarray) -> None:
-    lo = float(np.linalg.eigvalsh(h)[0])
-    if lo < -_PSD_TOL * max(1.0, float(np.abs(h).max())):
+    """Refuse a total Hamiltonian that is not positive semidefinite.
+
+    The bath block is diagonal in both models, so by the Schur complement
+    H >= 0 exactly when every bath diagonal entry is positive and the 4x4
+    system block H_ss - C D^-1 C^T is >= 0.  O(N) instead of a dense
+    eigensolve; the tolerance is relative to max |H| as before.
+    """
+    h_ss, c, d = h[:4, :4], h[:4, 4:], np.diag(h)[4:]
+    if d.min() <= 0.0:
         raise UnstableHamiltonianError(
-            f"total Hamiltonian has negative eigenvalue {lo:.3e}"
+            f"total Hamiltonian has bath diagonal entry {d.min():.3e} <= 0"
+        )
+    lo = float(np.linalg.eigvalsh(h_ss - (c / d) @ c.T)[0])
+    scale = max(1.0, float(np.abs(h_ss).max()), float(np.abs(c).max()),
+                float(d.max()))
+    if lo < -_PSD_TOL * scale:
+        raise UnstableHamiltonianError(
+            f"total Hamiltonian has negative Schur-complement eigenvalue {lo:.3e}"
         )
 
 
@@ -205,11 +235,15 @@ def build_symmetric_model(
     return DriftMatrix(k_mat, h, bath, "symmetric", m_minus, omega_minus)
 
 
-def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> CovarianceMatrix:
-    """Direct sum of a two-mode system state and the thermal bath state."""
+def _require_two_mode(system_v: CovarianceMatrix) -> None:
     system_v.require(Ordering.PHYSICAL)
     if system_v.dim != 4:
         raise ValueError("system state must be two-mode")
+
+
+def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> CovarianceMatrix:
+    """Direct sum of a two-mode system state and the thermal bath state."""
+    _require_two_mode(system_v)
     vb = thermal_bath_covariance(bath)
     dim = 4 + vb.dim
     v = np.zeros((dim, dim))
@@ -255,21 +289,111 @@ def normal_mode_form(drift: DriftMatrix) -> NormalModeForm:
     return NormalModeForm(mu, b, c)
 
 
-def _check_recurrence(drift: DriftMatrix, t_max: float) -> None:
-    limit = RECURRENCE_MARGIN * drift.bath.recurrence_time
+# samples per batched product in PositionModes.system_blocks; bounds the
+# working set to a few MB at N ~ 1200
+SAMPLE_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class PositionModes:
+    """Real normal modes of H = p^T M^-1 p / 2 + x^T K x / 2.
+
+    Positions are ordered (x1, x2, q1, ..., qN) and ``sqrt_mass`` is the
+    diagonal of M^(1/2).  The orthogonal ``u`` and the frequencies
+    ``omega`` diagonalize the mass-weighted stiffness,
+    M^(-1/2) K M^(-1/2) = U diag(omega^2) U^T, so the coordinates
+    Q = U^T M^(1/2) x and P = U^T M^(-1/2) p rotate freely, each at its
+    omega: the exact normal modes of a linear bath (Ullersma, Physica 32,
+    27 (1966)).
+    """
+
+    omega: np.ndarray
+    u: np.ndarray
+    sqrt_mass: np.ndarray
+
+    def system_blocks(
+        self, system_v: CovarianceMatrix, bath_variances: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """Reduced 4x4 covariance at every sample time, shape (len(times), 4, 4).
+
+        The four system rows of S(t), as coefficients on the initial
+        positions (sx) and momenta (sp), come from one GEMM against U^T per
+        chunk of samples.  They are contracted with the initial covariance
+        in its own coordinates, where it is the system block plus the
+        diagonal thermal bath (``bath_variances``, interleaved q, pi).
+        """
+        w, sm = self.omega, self.sqrt_mass
+        n = len(w)
+        g = self.u[:2] / sm[:2, None]   # x_s(t) = g_s . (cos Q + sin P / w)
+        hs = self.u[:2] * sm[:2, None]  # p_s(t) = h_s . (-w sin Q + cos P)
+        zero = np.zeros(n)
+        # cos(wt) and sin(wt) weights of the sx rows, then the sp rows,
+        # each in PHYSICAL order (x1, p1, x2, p2)
+        cos_w = np.array([g[0], zero, g[1], zero, zero, hs[0], zero, hs[1]])
+        sin_w = np.array(
+            [zero, -w * hs[0], zero, -w * hs[1], g[0] / w, zero, g[1] / w, zero]
+        )
+        v_ss = system_v.matrix
+        var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
+        out = np.empty((len(times), 4, 4))
+        for lo in range(0, len(times), SAMPLE_CHUNK):
+            phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], w)[:, None, :]
+            rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
+            rows = (rows.reshape(-1, n) @ self.u.T).reshape(-1, 8, n)
+            sx = rows[:, :4] * sm
+            sp = rows[:, 4:] / sm
+            z = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
+            bx, bp = sx[..., 2:], sp[..., 2:]
+            out[lo:lo + SAMPLE_CHUNK] = (
+                z @ v_ss @ z.transpose(0, 2, 1)
+                + (bx * var_q) @ bx.transpose(0, 2, 1)
+                + (bp * var_pi) @ bp.transpose(0, 2, 1)
+            )
+        return out
+
+
+def position_normal_modes(drift: DriftMatrix) -> PositionModes:
+    """One real symmetric eigh of size N+2 for a position-coupled drift.
+
+    Position coupling leaves no momentum cross terms: the momentum block of
+    H is diag(1/m) and the position block is the stiffness K.
+    """
+    if drift.model != "position":
+        raise ValueError("real second-order normal modes need position coupling")
+    h = drift.hamiltonian
+    sqrt_mass = 1.0 / np.sqrt(np.diag(h)[1::2])
+    w_sq, u = np.linalg.eigh(h[0::2, 0::2] / np.outer(sqrt_mass, sqrt_mass))
+    if w_sq[0] <= 0.0:
+        raise UnstableHamiltonianError(
+            f"normal-mode frequency^2 {w_sq[0]:.3e} <= 0; no normal-mode form"
+        )
+    return PositionModes(np.sqrt(w_sq), u, sqrt_mass)
+
+
+def check_recurrence(
+    t_max: float, recurrence_time: float, *, label: str = "t_max",
+    note: str = "; increase the bath mode count",
+) -> None:
+    """Refuse ``t_max`` beyond RECURRENCE_MARGIN of the recurrence time.
+
+    ``label`` names the checked quantity and ``note`` ends the message.
+    """
+    limit = RECURRENCE_MARGIN * recurrence_time
     if t_max > limit:
         raise RecurrenceWindowError(
-            f"t_max={t_max:g} exceeds {RECURRENCE_MARGIN} * recurrence time "
-            f"= {limit:g}; increase the bath mode count"
+            f"{label}={t_max:g} exceeds {RECURRENCE_MARGIN} * recurrence time "
+            f"= {limit:g}{note}"
         )
 
 
-def _check_rk4_step(drift: DriftMatrix, dt: float) -> None:
-    fastest = float(drift.bath.frequencies[-1])
-    if dt > RK4_STEP_FACTOR / fastest * (1.0 + 1e-12):
+def check_rk4_step(
+    dt: float, fastest: float, *, label: str = "RK4 dt", note: str = ""
+) -> None:
+    """Refuse an RK4 step above RK4_STEP_FACTOR / (fastest frequency)."""
+    limit = RK4_STEP_FACTOR / fastest
+    if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(
-            f"RK4 dt={dt:g} exceeds {RK4_STEP_FACTOR}/Lambda = "
-            f"{RK4_STEP_FACTOR / fastest:g}"
+            f"{label}={dt:g} exceeds {RK4_STEP_FACTOR}/Lambda = {limit:g}{note}"
         )
 
 
@@ -280,16 +404,16 @@ def evolve(
     v0.require(Ordering.FULL)
     if v0.dim != drift.dim:
         raise ValueError("state and drift dimensions differ")
-    _check_recurrence(drift, cfg.t_max)
+    check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
     if cfg.integrator is Integrator.NORMAL_MODE:
-        form = normal_mode_form(drift)
+        form = drift.normal_form
         out = []
         for t in times:
             s = form.propagator(float(t))
             out.append(CovarianceMatrix(_symmetrize(s @ v0.matrix @ s.T), Ordering.FULL))
         return times, out
-    _check_rk4_step(drift, cfg.dt)
+    check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
     k = drift.k
     v = np.array(v0.matrix)
     out = [v0]
@@ -345,25 +469,33 @@ def negativity_trace(
 ) -> NegativityTrace:
     """E_N(t) and plus/minus dispersions from the exact evolution.
 
-    The normal-mode path only propagates the four system rows of S(t),
-    which keeps large-bath runs cheap; the RK4 path marches the full
-    matrix.  Every recorded reduced state is checked for physicality.
+    Position coupling samples the real normal modes of the drift; the
+    symmetric model propagates the four system rows of the complex form.
+    Either factorization is made once per drift.  The RK4 path marches the
+    full matrix.  Every recorded reduced state is checked for physicality.
     """
-    v0_full = initial_covariance(system_v, drift.bath)
-    _check_recurrence(drift, cfg.t_max)
+    _require_two_mode(system_v)
+    check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
 
-    if cfg.integrator is Integrator.NORMAL_MODE:
-        form = normal_mode_form(drift)
+    if cfg.integrator is Integrator.RK4:
+        _, series = evolve(initial_covariance(system_v, drift.bath), drift, cfg)
+        blocks = [v.matrix[:4, :4] for v in series]
+    elif drift.model == "position":
+        blocks = drift.position_modes.system_blocks(
+            system_v, thermal_bath_variances(drift.bath), times
+        )
+    else:
+        form = drift.normal_form
         b4 = form.b[:4, :]
-        r = form.c @ v0_full.matrix @ form.c.T
+        # the initial state is the system block plus the diagonal bath
+        cs, cb = form.c[:, :4], form.c[:, 4:]
+        var_b = thermal_bath_variances(drift.bath)
+        r = cs @ system_v.matrix @ cs.T + (cb * var_b) @ cb.T
         blocks = []
         for t in times:
             f = b4 * np.exp(-1j * form.mu * float(t))
             blocks.append(np.real(f @ r @ f.T))
-    else:
-        _, series = evolve(v0_full, drift, cfg)
-        blocks = [v.matrix[:4, :4] for v in series]
 
     return _trace_from_blocks(times, blocks)
 

@@ -101,7 +101,7 @@ def detuned_runs():
 
 
 def final_system_block(drift, bath, v_sys, t: float) -> np.ndarray:
-    form = ex.normal_mode_form(drift)
+    form = drift.normal_form
     v0 = ex.initial_covariance(v_sys, bath)
     b4 = form.b[:4, :]
     r = form.c @ v0.matrix @ form.c.T
@@ -375,7 +375,7 @@ def test_criterion_9_detuned_high_t(detuned_runs, announce):
 # ---------------------------------------------------------------------------
 
 def check_invariants(drift, bath, v_sys, t: float):
-    form = ex.normal_mode_form(drift)
+    form = drift.normal_form
     s = form.propagator(t)
     scale = float(np.abs(s).max())
     assert ex.symplecticity_defect(s) < 1e-8 * max(1.0, scale**2)

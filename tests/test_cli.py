@@ -184,3 +184,25 @@ def test_hash_mismatch_warning_on_overwrite(cfg_file, tmp_path, capsys):
         "--set", "initial_state.r=1.0",
     ]) == 0
     assert "different config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key", ["bath.n_modes", "evolution.sample_stride", "sweep.parallelism"]
+)
+def test_bool_rejected_for_integer_fields(key):
+    cfg = from_dict(dict(BASE))
+    apply_override(cfg, f"{key}=true")
+    with pytest.raises(ConfigError, match=key):
+        validate(cfg)
+
+
+@pytest.mark.parametrize("command", ["negativity-trace", "moments", "asymptotics"])
+def test_unphysical_custom_covariance_is_config_error(command, cfg_file, tmp_path, capsys):
+    # oscillator 1 has <x^2><p^2> = 0.01 < 1/4: below the uncertainty bound
+    cov = "[[0.1,0,0,0],[0,0.1,0,0],[0,0,0.5,0],[0,0,0,0.5]]"
+    argv = [command, cfg_file, "--set", "initial_state.kind=custom_covariance",
+            "--set", f"initial_state.covariance={cov}"]
+    if command != "asymptotics":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert "initial_state.covariance" in capsys.readouterr().err

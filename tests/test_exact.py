@@ -194,3 +194,136 @@ def test_sample_times_and_stride():
     cfg = ex.EvolutionConfig(1.0, 0.1, 5)
     times = cfg.sample_times()
     assert np.allclose(times, [0.0, 0.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Real second-order normal modes (position coupling)
+# ---------------------------------------------------------------------------
+
+def _correlated_state() -> CovarianceMatrix:
+    # two-mode squeezing plus local phase-space rotations: x-p correlations
+    v = basis_change(two_mode_squeezed(0.7), Ordering.PHYSICAL).matrix
+    rot = np.zeros((4, 4))
+    for i, angle in ((0, 0.4), (2, -0.9)):
+        c, s = math.cos(angle), math.sin(angle)
+        rot[i:i + 2, i:i + 2] = [[c, s], [-s, c]]
+    return CovarianceMatrix(rot @ v @ rot.T, Ordering.PHYSICAL)
+
+
+def _complex_system_block(drift, v_sys, t):
+    form = drift.normal_form
+    v0 = ex.initial_covariance(v_sys, drift.bath)
+    f = form.b[:4, :] * np.exp(-1j * form.mu * t)
+    block = np.real(f @ (form.c @ v0.matrix @ form.c.T) @ f.T)
+    return 0.5 * (block + block.T)
+
+
+@pytest.mark.parametrize(
+    "osc, sd, temperature, n_modes",
+    [
+        (OSC, OHMIC, 0.0, 32),
+        (OscillatorParams(1.0, 1.05, 0.95), OHMIC, 0.0, 48),
+        (OSC, OHMIC, 2.0, 48),
+        (OscillatorParams(1.0, 1.0, 1.0, 0.2), OHMIC, 0.0, 64),
+        (OSC, SpectralDensity.sub_ohmic(0.1, 20.0), 0.5, 48),
+        (OSC, SpectralDensity.super_ohmic(0.15, 20.0), 0.0, 48),
+        (OscillatorParams(1.0, 1.05, 0.95, -0.1), SpectralDensity.super_ohmic(0.15, 20.0),
+         10.0, 64),
+    ],
+    ids=["resonant", "detuned", "thermal", "c12", "sub-ohmic", "super-ohmic",
+         "detuned-c12-hot"],
+)
+def test_real_modes_match_complex_form(osc, sd, temperature, n_modes):
+    from entbath.bath import thermal_bath_variances
+    from entbath.gaussian import log_negativity
+
+    bath = discretize(sd, n_modes, temperature)
+    drift = ex.build_position_model(osc, bath)
+    cfg = ex.EvolutionConfig(0.7 * bath.recurrence_time, 0.05, 7)
+    times = cfg.sample_times()
+    for v_sys in (separable_squeezed(1.0), _correlated_state()):
+        real = drift.position_modes.system_blocks(
+            v_sys, thermal_bath_variances(bath), times
+        )
+        tr = ex.negativity_trace(v_sys, drift, cfg)
+        dv = de = 0.0
+        for i, t in enumerate(times):
+            ref = _complex_system_block(drift, v_sys, float(t))
+            dv = max(dv, float(np.abs(real[i] - ref).max()))
+            e_ref = log_negativity(CovarianceMatrix(ref, Ordering.PHYSICAL))
+            de = max(de, abs(tr.e_n[i] - e_ref))
+        assert dv <= 1e-10
+        assert de <= 1e-10
+
+
+def test_drift_factorized_once_per_kind(monkeypatch):
+    calls = {"position_normal_modes": 0, "normal_mode_form": 0}
+
+    def count(name):
+        original = getattr(ex, name)
+
+        def wrapper(drift):
+            calls[name] += 1
+            return original(drift)
+
+        monkeypatch.setattr(ex, name, wrapper)
+
+    count("position_normal_modes")
+    count("normal_mode_form")
+    bath, drift = small_setup(24)
+    cfg = ex.EvolutionConfig(3.0, 0.05, 4)
+    states = (
+        separable_squeezed(1.0),
+        separable_squeezed(-0.5),
+        basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL),
+    )
+    for v_sys in states:
+        ex.negativity_trace(v_sys, drift, cfg)
+    assert calls == {"position_normal_modes": 1, "normal_mode_form": 0}
+    for v_sys in states:
+        ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
+    assert calls == {"position_normal_modes": 1, "normal_mode_form": 1}
+    symmetric = ex.build_symmetric_model(OSC, bath)
+    for v_sys in states:
+        ex.negativity_trace(v_sys, symmetric, cfg)
+    assert calls == {"position_normal_modes": 1, "normal_mode_form": 2}
+
+
+def test_real_modes_refuse_symmetric_drift():
+    drift = ex.build_symmetric_model(OSC, discretize(OHMIC, 8))
+    with pytest.raises(ValueError):
+        ex.position_normal_modes(drift)
+
+
+# ---------------------------------------------------------------------------
+# Schur-complement stability check
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", ["position", "symmetric"])
+def test_schur_stability_matches_dense_eigvalsh(model, monkeypatch):
+    check = ex._check_stable
+    captured = []
+    monkeypatch.setattr(ex, "_check_stable", captured.append)
+    bath = discretize(OHMIC, 16)
+    for omega in np.linspace(0.5, 2.5, 21):
+        for c12 in (-0.8, 0.0, 0.8):
+            if model == "position":
+                osc = OscillatorParams(1.0, omega, 1.1 * omega, c12)
+                build = ex.build_position_model
+            else:
+                osc = OscillatorParams(1.0, omega, omega, c12, -0.5 * c12)
+                build = ex.build_symmetric_model
+            try:
+                build(osc, bath, renormalize=False)
+            except UnstableHamiltonianError:
+                pass  # the bath-free minus mode; the total H is captured
+    refused = []
+    for h in captured:
+        dense_negative = np.linalg.eigvalsh(h)[0] < 0.0
+        try:
+            check(h)
+            refused.append(False)
+        except UnstableHamiltonianError:
+            refused.append(True)
+        assert refused[-1] == dense_negative
+    assert any(refused) and not all(refused)
