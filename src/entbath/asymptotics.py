@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bath import SpectralDensity, asymptotic_gamma, counterterm, j_omega
 from .errors import NumericalError
@@ -362,30 +361,98 @@ def critical_temperature(
 # Exact dispersions from the fluctuation-dissipation integral
 # ---------------------------------------------------------------------------
 
-def _principal_value_integral(exponent: float, omega: float, cutoff: float) -> float:
-    """PV integral of nu^(n+1)/(nu^2 - omega^2) over (0, cutoff)."""
+# Nested tanh-sinh rule: abscissae t = k h with |t| <= _DE_T_MAX, h = 2^-level
+_DE_T_MAX = 4
+_DE_MAX_LEVEL = 9
+_DE_RTOL = 1e-11
+_PEAK_NEWTON_STEPS = 8
+
+
+def _principal_value_shift(exponent: float, omega, cutoff: float, gap=None):
+    """PV integral of nu^(n+1)/(nu^2 - omega^2) over (0, cutoff), less its
+    value cutoff^n / n at omega = 0.
+
+    Accepts a scalar or an array ``omega`` in (0, cutoff).  ``gap`` is
+    cutoff - omega, for callers that know it more precisely than the
+    subtraction gives it near the cutoff.
+    """
     lam = cutoff
-    w = omega
-    log_term = math.log((lam - w) / (lam + w))
+    w = np.asarray(omega, dtype=float)
+    gap = lam - w if gap is None else np.asarray(gap, dtype=float)
     if exponent == 1.0:
-        return lam + 0.5 * w * log_term
-    if exponent == 3.0:
-        return lam**3 / 3.0 + w * w * lam + 0.5 * w**3 * log_term
-    if exponent == 0.5:
-        su, sl = math.sqrt(w), math.sqrt(lam)
-        return 2.0 * sl + su * (
-            0.5 * math.log(abs(sl - su) / (sl + su)) - math.atan(sl / su)
-        )
-    raise ValueError(f"no closed-form self-energy for exponent {exponent}")
+        val = 0.5 * w * np.log(gap / (lam + w))
+    elif exponent == 3.0:
+        val = w * w * lam + 0.5 * w**3 * np.log(gap / (lam + w))
+    elif exponent == 0.5:
+        su, sl = np.sqrt(w), math.sqrt(lam)
+        # (sl - su)/(sl + su) = gap/(sl + su)^2, free of cancellation
+        val = su * (0.5 * np.log(gap / (sl + su) ** 2) - np.arctan(sl / su))
+    else:
+        raise ValueError(f"no closed-form self-energy for exponent {exponent}")
+    return float(val) if val.ndim == 0 else val
+
+
+def _self_energy_shift(sd: SpectralDensity, omega, gap=None):
+    """Re Sigma(omega) - Re Sigma(0); Re Sigma(0) = -m counterterm."""
+    return (8.0 * sd.mass * sd.gamma0 / math.pi) * sd.cutoff ** (
+        1.0 - sd.exponent
+    ) * _principal_value_shift(sd.exponent, omega, sd.cutoff, gap)
 
 
 def bath_self_energy(sd: SpectralDensity, omega: float) -> complex:
     """Retarded self-energy of the x+ oscillator (sqrt(2)-enhanced coupling)."""
-    re = (8.0 * sd.mass * sd.gamma0 / math.pi) * sd.cutoff ** (
-        1.0 - sd.exponent
-    ) * _principal_value_integral(sd.exponent, omega, sd.cutoff)
-    im = math.pi * 2.0 * j_omega(sd, omega)
-    return complex(re, im)
+    if not 0 < omega < sd.cutoff:
+        raise ValueError("omega must lie below the cutoff")
+    re = _self_energy_shift(sd, omega) - sd.mass * counterterm(sd)
+    return complex(re, math.pi * 2.0 * j_omega(sd, omega))
+
+
+def _resonance(sd: SpectralDensity, m: float, omega: float, static: float):
+    """(w_p, Gamma): the peak of chi'' and its half width.
+
+    w_p is the root of the real part of the denominator (see
+    ``fdt_dispersions``), found by Newton steps from ``omega`` with a
+    central-difference slope; Gamma = Im Sigma(w_p) / (2 m w_p).  Without a
+    root nearby the last point inside (0, cutoff) is kept: the peak only
+    places the nodes, it does not enter the integral.
+    """
+    lam = sd.cutoff
+    wp = omega
+    for _ in range(_PEAK_NEWTON_STEPS):
+        h = 1e-6 * min(wp, lam - wp)
+        dw = np.array([-h, 0.0, h])
+        w = wp + dw
+        re = m * ((omega - wp) - dw) * (omega + w) + static - _self_energy_shift(sd, w)
+        lo, mid, hi = re
+        step = 2.0 * h * mid / (hi - lo)
+        if not 0.0 < wp - step < lam:
+            break
+        wp -= step
+        if abs(step) <= 1e-15 * wp:
+            break
+    return wp, math.pi * j_omega(sd, wp) / (m * wp)
+
+
+def _peak_side_nodes(t: np.ndarray, width: float, length: float):
+    """Tanh-sinh nodes on an interval of ``length`` that starts at a peak.
+
+    The offset from the peak is width * tan(theta), which flattens a
+    Lorentzian of half width ``width``; theta runs over (0, theta_end) by the
+    tanh-sinh map of ``t``.  Returns each node's offset from the peak, its
+    distance from the far end (computed directly, not as length - offset)
+    and d(offset)/dt.
+    """
+    hyp = math.hypot(width, length)
+    c_end, s_end = width / hyp, length / hyp
+    theta_end = math.atan2(length, width)
+    u = 0.5 * math.pi * np.sinh(t)
+    theta = theta_end / (1.0 + np.exp(-2.0 * u))
+    delta = theta_end / (1.0 + np.exp(2.0 * u))  # theta_end - theta
+    cos_t = c_end * np.cos(delta) + s_end * np.sin(delta)
+    offset = width * np.sin(theta) / cos_t
+    far = width * np.sin(delta) / (c_end * cos_t)
+    dtheta = 0.25 * math.pi * theta_end * np.cosh(t) / np.cosh(u) ** 2
+    return offset, far, width * dtheta / cos_t**2
 
 
 def fdt_dispersions(
@@ -400,35 +467,51 @@ def fdt_dispersions(
     ``omega`` is the renormalized frequency of the x+ oscillator.  This is
     the continuum limit of the discrete-bath equilibrium, used as the
     non-perturbative route for phase diagrams and T0.
+
+    <x^2> and <p^2> are integrals of coth(w/2T) chi''(w)/pi (times m^2 w^2)
+    over (0, cutoff).  Both come from one nested tanh-sinh rule on
+    [0, w_p] and [w_p, cutoff], split and tan-mapped at the resonance
+    w_p; h halves until two levels agree, and their difference is the
+    error estimate.
     """
     m = sd.mass if m is None else m
-    shift = -counterterm(sd)  # bare omega_+^2 = omega^2 + shift
+    lam = sd.cutoff
+    if not 0 < omega < lam:
+        raise ValueError("omega must lie below the cutoff")
+    # Re D(w) = m (omega^2 - counterterm - w^2) - Re Sigma(w).  The static
+    # parts cancel analytically (exactly when m == sd.mass), and omega - w is
+    # formed from the offsets from the peak: at a narrow peak Re D is a
+    # small difference that rounding of the O(cutoff) terms would swamp.
+    static = (sd.mass - m) * counterterm(sd)
+    wp, width = _resonance(sd, m, omega, static)
 
-    def chi_im(w: float) -> float:
-        sigma = bath_self_energy(sd, w)
-        denom = m * (omega**2 + shift - w * w) - sigma
-        return (sigma.imag) / abs(denom) ** 2
+    def level_sums(t: np.ndarray) -> tuple[float, float]:
+        left, to_zero, wt_left = _peak_side_nodes(t, width, wp)
+        right, to_cutoff, wt_right = _peak_side_nodes(t, width, lam - wp)
+        w = np.concatenate([to_zero, wp + right])
+        gap = np.concatenate([lam - to_zero, to_cutoff])
+        below = np.concatenate([(omega - wp) + left, (omega - wp) - right])  # omega - w
+        re = m * below * (omega + w) + static - _self_energy_shift(sd, w, gap)
+        im = 2.0 * math.pi * j_omega(sd, w)
+        f = np.concatenate([wt_left, wt_right]) * im / (math.pi * (re * re + im * im))
+        if temperature != 0.0:
+            f /= np.tanh(w / (2.0 * temperature))
+        return float(f.sum()), m * m * float(f @ (w * w))
 
-    if temperature == 0.0:
-        coth = lambda w: 1.0
-    else:
-        coth = lambda w: 1.0 / math.tanh(w / (2.0 * temperature))
-
-    points = [omega] if omega < sd.cutoff else None
-    x2, x_err = quad(
-        lambda w: coth(w) * chi_im(w) / math.pi,
-        0.0,
-        sd.cutoff,
-        points=points,
-        limit=400,
-    )
-    p2, p_err = quad(
-        lambda w: m * m * w * w * coth(w) * chi_im(w) / math.pi,
-        0.0,
-        sd.cutoff,
-        points=points,
-        limit=400,
-    )
+    x2 = p2 = 0.0
+    for level in range(_DE_MAX_LEVEL + 1):
+        h = 2.0**-level
+        if level == 0:
+            t = np.arange(-_DE_T_MAX, _DE_T_MAX + 1, dtype=float)
+        else:
+            odd = h * np.arange(1, _DE_T_MAX * 2**level, 2)
+            t = np.concatenate([-odd, odd])
+        sx, sp = level_sums(t)
+        x_new, p_new = 0.5 * x2 + h * sx, 0.5 * p2 + h * sp
+        x_err, p_err = abs(x_new - x2), abs(p_new - p2)
+        x2, p2 = x_new, p_new
+        if level > 0 and x_err <= _DE_RTOL * abs(x2) and p_err <= _DE_RTOL * abs(p2):
+            break
     if x2 <= 0 or p2 <= 0 or x_err > 1e-6 * abs(x2) + 1e-12 or p_err > 1e-6 * abs(p2) + 1e-12:
         raise NumericalError("fluctuation-dissipation quadrature failed")
     return math.sqrt(x2), math.sqrt(p2)

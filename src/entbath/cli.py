@@ -119,16 +119,40 @@ def minus_mode_readout(
     return r, dx * dp, nm[2:, 2:]
 
 
+def plus_frequency(cfg: RunConfig) -> float:
+    """Frequency of the bath-coupled plus mode in the closed-form routes.
+
+    omega+ = sqrt((omega1^2 + omega2^2)/2 + c12) for position coupling and
+    omega1 for the symmetric model.  A plus mode, or an omega1 (where the
+    perturbative coefficients are taken), at or above the cutoff has no
+    damped equilibrium and is a config error.
+    """
+    sy = cfg.system
+    omega_plus = sy.omega1
+    if cfg.model == "position":
+        try:
+            _, omega_plus = oscillator(cfg).plus_mode_position()
+        except ValueError as err:
+            raise ConfigError(f"system.c12: {err}") from err
+    lam = cfg.spectral.cutoff
+    if max(omega_plus, sy.omega1) >= lam:
+        raise ConfigError(
+            f"system.omega1/omega2: omega1={sy.omega1!r} and omega_plus={omega_plus!r} "
+            f"must lie below spectral.cutoff={lam!r}"
+        )
+    return omega_plus
+
+
 def equilibrium_plus(cfg: RunConfig, temperature: float) -> tuple[float, float]:
     """Asymptotic (dx+, dp+): fluctuation-dissipation route for position
     coupling, closed form for the symmetric model."""
     sd = spectral_density(cfg)
-    sy = cfg.system
+    m = cfg.system.m
+    omega_plus = plus_frequency(cfg)
     if cfg.model == "symmetric":
-        coeffs = asy.coefficient_limits(sd, sy.omega1, temperature, None, "symmetric")
-        return asy.equilibrium_dispersions_symmetric(coeffs, sy.m, sy.omega1)
-    omega_plus = math.sqrt((sy.omega1**2 + sy.omega2**2) / 2.0 + sy.c12)
-    return asy.fdt_dispersions(sd, omega_plus, temperature, sy.m)
+        coeffs = asy.coefficient_limits(sd, omega_plus, temperature, None, "symmetric")
+        return asy.equilibrium_dispersions_symmetric(coeffs, m, omega_plus)
+    return asy.fdt_dispersions(sd, omega_plus, temperature, m)
 
 
 def minus_scale(cfg: RunConfig) -> tuple[float, float]:
@@ -207,6 +231,7 @@ def write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
 
 def _moments_trace(cfg: RunConfig, v_sys: CovarianceMatrix, times: np.ndarray):
     """Moment-ODE E_N and dispersions interpolated onto the given times."""
+    plus_frequency(cfg)  # refuses a plus mode at or above the cutoff
     sd = spectral_density(cfg)
     sy = cfg.system
     m_minus, omega_minus = minus_scale(cfg)
@@ -356,6 +381,12 @@ def cmd_phase_diagram(cfg: RunConfig, out: str, summary_out: str | None) -> int:
         raise ConfigError("sweep.r_grid: required for phase-diagram")
     if not sw.t_grid:
         raise ConfigError("sweep.t_grid: required for phase-diagram")
+    if cfg.initial_state.kind == "custom_covariance":
+        raise ConfigError(
+            "initial_state.kind: custom_covariance has no squeezing to sweep; "
+            "phase-diagram sets it from sweep.r_grid"
+        )
+    plus_frequency(cfg)  # refuses a plus mode at or above the cutoff
     cells = [(canonical_json(cfg), float(r), float(t)) for r in sw.r_grid for t in sw.t_grid]
     workers = _workers(cfg)
     if workers == 1 or len(cells) == 1:
@@ -388,7 +419,7 @@ def _phase_summary(cfg: RunConfig, rows: list[dict]) -> dict:
     if cfg.model == "position":
         sd = spectral_density(cfg)
         sy = cfg.system
-        omega_plus = math.sqrt((sy.omega1**2 + sy.omega2**2) / 2.0 + sy.c12)
+        omega_plus = plus_frequency(cfg)
 
         def variance(t: float) -> float:
             return asy.fdt_dispersions(sd, omega_plus, t, sy.m)[0] ** 2
@@ -411,11 +442,15 @@ def cmd_asymptotics(cfg: RunConfig, out: str | None) -> int:
     sd = spectral_density(cfg)
     sy = cfg.system
     t = cfg.bath.temperature
+    omega_plus = plus_frequency(cfg)
     m_minus, omega_minus = minus_scale(cfg)
-    initial_system_state(cfg, m_minus, omega_minus)  # refuses an unphysical state
+    v_sys = initial_system_state(cfg, m_minus, omega_minus)
+    if cfg.initial_state.kind == "custom_covariance":
+        r_minus, product, _ = minus_mode_readout(v_sys, m_minus, omega_minus)
+    else:
+        r_minus = _initial_minus_r(cfg, cfg.initial_state.r)
+        product = cfg.initial_state.purity_product
     dx_p, dp_p = equilibrium_plus(cfg, t)
-    product = cfg.initial_state.purity_product
-    r_minus = _initial_minus_r(cfg, cfg.initial_state.r)
     dx_m = math.sqrt(product / (m_minus * omega_minus)) * math.exp(r_minus)
     dp_m = math.sqrt(product * m_minus * omega_minus) * math.exp(-r_minus)
     cp = asy.critical_params(dx_p, dp_p, dx_m, dp_m, m_minus, omega_minus)
@@ -440,7 +475,6 @@ def cmd_asymptotics(cfg: RunConfig, out: str | None) -> int:
             "diffusion": coeffs.diffusion,
             "anomalous": coeffs.anomalous,
         }
-        omega_plus = math.sqrt((sy.omega1**2 + sy.omega2**2) / 2.0 + sy.c12)
         dx0, dp0 = asy.fdt_dispersions(sd, omega_plus, 0.0, sy.m)
         r1, r2 = asy.r1_r2(dx0, dp0, sy.m, omega_plus)
         payload["r1"] = r1

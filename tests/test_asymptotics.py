@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entbath import asymptotics as asy
-from entbath.bath import SpectralDensity, asymptotic_gamma
+from entbath.bath import SpectralDensity, asymptotic_gamma, counterterm
 from entbath.errors import NumericalError
 from entbath.gaussian import log_negativity
 
@@ -134,6 +134,121 @@ def test_fdt_high_t_equipartition():
     dx, dp = asy.fdt_dispersions(OHMIC, 1.0, 10.0)
     assert dp * dp == pytest.approx(10.0, rel=1e-2)
     assert dx * dx == pytest.approx(10.0, rel=2e-2)
+
+
+def _quad_reference(sd, omega, temperature):
+    """<x+^2>, <p+^2> by adaptive quad at epsrel 1e-12, with breakpoints at
+    omega and at the resonance: the first downward zero crossing of the
+    real part of the denominator, bracketed on a grid and found by brentq."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    m = sd.mass
+    bare = omega**2 - counterterm(sd)
+
+    def denom(w):
+        return m * (bare - w * w) - asy.bath_self_energy(sd, w)
+
+    grid = np.geomspace(1e-3 * omega, sd.cutoff * (1.0 - 1e-9), 400)
+    re = np.array([denom(w).real for w in grid])
+    down = np.flatnonzero((re[:-1] > 0.0) & (re[1:] <= 0.0))
+    peak = brentq(lambda w: denom(w).real, grid[down[0]], grid[down[0] + 1], xtol=1e-15)
+
+    def x_integrand(w):
+        coth = 1.0 if temperature == 0.0 else 1.0 / math.tanh(w / (2.0 * temperature))
+        return coth * asy.bath_self_energy(sd, w).imag / abs(denom(w)) ** 2 / math.pi
+
+    opts = dict(points=sorted({omega, peak}), limit=2000, epsabs=0.0, epsrel=1e-12)
+    x2 = quad(x_integrand, 0.0, sd.cutoff, **opts)[0]
+    p2 = quad(lambda w: m * m * w * w * x_integrand(w), 0.0, sd.cutoff, **opts)[0]
+    return x2, p2
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+def test_fdt_matches_adaptive_reference(exponent):
+    for gamma0 in (0.1, 0.3):
+        sd = SpectralDensity(exponent, gamma0, 20.0)
+        for omega in (0.2, 1.0, 3.0):
+            for t in (0.0, 0.1, 1.0, 10.0):
+                dx, dp = asy.fdt_dispersions(sd, omega, t)
+                x2, p2 = _quad_reference(sd, omega, t)
+                assert dx * dx == pytest.approx(x2, rel=1e-10), (gamma0, omega, t)
+                assert dp * dp == pytest.approx(p2, rel=1e-10), (gamma0, omega, t)
+
+
+@pytest.mark.parametrize(
+    "exponent, gamma0, omega, t, cutoff",
+    [
+        (3.0, 0.01, 0.2, 0.0, 200.0),  # peak 2e-8 wide
+        (3.0, 0.01, 1.0, 1.0, 200.0),
+        (0.5, 1.0, 1.0, 10.0, 5.0),  # w^(-1/2) at the origin
+        (1.0, 1.0, 1.0, 0.1, 20.0),
+    ],
+)
+def test_fdt_matches_high_precision_reference(exponent, gamma0, omega, t, cutoff):
+    # the whole integrand at 30 digits, integrated by mpmath between cuts
+    # around the peak; no rounding in the denominator near resonance
+    import mpmath as mp
+
+    sd = SpectralDensity(exponent, gamma0, cutoff)
+    with mp.workdps(30):
+        n, g, lam = mp.mpf(exponent), mp.mpf(gamma0), mp.mpf(cutoff)
+
+        def pv(w):
+            log = mp.log((lam - w) / (lam + w))
+            if exponent == 1.0:
+                return lam + w * log / 2
+            if exponent == 3.0:
+                return lam**3 / 3 + w * w * lam + w**3 * log / 2
+            su, sl = mp.sqrt(w), mp.sqrt(lam)
+            return 2 * sl + su * (mp.log((sl - su) / (sl + su)) / 2 - mp.atan(sl / su))
+
+        def chi(w):
+            re = 8 * g / mp.pi * lam ** (1 - n) * pv(w)
+            im = 4 * g * w * (w / lam) ** (n - 1)
+            d = mp.mpf(omega) ** 2 + 8 * g * lam / (mp.pi * n) - w * w - re
+            coth = 1 if t == 0.0 else 1 / mp.tanh(w / (2 * mp.mpf(t)))
+            return coth * im / (d * d + im * im) / mp.pi
+
+        peak, width = asy._resonance(sd, 1.0, omega, 0.0)
+        cuts = [0.0] + [c for c in (peak + k * width for k in (-1e3, -30, -1, 0, 1, 30, 1e3))
+                        if 0.0 < c < cutoff] + [cutoff]
+        cuts = [mp.mpf(c) for c in cuts]
+        x2 = float(mp.quad(chi, cuts, maxdegree=10))
+        p2 = float(mp.quad(lambda w: w * w * chi(w), cuts, maxdegree=10))
+    dx, dp = asy.fdt_dispersions(sd, omega, t)
+    assert dx * dx == pytest.approx(x2, rel=1e-12)
+    assert dp * dp == pytest.approx(p2, rel=1e-12)
+
+
+def test_fdt_refuses_unconverged_rule(monkeypatch):
+    # two levels (9 and 17 nodes per side) leave the estimate far above 1e-6
+    monkeypatch.setattr(asy, "_DE_MAX_LEVEL", 1)
+    with pytest.raises(NumericalError, match="quadrature failed"):
+        asy.fdt_dispersions(OHMIC, 1.0, 0.0)
+
+
+def test_fdt_refuses_omega_at_or_above_cutoff():
+    for omega in (20.0, 25.0, 0.0):
+        with pytest.raises(ValueError, match="cutoff"):
+            asy.fdt_dispersions(OHMIC, omega, 0.0)
+
+
+@pytest.mark.parametrize("sd", [OHMIC, SUB, SUPER], ids=["ohmic", "sub", "super"])
+def test_principal_value_against_cauchy_quadrature(sd):
+    from scipy.integrate import quad
+
+    n, lam = sd.exponent, sd.cutoff
+    w = np.array([0.01, 0.3, 1.0, 5.0, 19.9, 20.0 - 1e-9])
+    shift = asy._principal_value_shift(n, w, lam)
+    # the array form is the scalar form applied elementwise
+    assert list(shift) == [asy._principal_value_shift(n, float(x), lam) for x in w]
+    got = shift + lam**n / n  # the PV integral itself
+    # quad's Cauchy weight gives PV Int f(nu)/(nu - w); f = nu^(n+1)/(nu + w)
+    for x, val in zip(w, got):
+        ref = quad(lambda nu: nu ** (n + 1) / (nu + x), 0.0, lam,
+                   weight="cauchy", wvar=x, epsabs=0.0, epsrel=1e-12)[0]
+        assert val == pytest.approx(ref, rel=1e-10, abs=1e-10 * lam**n)
 
 
 def test_critical_temperature_frozen():

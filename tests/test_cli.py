@@ -206,3 +206,81 @@ def test_unphysical_custom_covariance_is_config_error(command, cfg_file, tmp_pat
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert "initial_state.covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["asymptotics", "moments", "phase-diagram"])
+def test_plus_mode_at_or_above_cutoff_is_config_error(command, cfg_file, tmp_path, capsys):
+    argv = [command, cfg_file, "--set", "system.omega1=25", "--set", "system.omega2=25"]
+    if command != "asymptotics":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "system.omega1" in err
+    assert "spectral.cutoff" in err
+
+
+CUSTOM_STATES = ([0.5, 0.5, 0.5, 0.5], [3.0, 0.1, 3.0, 0.1])
+
+
+def _custom_overrides(diagonal):
+    cov = [[diagonal[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    return ["initial_state.kind=custom_covariance",
+            f"initial_state.covariance={json.dumps(cov)}"]
+
+
+def test_asymptotics_reads_custom_covariance(cfg_file, tmp_path):
+    from entbath import asymptotics as asy
+    from entbath.cli import (
+        equilibrium_plus, initial_system_state, minus_mode_readout, minus_scale,
+    )
+
+    docs = []
+    for diagonal in CUSTOM_STATES:
+        overrides = _custom_overrides(diagonal)
+        out = tmp_path / "asy.json"
+        argv = ["asymptotics", cfg_file, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+
+        cfg = load_config(cfg_file, overrides)
+        m_minus, omega_minus = minus_scale(cfg)
+        v_sys = initial_system_state(cfg, m_minus, omega_minus)
+        r, _, block = minus_mode_readout(v_sys, m_minus, omega_minus)
+        dx_p, dp_p = equilibrium_plus(cfg, cfg.bath.temperature)
+        cp = asy.critical_params(dx_p, dp_p, block[0, 0] ** 0.5, block[1, 1] ** 0.5,
+                                 m_minus, omega_minus)
+        assert doc["r_crit"] == pytest.approx(cp.r_crit, rel=1e-12)
+        assert doc["s_crit"] == pytest.approx(cp.s_crit, rel=1e-12)
+        assert doc["phase"] == asy.classify(r, cp.r_crit, cp.s_crit).value
+        docs.append(doc)
+    assert docs[0]["s_crit"] != pytest.approx(docs[1]["s_crit"], rel=1e-3)
+
+
+def test_phase_diagram_refuses_custom_covariance(cfg_file, tmp_path, capsys):
+    argv = ["phase-diagram", cfg_file, "--out", str(tmp_path / "pd.csv")]
+    for item in _custom_overrides(CUSTOM_STATES[1]):
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "custom_covariance" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import entbath
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entbath.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, entbath, entbath.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True, env=env)
+    assert done.stdout.strip() == "[]"
