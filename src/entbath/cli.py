@@ -386,7 +386,6 @@ def cmd_phase_diagram(cfg: RunConfig, out: str, summary_out: str | None) -> int:
             "initial_state.kind: custom_covariance has no squeezing to sweep; "
             "phase-diagram sets it from sweep.r_grid"
         )
-    plus_frequency(cfg)  # refuses a plus mode at or above the cutoff
     cells = [(canonical_json(cfg), float(r), float(t)) for r in sw.r_grid for t in sw.t_grid]
     workers = _workers(cfg)
     if workers == 1 or len(cells) == 1:
