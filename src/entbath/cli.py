@@ -44,6 +44,7 @@ from .gaussian import (
     OscillatorParams,
     basis_change,
     separable_squeezed,
+    symplectic_eigenvalues,
     two_mode_squeezed,
 )
 
@@ -258,7 +259,7 @@ def _moments_trace(cfg: RunConfig, v_sys: CovarianceMatrix, times: np.ndarray):
     )
     tt = np.array([s.time for s in traj])
     cols = {
-        "e_n": np.array([mo.negativity_from_moments(s) for s in traj]),
+        "e_n": mo.negativities(traj),
         "dx_plus_sq": np.array([s.x2_plus for s in traj]),
         "dp_plus_sq": np.array([s.p2_plus for s in traj]),
         "dx_minus_sq": np.array([s.x2_minus for s in traj]),
@@ -522,7 +523,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     v0 = ex.initial_covariance(v_sys, bath)
 
     checks: list[tuple[str, bool, str]] = []
-    s = drift.normal_form.propagator(t_val)
+    s = drift.normal_modes.propagator(t_val)
     defect = ex.symplecticity_defect(s)
     checks.append(("symplecticity", defect <= 1e-8, f"defect={defect:.3e}"))
 
@@ -535,8 +536,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     _, series_rk = ex.evolve(v0, drift, cfg_rk)
     diff = float(np.abs(series_nm[-1].matrix - series_rk[-1].matrix).max())
     checks.append(("rk4 vs normal-mode", diff <= 1e-5, f"max diff={diff:.3e}"))
-
-    from .gaussian import symplectic_eigenvalues
 
     nu0 = symplectic_eigenvalues(v0.matrix)
     nu1 = symplectic_eigenvalues(series_nm[-1].matrix)

@@ -4,11 +4,11 @@ The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  Two
 integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
-built from one eigendecomposition (exactly symplectic, arbitrary t), and a
-fixed-step RK4 march used as an independent cross-check.  Position coupling
-has real second-order normal modes (one symmetric eigensolve of size N+2);
-the symmetric model uses the complex form of size 2N+4.  Both are cached on
-the drift.
+(exactly symplectic, arbitrary t) and a fixed-step RK4 march used as an
+independent cross-check.  Both coupling models leave H without x-p cross
+terms, H = x^T K x / 2 + p^T B p / 2, so their normal modes are real and
+second order: one Cholesky factor of the momentum block B and one real
+symmetric eigensolve of size N+2, computed once per drift and cached on it.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from .bath import DiscreteBath, thermal_bath_covariance, thermal_bath_variances
 from .errors import (
     RecurrenceWindowError,
     StepSizeError,
+    UnphysicalStateError,
     UnstableHamiltonianError,
 )
 from .gaussian import (
     CovarianceMatrix,
     Ordering,
     OscillatorParams,
-    basis_change,
-    log_negativity,
+    log_negativities,
+    mix_modes,
+    symplectic_eigenvalues,
     symplectic_form,
 )
 
@@ -75,9 +77,9 @@ class DriftMatrix:
     """Drift K = J H of the Lyapunov equation plus the decoupled minus mode.
 
     ``m_minus``/``omega_minus`` are the exact parameters of the bath-free
-    minus oscillator implied by the (possibly renormalized) model.  Each
-    normal-mode factorization is computed on first use and kept, so a drift
-    is factorized at most once however many states are evolved with it.
+    minus oscillator implied by the (possibly renormalized) model.  The
+    normal modes are computed on first use and kept, so a drift is
+    factorized at most once however many states are evolved with it.
     """
 
     k: np.ndarray
@@ -98,21 +100,24 @@ class DriftMatrix:
         return self.k.shape[0]
 
     @cached_property
-    def normal_form(self) -> NormalModeForm:
-        """Complex normal-mode form of the general drift."""
-        return normal_mode_form(self)
-
-    @cached_property
-    def position_modes(self) -> PositionModes:
-        """Real second-order normal modes; position coupling only."""
-        return position_normal_modes(self)
+    def normal_modes(self) -> NormalModes:
+        """Real second-order normal modes of the drift."""
+        return normal_modes(self)
 
 
-def _bath_block(h: np.ndarray, bath: DiscreteBath) -> None:
-    for k in range(bath.n_modes):
-        iq, ip = 4 + 2 * k, 5 + 2 * k
-        h[iq, iq] = bath.masses[k] * bath.frequencies[k] ** 2
-        h[ip, ip] = 1.0 / bath.masses[k]
+def _bath_block(h: np.ndarray, bath: DiscreteBath) -> np.ndarray:
+    """Fill the diagonal bath block of H; returns the bath q indices."""
+    iq = 4 + 2 * np.arange(bath.n_modes)
+    h[iq, iq] = bath.masses * bath.frequencies**2
+    h[iq + 1, iq + 1] = 1.0 / bath.masses
+    return iq
+
+
+def _drift_of(h: np.ndarray) -> np.ndarray:
+    """K = J H: J swaps each (x, p) row pair of H and negates the p row."""
+    k = np.empty_like(h)
+    k[0::2], k[1::2] = h[1::2], -h[0::2]
+    return k
 
 
 def _check_stable(h: np.ndarray) -> None:
@@ -155,20 +160,17 @@ def build_position_model(
     w2_sq = osc.omega2**2 + shift
     c12 = osc.c12 + shift
 
-    n = bath.n_modes
-    dim = 4 + 2 * n
+    dim = 4 + 2 * bath.n_modes
     h = np.zeros((dim, dim))
     h[0, 0] = m * w1_sq
     h[2, 2] = m * w2_sq
     h[1, 1] = h[3, 3] = 1.0 / m
     h[0, 2] = h[2, 0] = m * c12
-    _bath_block(h, bath)
-    for k in range(n):
-        iq = 4 + 2 * k
-        h[0, iq] = h[iq, 0] = bath.couplings[k]
-        h[2, iq] = h[iq, 2] = bath.couplings[k]
+    iq = _bath_block(h, bath)
+    h[0, iq] = h[iq, 0] = bath.couplings
+    h[2, iq] = h[iq, 2] = bath.couplings
     _check_stable(h)
-    k_mat = symplectic_form(dim) @ h
+    k_mat = _drift_of(h)
 
     w_minus_sq = (w1_sq + w2_sq) / 2.0 - c12
     if w_minus_sq <= 0:
@@ -206,25 +208,21 @@ def build_symmetric_model(
         w_bare_sq = big_omega_sq
         c12, c12_t = osc.c12, osc.c12_tilde
 
-    n = bath.n_modes
-    dim = 4 + 2 * n
+    dim = 4 + 2 * bath.n_modes
     h = np.zeros((dim, dim))
     h[0, 0] = h[2, 2] = m * w_bare_sq
     h[1, 1] = h[3, 3] = 1.0 / m
     h[0, 2] = h[2, 0] = m * c12
     h[1, 3] = h[3, 1] = c12_t / (m * w_bare_sq)
-    _bath_block(h, bath)
-    w_bare = math.sqrt(w_bare_sq)
-    for k in range(n):
-        iq, ip = 4 + 2 * k, 5 + 2 * k
-        c = bath.couplings[k]
-        h[0, iq] = h[iq, 0] = c
-        h[2, iq] = h[iq, 2] = c
-        cp = c / (m * w_bare * bath.masses[k] * bath.frequencies[k])
-        h[1, ip] = h[ip, 1] = cp
-        h[3, ip] = h[ip, 3] = cp
+    iq = _bath_block(h, bath)
+    c = bath.couplings
+    h[0, iq] = h[iq, 0] = c
+    h[2, iq] = h[iq, 2] = c
+    cp = c / (m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+    h[1, iq + 1] = h[iq + 1, 1] = cp
+    h[3, iq + 1] = h[iq + 1, 3] = cp
     _check_stable(h)
-    k_mat = symplectic_form(dim) @ h
+    k_mat = _drift_of(h)
 
     fp = 1.0 - c12_t / w_bare_sq
     fx = w_bare_sq - c12
@@ -256,92 +254,69 @@ def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> Covari
 # Propagators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalModeForm:
-    """Factorization exp(Kt) = real(B diag(exp(-i mu t)) C).
-
-    Derived from H = L L^T (Cholesky) and the Hermitian eigenproblem of
-    i L^T J L; each factor application is exactly symplectic.
-    """
-
-    mu: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def propagator(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.mu * t)
-        return np.real((self.b * phases) @ self.c)
-
-
-def normal_mode_form(drift: DriftMatrix) -> NormalModeForm:
-    h = drift.hamiltonian
-    dim = drift.dim
-    try:
-        low = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as err:
-        raise UnstableHamiltonianError(
-            "Hamiltonian not positive definite; no normal-mode form"
-        ) from err
-    a = low.T @ symplectic_form(dim) @ low
-    mu, w = np.linalg.eigh(1j * a)
-    b = np.linalg.solve(low.T, w)
-    c = w.conj().T @ low.T
-    return NormalModeForm(mu, b, c)
-
-
-# samples per batched product in PositionModes.system_blocks; bounds the
+# samples per batched product in NormalModes.system_blocks; bounds the
 # working set to a few MB at N ~ 1200
 SAMPLE_CHUNK = 128
 
 
 @dataclass(frozen=True)
-class PositionModes:
-    """Real normal modes of H = p^T M^-1 p / 2 + x^T K x / 2.
+class NormalModes:
+    """Real normal modes of H = x^T K x / 2 + p^T B p / 2.
 
-    Positions are ordered (x1, x2, q1, ..., qN) and ``sqrt_mass`` is the
-    diagonal of M^(1/2).  The orthogonal ``u`` and the frequencies
-    ``omega`` diagonalize the mass-weighted stiffness,
-    M^(-1/2) K M^(-1/2) = U diag(omega^2) U^T, so the coordinates
-    Q = U^T M^(1/2) x and P = U^T M^(-1/2) p rotate freely, each at its
-    omega: the exact normal modes of a linear bath (Ullersma, Physica 32,
-    27 (1966)).
+    Positions are ordered (x1, x2, q1, ..., qN) and momenta (p1, p2, pi1,
+    ..., piN).  With B = L L^T and L^T K L = U diag(omega^2) U^T (U
+    orthogonal), the coordinates Q = W x and P = A^T p, with A = L U and
+    W = U^T L^-1, rotate freely, each at its omega, and x = A Q, p = W^T P:
+    the exact normal modes of a linear bath (Ullersma, Physica 32, 27
+    (1966)).  For position coupling L = M^(-1/2).
     """
 
     omega: np.ndarray
-    u: np.ndarray
-    sqrt_mass: np.ndarray
+    a: np.ndarray
+    w: np.ndarray
+
+    def propagator(self, t: float) -> np.ndarray:
+        """The full S(t) = exp(Kt) in FULL ordering."""
+        om, a, w = self.omega, self.a, self.w
+        cos, sin = np.cos(om * t), np.sin(om * t)
+        s = np.empty((2 * len(om), 2 * len(om)))
+        s[0::2, 0::2] = (a * cos) @ w
+        s[0::2, 1::2] = (a * (sin / om)) @ a.T
+        s[1::2, 0::2] = (w.T * (-om * sin)) @ w
+        s[1::2, 1::2] = (w.T * cos) @ a.T
+        return s
 
     def system_blocks(
         self, system_v: CovarianceMatrix, bath_variances: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
         """Reduced 4x4 covariance at every sample time, shape (len(times), 4, 4).
 
-        The four system rows of S(t), as coefficients on the initial
-        positions (sx) and momenta (sp), come from one GEMM against U^T per
-        chunk of samples.  They are contracted with the initial covariance
-        in its own coordinates, where it is the system block plus the
-        diagonal thermal bath (``bath_variances``, interleaved q, pi).
+        The four system rows of S(t) are built per chunk of samples as
+        weights on Q and on P, then mapped to coefficients on the initial
+        positions (sx, through W) and momenta (sp, through A^T).  They are
+        contracted with the initial covariance in its own coordinates,
+        where it is the system block plus the diagonal thermal bath
+        (``bath_variances``, interleaved q, pi).
         """
-        w, sm = self.omega, self.sqrt_mass
-        n = len(w)
-        g = self.u[:2] / sm[:2, None]   # x_s(t) = g_s . (cos Q + sin P / w)
-        hs = self.u[:2] * sm[:2, None]  # p_s(t) = h_s . (-w sin Q + cos P)
+        om = self.omega
+        n = len(om)
+        g = self.a[:2]      # x_s(t) = g_s . (cos Q + sin P / omega)
+        hs = self.w[:, :2].T  # p_s(t) = h_s . (-omega sin Q + cos P)
         zero = np.zeros(n)
-        # cos(wt) and sin(wt) weights of the sx rows, then the sp rows,
-        # each in PHYSICAL order (x1, p1, x2, p2)
+        # cos(omega t) and sin(omega t) weights on Q of the rows in PHYSICAL
+        # order (x1, p1, x2, p2), then on P of the same rows
         cos_w = np.array([g[0], zero, g[1], zero, zero, hs[0], zero, hs[1]])
         sin_w = np.array(
-            [zero, -w * hs[0], zero, -w * hs[1], g[0] / w, zero, g[1] / w, zero]
+            [zero, -om * hs[0], zero, -om * hs[1], g[0] / om, zero, g[1] / om, zero]
         )
         v_ss = system_v.matrix
         var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
         out = np.empty((len(times), 4, 4))
         for lo in range(0, len(times), SAMPLE_CHUNK):
-            phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], w)[:, None, :]
+            phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], om)[:, None, :]
             rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
-            rows = (rows.reshape(-1, n) @ self.u.T).reshape(-1, 8, n)
-            sx = rows[:, :4] * sm
-            sp = rows[:, 4:] / sm
+            sx = (rows[:, :4].reshape(-1, n) @ self.w).reshape(-1, 4, n)
+            sp = (rows[:, 4:].reshape(-1, n) @ self.a.T).reshape(-1, 4, n)
             z = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
             bx, bp = sx[..., 2:], sp[..., 2:]
             out[lo:lo + SAMPLE_CHUNK] = (
@@ -352,22 +327,27 @@ class PositionModes:
         return out
 
 
-def position_normal_modes(drift: DriftMatrix) -> PositionModes:
-    """One real symmetric eigh of size N+2 for a position-coupled drift.
+def normal_modes(drift: DriftMatrix) -> NormalModes:
+    """One Cholesky factor and one real symmetric eigh of size N+2.
 
-    Position coupling leaves no momentum cross terms: the momentum block of
-    H is diag(1/m) and the position block is the stiffness K.
+    Refuses a Hamiltonian with x-p cross terms (``ValueError``); neither
+    coupling model has them.
     """
-    if drift.model != "position":
-        raise ValueError("real second-order normal modes need position coupling")
     h = drift.hamiltonian
-    sqrt_mass = 1.0 / np.sqrt(np.diag(h)[1::2])
-    w_sq, u = np.linalg.eigh(h[0::2, 0::2] / np.outer(sqrt_mass, sqrt_mass))
+    if np.any(h[0::2, 1::2]):
+        raise ValueError("real second-order normal modes need H without x-p terms")
+    try:
+        low = np.linalg.cholesky(h[1::2, 1::2])
+    except np.linalg.LinAlgError as err:
+        raise UnstableHamiltonianError(
+            "momentum block of H not positive definite; no normal-mode form"
+        ) from err
+    w_sq, u = np.linalg.eigh(low.T @ h[0::2, 0::2] @ low)
     if w_sq[0] <= 0.0:
         raise UnstableHamiltonianError(
             f"normal-mode frequency^2 {w_sq[0]:.3e} <= 0; no normal-mode form"
         )
-    return PositionModes(np.sqrt(w_sq), u, sqrt_mass)
+    return NormalModes(np.sqrt(w_sq), low @ u, np.linalg.solve(low.T, u).T)
 
 
 def check_recurrence(
@@ -407,10 +387,10 @@ def evolve(
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
     if cfg.integrator is Integrator.NORMAL_MODE:
-        form = drift.normal_form
+        modes = drift.normal_modes
         out = []
         for t in times:
-            s = form.propagator(float(t))
+            s = modes.propagator(float(t))
             out.append(CovarianceMatrix(_symmetrize(s @ v0.matrix @ s.T), Ordering.FULL))
         return times, out
     check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
@@ -469,50 +449,35 @@ def negativity_trace(
 ) -> NegativityTrace:
     """E_N(t) and plus/minus dispersions from the exact evolution.
 
-    Position coupling samples the real normal modes of the drift; the
-    symmetric model propagates the four system rows of the complex form.
-    Either factorization is made once per drift.  The RK4 path marches the
-    full matrix.  Every recorded reduced state is checked for physicality.
+    The normal-mode path samples the real normal modes of the drift, made
+    once per drift; the RK4 path marches the full matrix.  Every recorded
+    reduced state is checked for physicality.
     """
     _require_two_mode(system_v)
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
-
     if cfg.integrator is Integrator.RK4:
         _, series = evolve(initial_covariance(system_v, drift.bath), drift, cfg)
-        blocks = [v.matrix[:4, :4] for v in series]
-    elif drift.model == "position":
-        blocks = drift.position_modes.system_blocks(
+        blocks = np.array([v.matrix[:4, :4] for v in series])
+    else:
+        blocks = drift.normal_modes.system_blocks(
             system_v, thermal_bath_variances(drift.bath), times
         )
-    else:
-        form = drift.normal_form
-        b4 = form.b[:4, :]
-        # the initial state is the system block plus the diagonal bath
-        cs, cb = form.c[:, :4], form.c[:, 4:]
-        var_b = thermal_bath_variances(drift.bath)
-        r = cs @ system_v.matrix @ cs.T + (cb * var_b) @ cb.T
-        blocks = []
-        for t in times:
-            f = b4 * np.exp(-1j * form.mu * float(t))
-            blocks.append(np.real(f @ r @ f.T))
-
     return _trace_from_blocks(times, blocks)
 
 
-def _trace_from_blocks(times: np.ndarray, blocks) -> NegativityTrace:
-    n = len(blocks)
-    e_n = np.empty(n)
-    cols = np.empty((n, 5))
-    for i, raw in enumerate(blocks):
-        sys_v = CovarianceMatrix(_symmetrize(raw), Ordering.PHYSICAL)
-        sys_v.validate_physical(REDUCED_PHYSICALITY_ATOL)
-        e_n[i] = log_negativity(sys_v)
-        nm = basis_change(sys_v, Ordering.NORMAL).matrix
-        cols[i] = nm[0, 0], nm[1, 1], nm[2, 2], nm[3, 3], 2.0 * nm[0, 1]
+def _trace_from_blocks(times: np.ndarray, blocks: np.ndarray) -> NegativityTrace:
+    v = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    nu_min = symplectic_eigenvalues(v)[:, 0]
+    bad = np.flatnonzero(nu_min < 0.5 - REDUCED_PHYSICALITY_ATOL)
+    if bad.size:
+        raise UnphysicalStateError(
+            f"smallest symplectic eigenvalue {nu_min[bad[0]]:.3e} < 1/2"
+        )
+    nm = mix_modes(v)
     return NegativityTrace(
-        np.asarray(times, dtype=float), e_n,
-        cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 4],
+        np.asarray(times, dtype=float), log_negativities(v),
+        nm[:, 0, 0], nm[:, 1, 1], nm[:, 2, 2], nm[:, 3, 3], 2.0 * nm[:, 0, 1],
     )
 
 

@@ -37,16 +37,14 @@ def symplectic_form(dim: int) -> np.ndarray:
     """Block-diagonal symplectic form J with 2x2 blocks [[0, 1], [-1, 0]]."""
     if dim <= 0 or dim % 2:
         raise ValueError(f"symplectic form needs an even positive dim, got {dim}")
-    j = np.zeros((dim, dim))
-    for k in range(0, dim, 2):
-        j[k, k + 1] = 1.0
-        j[k + 1, k] = -1.0
-    return j
+    return np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _check_symmetric(matrix: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.T).max() > SYMMETRY_RTOL * scale:
+    # one matrix or a stack, each checked against its own scale
+    scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+    asym = np.abs(matrix - np.swapaxes(matrix, -1, -2)).max(axis=(-2, -1))
+    if np.any(asym > SYMMETRY_RTOL * scale):
         raise UnphysicalStateError("covariance matrix is not symmetric")
 
 
@@ -107,21 +105,26 @@ def _as_matrix(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
 
 
 def _two_mode_closed_form(v: np.ndarray) -> np.ndarray:
-    # nu±² = (Δ̃ ± sqrt(Δ̃² − 4 det V))/2 with Δ̃ = det A + det B + 2 det C
-    a = np.linalg.det(v[:2, :2])
-    b = np.linalg.det(v[2:, 2:])
-    c = np.linalg.det(v[:2, 2:])
-    delta = a + b + 2.0 * c
+    # nu±² = (Δ̃ ± sqrt(Δ̃² − 4 det V))/2 with Δ̃ = det A + det B + 2 det C,
+    # for a (k, 4, 4) stack at once
+    delta = (
+        np.linalg.det(v[:, :2, :2])
+        + np.linalg.det(v[:, 2:, 2:])
+        + 2.0 * np.linalg.det(v[:, :2, 2:])
+    )
     det = np.linalg.det(v)
-    disc = delta * delta - 4.0 * det
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0))
     hi = (delta + root) / 2.0
     # nu_min^2 = (delta - root)/2 cancels when 4 det << delta^2; the
     # algebraically equal quotient form det/hi is stable there
-    lo = det / hi if hi > 0.0 else 0.0
-    nu2 = np.clip(np.array([lo, hi]), 0.0, None)
-    return np.sqrt(nu2)
+    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return np.sqrt(np.clip(np.stack([lo, hi], axis=-1), 0.0, None))
+
+
+def _eigensolver(m: np.ndarray) -> np.ndarray:
+    # moduli of the eigenvalues of i J V come in equal pairs; keep one per mode
+    eig = np.linalg.eigvals(1j * symplectic_form(m.shape[-1]) @ m)
+    return np.sort(np.abs(eig), axis=-1)[..., ::2]
 
 
 def symplectic_eigenvalues(
@@ -129,53 +132,56 @@ def symplectic_eigenvalues(
 ) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric matrix, ascending, one per mode.
 
-    They are the moduli of the eigenvalues of ``i J V``.  For 4x4 input the
-    two-mode closed form is the default fast path; ``general=True`` forces
-    the eigensolver route (used as an independent oracle in tests).
+    They are the moduli of the eigenvalues of ``i J V``.  A (k, d, d) stack
+    gives one row per matrix.  For 4x4 input the two-mode closed form is
+    the default fast path; ``general=True`` forces the eigensolver route
+    (used as an independent oracle in tests).
     """
     m = _as_matrix(v)
-    if m.shape[0] == 4 and not general:
-        nu = _two_mode_closed_form(m)
-        # the closed form cancels catastrophically near the purity boundary
-        # (|nu - 1/2| ~ 1e-8 observed for squeezed pure states); refine there
-        if abs(nu[0] - 0.5) < 1e-6:
-            return symplectic_eigenvalues(m, general=True)
-        return nu
-    j = symplectic_form(m.shape[0])
-    eig = np.linalg.eigvals(1j * j @ m)
-    mods = np.sort(np.abs(eig))
-    # moduli come in equal pairs; keep one per mode
-    return mods[::2]
+    if m.shape[-1] != 4 or general:
+        return _eigensolver(m)
+    stack = m.reshape(-1, 4, 4)
+    nu = _two_mode_closed_form(stack)
+    # the closed form cancels catastrophically near the purity boundary
+    # (|nu - 1/2| ~ 1e-8 observed for squeezed pure states); refine there
+    near = np.abs(nu[:, 0] - 0.5) < 1e-6
+    if near.any():
+        nu[near] = _eigensolver(stack[near])
+    return nu.reshape(m.shape[:-2] + (2,))
+
+
+# momentum-sign flip of mode 2: the congruence by diag(1, 1, 1, -1)
+_TRANSPOSE_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+
+
+def _require_two_mode_physical(v: CovarianceMatrix) -> None:
+    v.require(Ordering.PHYSICAL)
+    if v.dim != 4:
+        raise ValueError("partial transpose is defined for two-mode matrices")
 
 
 def partial_transpose(v: CovarianceMatrix) -> CovarianceMatrix:
     """Momentum-sign flip of mode 2 (time reversal of one oscillator)."""
-    v.require(Ordering.PHYSICAL)
-    if v.dim != 4:
-        raise ValueError("partial transpose is defined for two-mode matrices")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return CovarianceMatrix(flip @ v.matrix @ flip, Ordering.PHYSICAL)
+    _require_two_mode_physical(v)
+    return CovarianceMatrix(v.matrix * _TRANSPOSE_SIGNS, Ordering.PHYSICAL)
 
 
 def log_negativity(v: CovarianceMatrix) -> float:
     """E_N = max{0, -ln(2 nu_min)} of the partially transposed matrix."""
-    nu_min = symplectic_eigenvalues(partial_transpose(v))[0]
-    if nu_min <= 0.0:
+    _require_two_mode_physical(v)
+    return float(log_negativities(v.matrix[None])[0])
+
+
+def log_negativities(v: np.ndarray) -> np.ndarray:
+    """E_N of every matrix of a (k, 4, 4) stack of PHYSICAL covariances."""
+    nu_min = symplectic_eigenvalues(v * _TRANSPOSE_SIGNS)[:, 0]
+    if np.any(nu_min <= 0.0):
         raise UnphysicalStateError("partial transpose has vanishing eigenvalue")
-    return max(0.0, -math.log(2.0 * nu_min))
+    return np.maximum(0.0, -np.log(2.0 * nu_min))
 
 
-_MIX = None
-
-
-def _mixing_matrix() -> np.ndarray:
-    # x± = (x1 ± x2)/sqrt(2): orthogonal, symplectic and involutive
-    global _MIX
-    if _MIX is None:
-        i2 = np.eye(2)
-        _MIX = np.block([[i2, i2], [i2, -i2]]) / math.sqrt(2.0)
-        _MIX.flags.writeable = False
-    return _MIX
+# x± = (x1 ± x2)/sqrt(2): orthogonal, symplectic and involutive
+_MIX = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / math.sqrt(2.0)
 
 
 def basis_change(v: CovarianceMatrix, to: Ordering) -> CovarianceMatrix:
@@ -186,8 +192,13 @@ def basis_change(v: CovarianceMatrix, to: Ordering) -> CovarianceMatrix:
         return v
     if Ordering.FULL in (to, v.ordering):
         raise OrderingError("basis change maps between physical and normal only")
-    r = _mixing_matrix()
-    return CovarianceMatrix(r @ v.matrix @ r.T, to)
+    return CovarianceMatrix(mix_modes(v.matrix), to)
+
+
+def mix_modes(v: np.ndarray) -> np.ndarray:
+    """The basis change of a 4x4 matrix or a (k, 4, 4) stack, symmetrized."""
+    m = _MIX @ v @ _MIX.T
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def two_mode_squeezed(r: float, m: float = 1.0, omega: float = 1.0) -> CovarianceMatrix:

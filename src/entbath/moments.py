@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .asymptotics import PositionCoefficients, SymmetricCoefficients
 from .errors import StepSizeError, UnphysicalStateError
-from .gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation, log_negativity
+from .gaussian import free_rotation, log_negativities, mix_modes
 
 UNCERTAINTY_ATOL = 1e-9
 
@@ -48,14 +48,8 @@ class MomentState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        for tag, (x2, p2, xp) in (("plus", self.plus_block_moments()),
-                                  ("minus", self.minus_block_moments())):
-            det = x2 * p2 - (xp / 2.0) ** 2
-            if min(x2, p2) <= 0.0 or det <= 0.0:
-                raise UnphysicalStateError(
-                    f"{tag} block has nonpositive dispersions or determinant "
-                    f"({det:.6e}) at t={self.time}"
-                )
+        _require_positive("plus", self.plus_block_moments(), self.time)
+        _require_positive("minus", self.minus_block_moments(), self.time)
 
     def is_physical(self, atol: float = UNCERTAINTY_ATOL) -> bool:
         for x2, p2, xp in (self.plus_block_moments(), self.minus_block_moments()):
@@ -82,6 +76,16 @@ class MomentState:
         return _block(self.x2_minus, self.p2_minus, self.xp_minus)
 
 
+def _require_positive(tag: str, block: tuple[float, float, float], time: float) -> None:
+    x2, p2, xp = block
+    det = x2 * p2 - (xp / 2.0) ** 2
+    if min(x2, p2) <= 0.0 or det <= 0.0:
+        raise UnphysicalStateError(
+            f"{tag} block has nonpositive dispersions or determinant "
+            f"({det:.6e}) at t={time}"
+        )
+
+
 def _block(x2: float, p2: float, xp: float) -> np.ndarray:
     return np.array([[x2, xp / 2.0], [xp / 2.0, p2]])
 
@@ -99,7 +103,7 @@ def vacuum_state(m: float, omega: float) -> MomentState:
 # ---------------------------------------------------------------------------
 
 class ConstantSchedule:
-    """Time-independent coefficients (the asymptotic-value default)."""
+    """Time-independent coefficients (the asymptotic-value default), mass or omega."""
 
     def __init__(self, coeffs):
         self.coeffs = coeffs
@@ -142,31 +146,90 @@ class TabulatedSchedule:
         return self._cls(*vals)
 
 
-def _as_fn(value) -> Callable[[float], float]:
-    if callable(value):
-        return value
-    return lambda t, v=float(value): v
-
-
 # ---------------------------------------------------------------------------
 # RK4 stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(deriv, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = deriv(t, y)
-    k2 = deriv(t + dt / 2.0, y + dt / 2.0 * k1)
-    k3 = deriv(t + dt / 2.0, y + dt / 2.0 * k2)
-    k4 = deriv(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _check_step(dt: float, *rates: float) -> None:
-    fastest = max(abs(r) for r in rates)
+def _check_step(dt: float, omega: float, gamma: float) -> None:
+    fastest = max(abs(omega), abs(gamma))
     if fastest > 0 and dt > _STEP_FACTOR / fastest * (1.0 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_STEP_FACTOR}/max rate = "
             f"{_STEP_FACTOR / fastest:.3e}"
         )
+
+
+def _position_form(m, w, c) -> tuple:
+    w2 = w ** 2
+    return (m, 0.0, 0.0, -m * w2, 4.0 * c.gamma, 2.0 * c.diffusion,
+            2.0 * m * w2, 2.0 * c.gamma, 2.0 * c.anomalous)
+
+
+def _symmetric_form(m, w, c) -> tuple:
+    w2 = w * w
+    return (m, 4.0 * c.gamma, 2.0 * c.diffusion / (m * m * w2), -m * w2,
+            4.0 * c.gamma, 2.0 * c.diffusion, 2.0 * m * w2, 4.0 * c.gamma, 0.0)
+
+
+# the ODE coefficients (m, a1, ..., a8) of each model for _rates
+_FORMS = {"position": _position_form, "symmetric": _symmetric_form}
+
+
+def _rates(a: tuple, x2: float, p2: float, xp: float) -> tuple:
+    """Plus-block moment ODEs of both models in one linear form:
+
+        d<x^2>/dt   = <{x,p}>/m - a1 <x^2> + a2
+        d<p^2>/dt   = a3 <{x,p}> - a4 <p^2> + a5
+        d<{x,p}>/dt = 2<p^2>/m - a6 <x^2> - a7 <{x,p}> - a8
+
+    The stepper docstrings give each model's equations; every product is
+    rounded in the order written there.
+    """
+    m, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return (
+        xp / m - a1 * x2 + a2,
+        a3 * xp - a4 * p2 + a5,
+        2.0 * p2 / m - a6 * x2 - a7 * xp - a8,
+    )
+
+
+def _environment(model: str, coeffs, mass, omega):
+    """t -> (omega, gamma, ODE coefficients), as Python floats (faster than
+    numpy scalars in the RK4 loop); constant inputs are resolved once."""
+    form = _FORMS[model]
+    at = lambda m, w, c: (float(w), float(c.gamma), tuple(map(float, form(m, w, c))))
+    if not any(callable(v) for v in (coeffs, mass, omega)):
+        fixed = at(mass, omega, coeffs)
+        return lambda t: fixed
+    cfn, mfn, ofn = (
+        v if callable(v) else ConstantSchedule(v) for v in (coeffs, mass, omega)
+    )
+    return lambda t: at(mfn(t), ofn(t), cfn(t))
+
+
+def _rk4(env, y: tuple, t: float, dt: float) -> tuple:
+    """One checked RK4 step of the plus-block moments y = (x2, p2, xp)."""
+    w, gamma, a = env(t)
+    _check_step(dt, w, gamma)
+    x2, p2, xp = y
+    h = dt / 2.0
+    mid = env(t + h)[2]
+    k1 = _rates(a, x2, p2, xp)
+    k2 = _rates(mid, x2 + h * k1[0], p2 + h * k1[1], xp + h * k1[2])
+    k3 = _rates(mid, x2 + h * k2[0], p2 + h * k2[1], xp + h * k2[2])
+    k4 = _rates(env(t + dt)[2], x2 + dt * k3[0], p2 + dt * k3[1], xp + dt * k3[2])
+    h = dt / 6.0
+    return (
+        x2 + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        p2 + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        xp + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+    )
+
+
+def _step(model: str, state: MomentState, coeffs, mass, omega, dt: float) -> MomentState:
+    env = _environment(model, coeffs, mass, omega)
+    x2, p2, xp = _rk4(env, state.plus_block_moments(), state.time, dt)
+    return replace(state, x2_plus=x2, p2_plus=p2, xp_plus=xp, time=state.time + dt)
 
 
 def step_position_model(
@@ -179,25 +242,9 @@ def step_position_model(
         d<p^2>/dt   = -m O^2 <{x,p}> - 4 gamma <p^2> + 2 D
 
     ``coeffs`` and ``omega`` may be callables of time.  The minus block is
-    advanced by exact free rotation over the same interval.
+    left as it is; ``integrate`` rotates it.
     """
-    cfn = coeffs if callable(coeffs) else ConstantSchedule(coeffs)
-    ofn = _as_fn(omega)
-    t0 = state.time
-    _check_step(dt, ofn(t0), cfn(t0).gamma)
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        x2, p2, xp = y
-        c = cfn(t)
-        w2 = ofn(t) ** 2
-        return np.array([
-            xp / m,
-            -m * w2 * xp - 4.0 * c.gamma * p2 + 2.0 * c.diffusion,
-            2.0 * p2 / m - 2.0 * m * w2 * x2 - 2.0 * c.gamma * xp - 2.0 * c.anomalous,
-        ])
-
-    x2, p2, xp = _rk4(deriv, np.array(state.plus_block_moments()), t0, dt)
-    return replace(state, x2_plus=x2, p2_plus=p2, xp_plus=xp, time=t0 + dt)
+    return _step("position", state, coeffs, m, omega, dt)
 
 
 def step_symmetric_model(
@@ -211,24 +258,7 @@ def step_symmetric_model(
 
     ``coeffs``, ``mass`` and ``omega`` may be callables of time.
     """
-    cfn = coeffs if callable(coeffs) else ConstantSchedule(coeffs)
-    mfn, ofn = _as_fn(mass), _as_fn(omega)
-    t0 = state.time
-    _check_step(dt, ofn(t0), cfn(t0).gamma)
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        x2, p2, xp = y
-        c = cfn(t)
-        mm, w = mfn(t), ofn(t)
-        w2 = w * w
-        return np.array([
-            xp / mm - 4.0 * c.gamma * x2 + 2.0 * c.diffusion / (mm * mm * w2),
-            -mm * w2 * xp - 4.0 * c.gamma * p2 + 2.0 * c.diffusion,
-            2.0 * p2 / mm - 2.0 * mm * w2 * x2 - 4.0 * c.gamma * xp,
-        ])
-
-    x2, p2, xp = _rk4(deriv, np.array(state.plus_block_moments()), t0, dt)
-    return replace(state, x2_plus=x2, p2_plus=p2, xp_plus=xp, time=t0 + dt)
+    return _step("symmetric", state, coeffs, mass, omega, dt)
 
 
 def default_step(omega: float, gamma: float) -> float:
@@ -254,40 +284,31 @@ def integrate(
     evolution is exact regardless of dt.  ``m`` and ``omega`` follow the
     conventions of the chosen stepper.
     """
-    if model == "position":
-        stepper = lambda s, d: step_position_model(s, coeffs, m, omega, d)
-    elif model == "symmetric":
-        stepper = lambda s, d: step_symmetric_model(s, coeffs, m, omega, d)
-    else:
+    if model not in _FORMS:
         raise ValueError(f"unknown coupling model {model!r}")
+    env = _environment(model, coeffs, m, omega)
     if dt is None:
-        cfn = coeffs if callable(coeffs) else ConstantSchedule(coeffs)
-        w0 = omega(state.time) if callable(omega) else omega
-        dt = default_step(w0, cfn(state.time).gamma)
+        dt = default_step(*env(state.time)[:2])
 
     mm = m_minus if m_minus is not None else (m(0.0) if callable(m) else m)
     wm = omega_minus if omega_minus is not None else (
         omega(0.0) if callable(omega) else omega
     )
     minus0 = state.minus_block()
-    t0 = state.time
+    t0 = t = float(state.time)
     n_steps = max(1, math.ceil((t_final - t0) / dt))
     out = [state]
-    s = state
+    y = tuple(map(float, state.plus_block_moments()))
     for k in range(n_steps):
-        step_dt = min(dt, t_final - s.time)
+        step_dt = min(dt, t_final - t)
         if step_dt <= 0:
             break
-        s = stepper(s, step_dt)
-        if k % sample_every == sample_every - 1 or s.time >= t_final:
-            rot = free_rotation(minus0, mm, wm, s.time - t0)
-            s = replace(
-                s,
-                x2_minus=rot[0, 0],
-                p2_minus=rot[1, 1],
-                xp_minus=2.0 * rot[0, 1],
-            )
-            out.append(s)
+        y = _rk4(env, y, t, step_dt)
+        t += step_dt
+        _require_positive("plus", y, t)
+        if k % sample_every == sample_every - 1 or t >= t_final:
+            rot = free_rotation(minus0, mm, wm, t - t0)
+            out.append(MomentState(*y, rot[0, 0], rot[1, 1], 2.0 * rot[0, 1], t))
     return out
 
 
@@ -307,8 +328,12 @@ def negativity_from_moments(state: MomentState) -> float:
 
     Valid in the asymptotic regime where the (+,-) cross block vanishes.
     """
-    v = np.zeros((4, 4))
-    v[:2, :2] = state.plus_block()
-    v[2:, 2:] = state.minus_block()
-    normal = CovarianceMatrix(v, Ordering.NORMAL)
-    return log_negativity(basis_change(normal, Ordering.PHYSICAL))
+    return float(negativities([state])[0])
+
+
+def negativities(states: Sequence[MomentState]) -> np.ndarray:
+    """``negativity_from_moments`` of every state, read out as one stack."""
+    v = np.zeros((len(states), 4, 4))  # NORMAL ordering, no (+,-) cross block
+    v[:, :2, :2] = [s.plus_block() for s in states]
+    v[:, 2:, 2:] = [s.minus_block() for s in states]
+    return log_negativities(mix_modes(v))

@@ -82,7 +82,7 @@ def test_unstable_hamiltonian_refused():
 
 def test_propagator_symplectic_and_composes():
     _, drift = small_setup(16)
-    form = ex.normal_mode_form(drift)
+    form = drift.normal_modes
     s1 = form.propagator(0.7)
     s2 = form.propagator(1.3)
     s3 = form.propagator(2.0)
@@ -98,7 +98,7 @@ def test_decoupled_bath_gives_free_periodicity():
     drift = ex.build_position_model(OSC, bath)  # counterterm sum is zero
     v_sys = separable_squeezed(1.0)
     v0 = ex.initial_covariance(v_sys, bath)
-    form = ex.normal_mode_form(drift)
+    form = drift.normal_modes
     s = form.propagator(2.0 * math.pi)
     v1 = s @ v0.matrix @ s.T
     assert np.allclose(v1[:4, :4], v0.matrix[:4, :4], atol=1e-10)
@@ -131,7 +131,7 @@ def test_rk4_matches_normal_mode_dense_bath():
 def test_global_purity_and_energy_conserved():
     bath, drift = small_setup(24, temperature=0.3)
     v0 = ex.initial_covariance(separable_squeezed(1.5), bath)
-    form = ex.normal_mode_form(drift)
+    form = drift.normal_modes
     t = 0.5 * ex.RECURRENCE_MARGIN * bath.recurrence_time
     s = form.propagator(t)
     v1 = CovarianceMatrix(0.5 * ((s @ v0.matrix @ s.T) + (s @ v0.matrix @ s.T).T),
@@ -197,7 +197,7 @@ def test_sample_times_and_stride():
 
 
 # ---------------------------------------------------------------------------
-# Real second-order normal modes (position coupling)
+# Real second-order normal modes (both coupling models)
 # ---------------------------------------------------------------------------
 
 def _correlated_state() -> CovarianceMatrix:
@@ -210,89 +210,155 @@ def _correlated_state() -> CovarianceMatrix:
     return CovarianceMatrix(rot @ v @ rot.T, Ordering.PHYSICAL)
 
 
-def _complex_system_block(drift, v_sys, t):
-    form = drift.normal_form
-    v0 = ex.initial_covariance(v_sys, drift.bath)
-    f = form.b[:4, :] * np.exp(-1j * form.mu * t)
-    block = np.real(f @ (form.c @ v0.matrix @ form.c.T) @ f.T)
-    return 0.5 * (block + block.T)
+POSITION = ex.build_position_model
+SYMMETRIC = ex.build_symmetric_model
 
 
 @pytest.mark.parametrize(
-    "osc, sd, temperature, n_modes",
+    "build, osc, sd, temperature, n_modes",
     [
-        (OSC, OHMIC, 0.0, 32),
-        (OscillatorParams(1.0, 1.05, 0.95), OHMIC, 0.0, 48),
-        (OSC, OHMIC, 2.0, 48),
-        (OscillatorParams(1.0, 1.0, 1.0, 0.2), OHMIC, 0.0, 64),
-        (OSC, SpectralDensity.sub_ohmic(0.1, 20.0), 0.5, 48),
-        (OSC, SpectralDensity.super_ohmic(0.15, 20.0), 0.0, 48),
-        (OscillatorParams(1.0, 1.05, 0.95, -0.1), SpectralDensity.super_ohmic(0.15, 20.0),
-         10.0, 64),
+        (POSITION, OSC, OHMIC, 0.0, 32),
+        (POSITION, OscillatorParams(1.0, 1.05, 0.95), OHMIC, 0.0, 48),
+        (POSITION, OSC, OHMIC, 2.0, 48),
+        (POSITION, OscillatorParams(1.0, 1.0, 1.0, 0.2), OHMIC, 0.0, 64),
+        (POSITION, OSC, SpectralDensity.sub_ohmic(0.1, 20.0), 0.5, 48),
+        (POSITION, OSC, SpectralDensity.super_ohmic(0.15, 20.0), 0.0, 48),
+        (POSITION, OscillatorParams(1.0, 1.05, 0.95, -0.1),
+         SpectralDensity.super_ohmic(0.15, 20.0), 10.0, 64),
+        (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), OHMIC, 0.0, 48),
+        (SYMMETRIC, OSC, OHMIC, 2.0, 48),
+        (SYMMETRIC, OSC, SpectralDensity.sub_ohmic(0.1, 20.0), 0.5, 48),
+        (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, -0.1, -0.1),
+         SpectralDensity.super_ohmic(0.15, 20.0), 0.0, 64),
     ],
     ids=["resonant", "detuned", "thermal", "c12", "sub-ohmic", "super-ohmic",
-         "detuned-c12-hot"],
+         "detuned-c12-hot", "symmetric-c12", "symmetric-thermal",
+         "symmetric-sub-ohmic", "symmetric-super-ohmic"],
 )
-def test_real_modes_match_complex_form(osc, sd, temperature, n_modes):
+def test_real_modes_match_complex_form(build, osc, sd, temperature, n_modes):
+    # the reference is scipy's exp(Kt) of the drift, made without normal modes
+    from scipy.linalg import expm
+
     from entbath.bath import thermal_bath_variances
     from entbath.gaussian import log_negativity
 
     bath = discretize(sd, n_modes, temperature)
-    drift = ex.build_position_model(osc, bath)
+    drift = build(osc, bath)
     cfg = ex.EvolutionConfig(0.7 * bath.recurrence_time, 0.05, 7)
     times = cfg.sample_times()
-    for v_sys in (separable_squeezed(1.0), _correlated_state()):
-        real = drift.position_modes.system_blocks(
-            v_sys, thermal_bath_variances(bath), times
-        )
-        tr = ex.negativity_trace(v_sys, drift, cfg)
-        dv = de = 0.0
-        for i, t in enumerate(times):
-            ref = _complex_system_block(drift, v_sys, float(t))
-            dv = max(dv, float(np.abs(real[i] - ref).max()))
+    states = (separable_squeezed(1.0), _correlated_state())
+    real = [drift.normal_modes.system_blocks(v, thermal_bath_variances(bath), times)
+            for v in states]
+    traces = [ex.negativity_trace(v, drift, cfg) for v in states]
+    v0s = [ex.initial_covariance(v, bath).matrix for v in states]
+    dv = de = 0.0
+    for i, t in enumerate(times):
+        s4 = expm(drift.k * t)[:4]
+        for v0, blocks, tr in zip(v0s, real, traces):
+            ref = s4 @ v0 @ s4.T
+            ref = 0.5 * (ref + ref.T)
+            dv = max(dv, float(np.abs(blocks[i] - ref).max()))
             e_ref = log_negativity(CovarianceMatrix(ref, Ordering.PHYSICAL))
             de = max(de, abs(tr.e_n[i] - e_ref))
-        assert dv <= 1e-10
-        assert de <= 1e-10
+    assert dv <= 1e-10
+    assert de <= 1e-10
+    s_ref = expm(drift.k * times[-1])
+    s = drift.normal_modes.propagator(times[-1])
+    assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
+    assert ex.symplecticity_defect(s) <= 1e-12 * np.abs(s_ref).max() ** 2
 
 
 def test_drift_factorized_once_per_kind(monkeypatch):
-    calls = {"position_normal_modes": 0, "normal_mode_form": 0}
+    calls = []
+    original = ex.normal_modes
 
-    def count(name):
-        original = getattr(ex, name)
+    def wrapper(drift):
+        calls.append(drift.model)
+        return original(drift)
 
-        def wrapper(drift):
-            calls[name] += 1
-            return original(drift)
-
-        monkeypatch.setattr(ex, name, wrapper)
-
-    count("position_normal_modes")
-    count("normal_mode_form")
-    bath, drift = small_setup(24)
+    monkeypatch.setattr(ex, "normal_modes", wrapper)
+    bath = discretize(OHMIC, 24)
     cfg = ex.EvolutionConfig(3.0, 0.05, 4)
     states = (
         separable_squeezed(1.0),
         separable_squeezed(-0.5),
         basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL),
     )
-    for v_sys in states:
-        ex.negativity_trace(v_sys, drift, cfg)
-    assert calls == {"position_normal_modes": 1, "normal_mode_form": 0}
-    for v_sys in states:
-        ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
-    assert calls == {"position_normal_modes": 1, "normal_mode_form": 1}
-    symmetric = ex.build_symmetric_model(OSC, bath)
-    for v_sys in states:
-        ex.negativity_trace(v_sys, symmetric, cfg)
-    assert calls == {"position_normal_modes": 1, "normal_mode_form": 2}
+    for build in (ex.build_position_model, ex.build_symmetric_model):
+        drift = build(OSC, bath)
+        for v_sys in states:
+            ex.negativity_trace(v_sys, drift, cfg)
+        for v_sys in states:
+            ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
+    assert calls == ["position", "symmetric"]
 
 
-def test_real_modes_refuse_symmetric_drift():
-    drift = ex.build_symmetric_model(OSC, discretize(OHMIC, 8))
-    with pytest.raises(ValueError):
-        ex.position_normal_modes(drift)
+def _hand_built_drift(h: np.ndarray, bath) -> ex.DriftMatrix:
+    from entbath.gaussian import symplectic_form
+
+    return ex.DriftMatrix(symplectic_form(h.shape[0]) @ h, h, bath, "position", 1.0, 1.0)
+
+
+def test_real_modes_refuse_xp_coupling():
+    bath = discretize(OHMIC, 8)
+    h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
+    h[0, 5] = h[5, 0] = 0.05  # x1 coupled to the first bath momentum
+    drift = _hand_built_drift(h, bath)
+    with pytest.raises(ValueError, match="x-p"):
+        ex.normal_modes(drift)
+    with pytest.raises(ValueError, match="x-p"):
+        ex.negativity_trace(separable_squeezed(0.5), drift, ex.EvolutionConfig(1.0, 0.1))
+
+
+def test_real_modes_refuse_indefinite_momentum_block():
+    bath = discretize(OHMIC, 8)
+    h = np.array(ex.build_position_model(OSC, bath).hamiltonian)
+    h[1, 3] = h[3, 1] = 2.0  # p1 p2 coupling beyond 1/m: B is indefinite
+    with pytest.raises(UnstableHamiltonianError, match="momentum block"):
+        ex.normal_modes(_hand_built_drift(h, bath))
+
+
+def _loop_built(drift, osc, renormalize):
+    # the element-by-element construction the vectorized builders replaced
+    from entbath.gaussian import symplectic_form
+
+    bath = drift.bath
+    h = np.zeros_like(drift.hamiltonian)
+    h[:4, :4] = drift.hamiltonian[:4, :4]
+    w_bare_sq = osc.omega1**2
+    if renormalize:
+        s = -bath.counterterm_sum(osc.m)
+        w_bare_sq = 0.5 * (s + w_bare_sq + math.sqrt((s + w_bare_sq) ** 2 - s * s))
+    w_bare = math.sqrt(w_bare_sq)
+    for k in range(bath.n_modes):
+        iq, ip = 4 + 2 * k, 5 + 2 * k
+        h[iq, iq] = bath.masses[k] * bath.frequencies[k] ** 2
+        h[ip, ip] = 1.0 / bath.masses[k]
+        c = bath.couplings[k]
+        h[0, iq] = h[iq, 0] = c
+        h[2, iq] = h[iq, 2] = c
+        if drift.model == "symmetric":
+            cp = c / (osc.m * w_bare * bath.masses[k] * bath.frequencies[k])
+            h[1, ip] = h[ip, 1] = cp
+            h[3, ip] = h[ip, 3] = cp
+    return h, symplectic_form(h.shape[0]) @ h
+
+
+@pytest.mark.parametrize("n_modes", [8, 48, 597])
+def test_vectorized_build_is_bit_identical(n_modes):
+    for sd in (OHMIC, SpectralDensity.sub_ohmic(0.1, 20.0),
+               SpectralDensity.super_ohmic(0.15, 20.0)):
+        bath = discretize(sd, n_modes, 1.0)
+        cases = [
+            (ex.build_position_model, OscillatorParams(1.3, 1.05, 0.95, 0.1), True),
+            (ex.build_symmetric_model, OscillatorParams(1.3, 1.7, 1.7, 0.2, 0.1), True),
+            (ex.build_symmetric_model, OscillatorParams(1.3, 3.5, 3.5, 0.2, 0.1), False),
+        ]
+        for build, osc, renormalize in cases:
+            drift = build(osc, bath, renormalize=renormalize)
+            h, k = _loop_built(drift, osc, renormalize)
+            assert np.array_equal(drift.hamiltonian, h)
+            assert np.array_equal(drift.k, k)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,34 @@ def test_closed_form_refined_at_purity_boundary():
         assert np.allclose(nu, 0.5, atol=1e-12)
 
 
+def _random_symplectic(rng: np.random.Generator) -> np.ndarray:
+    # exp(J X) with X symmetric is symplectic
+    from scipy.linalg import expm
+
+    x = rng.normal(scale=0.5, size=(4, 4))
+    return expm(symplectic_form(4) @ (x + x.T))
+
+
+def test_stacked_eigenvalues_match_eigensolver():
+    rng = np.random.default_rng(11)
+    mixed = [random_physical(rng).matrix for _ in range(40)]
+    # pure states and states within 1e-7 of pure, where the closed form
+    # is refined
+    near_pure = []
+    for eps in [0.0] * 10 + list(rng.uniform(0.0, 1e-7, 30)):
+        s = _random_symplectic(rng)
+        near_pure.append((0.5 + eps) * (s @ s.T))
+    stack = np.array(mixed + near_pure)
+    nu = symplectic_eigenvalues(stack)
+    assert nu.shape == (len(stack), 2)
+    for i, v in enumerate(stack):
+        ref = symplectic_eigenvalues(v, general=True)
+        assert np.abs(nu[i] - ref).max() <= 1e-12
+        # the single-matrix call is a stack of one
+        assert np.array_equal(symplectic_eigenvalues(v), nu[i])
+    assert np.abs(nu[40:, 0] - 0.5).max() < 1e-7 + 1e-12
+
+
 def test_ordering_guard():
     v = two_mode_squeezed(1.0)
     with pytest.raises(OrderingError):

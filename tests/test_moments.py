@@ -105,6 +105,60 @@ def test_step_size_guard():
     assert mo.default_step(1.0, 3.0) == pytest.approx(0.01 / 3.0)
 
 
+def _chained_steps(step, start, coeffs, mass, omega, t_final, dt, every):
+    # the sampling loop of integrate, one public step call at a time
+    out = [start]
+    s = start
+    for k in range(math.ceil((t_final - start.time) / dt)):
+        step_dt = min(dt, t_final - s.time)
+        if step_dt <= 0:
+            break
+        s = step(s, coeffs, mass, omega, step_dt)
+        if k % every == every - 1 or s.time >= t_final:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["constant", "tabulated"])
+@pytest.mark.parametrize("model", ["position", "symmetric"])
+def test_integrate_equals_chained_steps(model, tabulated):
+    if model == "position":
+        step = mo.step_position_model
+        coeffs = position_coeffs()
+        table = [asy.PositionCoefficients(0.1, 0.2, 0.0),
+                 asy.PositionCoefficients(0.3, 0.4, 0.1)]
+    else:
+        step = mo.step_symmetric_model
+        coeffs = asy.coefficient_limits(OHMIC, 1.0, 0.3, None, "symmetric")
+        table = [asy.SymmetricCoefficients(0.1, 0.2), asy.SymmetricCoefficients(0.2, 0.3)]
+    omega = 0.9
+    if tabulated:
+        coeffs = mo.TabulatedSchedule([0.0, 2.0], table, kind=model)
+        omega = lambda t: 0.9 + 0.01 * t
+    start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2, time=0.25)
+    # 3.0 / 0.007 is not an integer: the last step is a short one
+    traj = mo.integrate(start, coeffs, 1.3, omega, 3.25, dt=0.007, model=model,
+                        sample_every=25)
+    chained = _chained_steps(step, start, coeffs, 1.3, omega, 3.25, 0.007, 25)
+    assert len(traj) == len(chained) > 10
+    for a, b in zip(traj, chained):
+        assert (a.x2_plus, a.p2_plus, a.xp_plus, a.time) == (
+            b.x2_plus, b.p2_plus, b.xp_plus, b.time
+        )
+
+
+def test_integrate_refuses_like_chained_steps():
+    # negative diffusion drains <p^2> until the plus block loses positivity
+    c = asy.PositionCoefficients(0.05, -0.5, 0.0)
+    start = mo.vacuum_state(1.0, 1.0)
+    with pytest.raises(UnphysicalStateError) as by_integrate:
+        mo.integrate(start, c, 1.0, 1.0, 50.0, sample_every=1000)
+    with pytest.raises(UnphysicalStateError) as by_steps:
+        _chained_steps(mo.step_position_model, start, c, 1.0, 1.0, 50.0, 0.01, 1000)
+    assert str(by_integrate.value) == str(by_steps.value)
+    assert str(by_integrate.value).startswith("plus block has nonpositive")
+
+
 def test_tabulated_schedule_interpolation_and_clamping():
     vals = [asy.PositionCoefficients(0.1, 0.2, 0.0),
             asy.PositionCoefficients(0.3, 0.4, 0.1)]
