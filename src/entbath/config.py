@@ -68,7 +68,7 @@ class EvolutionSection:
 class SweepSection:
     r_grid: list | None = None
     t_grid: list | None = None
-    parallelism: int | None = None
+    parallelism: int | None = None  # accepted and ignored; not part of the hash
 
 
 @dataclass
@@ -231,7 +231,10 @@ def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
 
 
 def canonical_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
+    """The physics of a run: every field except the ignored ``sweep.parallelism``."""
+    data = asdict(cfg)
+    del data["sweep"]["parallelism"]
+    return data
 
 
 def canonical_json(cfg: RunConfig) -> str:
