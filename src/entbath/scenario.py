@@ -282,8 +282,8 @@ class Scenario:
                 cp = self._criticals(plus[t], r_minus, product)
                 mean, amp = asy.mean_and_amplitude(r_minus, cp.r_crit, cp.s_crit)
                 phase = asy.classify(r_minus, cp.r_crit, cp.s_crit).value
-                rows.append({"r": r, "T": t, "phase": phase, "e_mean": mean, "e_amp": amp,
-                             "r_crit": cp.r_crit, "s_crit": cp.s_crit, "e_c": cp.e_c})
+                cell = (r, t, phase, mean, amp, cp.r_crit, cp.s_crit, cp.e_c)
+                rows.append(dict(zip(PHASE_COLUMNS, cell)))
         rows.sort(key=lambda row: (row["r"], row["T"]))
         return rows, self._phase_summary(rows)
 
