@@ -9,6 +9,9 @@ independent cross-check.  Both coupling models leave H without x-p cross
 terms, H = x^T K x / 2 + p^T B p / 2, so their normal modes are real and
 second order: one Cholesky factor of the momentum block B and one real
 symmetric eigensolve of size N+2, computed once per drift and cached on it.
+The reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N
+do not depend on the system state; the drift keeps the channel of its latest
+sampling plan, so each further state costs one 4x4 congruence per sample.
 """
 
 from __future__ import annotations
@@ -103,6 +106,14 @@ class DriftMatrix:
     def normal_modes(self) -> NormalModes:
         """Real second-order normal modes of the drift."""
         return normal_modes(self)
+
+    def reduced_channel(self, times: np.ndarray) -> ReducedChannel:
+        """Reduced channel at ``times``; the latest plan's is kept, keyed by times."""
+        held = self.__dict__.get("_channel")
+        if held is None or not np.array_equal(held.times, times):
+            held = self.normal_modes.reduced_channel(thermal_bath_variances(self.bath), times)
+            self.__dict__["_channel"] = held
+        return held
 
 
 def _bath_block(h: np.ndarray, bath: DiscreteBath) -> np.ndarray:
@@ -254,9 +265,24 @@ def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> Covari
 # Propagators
 # ---------------------------------------------------------------------------
 
-# samples per batched product in NormalModes.system_blocks; bounds the
+# samples per batched product in NormalModes.reduced_channel; bounds the
 # working set to a few MB at N ~ 1200
 SAMPLE_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class ReducedChannel:
+    """V_s(t) = Z V_s(0) Z^T + N at ``times``: ``z`` is the system block of S(t)
+    and ``noise`` the thermal bath's part, (len(times), 4, 4) each, PHYSICAL order."""
+
+    times: np.ndarray
+    z: np.ndarray
+    noise: np.ndarray
+
+    def blocks(self, system_v: CovarianceMatrix) -> np.ndarray:
+        """Reduced 4x4 covariance of ``system_v`` at every sample time."""
+        _require_two_mode(system_v)
+        return self.z @ system_v.matrix @ self.z.transpose(0, 2, 1) + self.noise
 
 
 @dataclass(frozen=True)
@@ -286,17 +312,15 @@ class NormalModes:
         s[1::2, 1::2] = (w.T * cos) @ a.T
         return s
 
-    def system_blocks(
-        self, system_v: CovarianceMatrix, bath_variances: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        """Reduced 4x4 covariance at every sample time, shape (len(times), 4, 4).
+    def reduced_channel(self, bath_variances: np.ndarray, times: np.ndarray) -> ReducedChannel:
+        """The reduced channel at ``times`` of a diagonal thermal bath.
 
         The four system rows of S(t) are built per chunk of samples as
         weights on Q and on P, then mapped to coefficients on the initial
-        positions (sx, through W) and momenta (sp, through A^T).  They are
-        contracted with the initial covariance in its own coordinates,
-        where it is the system block plus the diagonal thermal bath
-        (``bath_variances``, interleaved q, pi).
+        positions (sx, through W) and momenta (sp, through A^T).  Their
+        system columns are Z; their bath columns, contracted with the bath
+        covariance in its own coordinates (``bath_variances``, interleaved
+        q, pi), give the noise.
         """
         om = self.omega
         n = len(om)
@@ -309,22 +333,23 @@ class NormalModes:
         sin_w = np.array(
             [zero, -om * hs[0], zero, -om * hs[1], g[0] / om, zero, g[1] / om, zero]
         )
-        v_ss = system_v.matrix
         var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
-        out = np.empty((len(times), 4, 4))
+        times = np.array(times, dtype=float)
+        z = np.empty((len(times), 4, 4))
+        noise = np.empty_like(z)
         for lo in range(0, len(times), SAMPLE_CHUNK):
-            phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], om)[:, None, :]
+            part = slice(lo, lo + SAMPLE_CHUNK)
+            phase = np.multiply.outer(times[part], om)[:, None, :]
             rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
             sx = (rows[:, :4].reshape(-1, n) @ self.w).reshape(-1, 4, n)
             sp = (rows[:, 4:].reshape(-1, n) @ self.a.T).reshape(-1, 4, n)
-            z = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
+            z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
             bx, bp = sx[..., 2:], sp[..., 2:]
-            out[lo:lo + SAMPLE_CHUNK] = (
-                z @ v_ss @ z.transpose(0, 2, 1)
-                + (bx * var_q) @ bx.transpose(0, 2, 1)
-                + (bp * var_pi) @ bp.transpose(0, 2, 1)
-            )
-        return out
+            noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
+            noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
+        for arr in (times, z, noise):
+            arr.flags.writeable = False
+        return ReducedChannel(times, z, noise)
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
@@ -406,7 +431,7 @@ def evolve(
 
 
 def _symmetrize(v: np.ndarray) -> np.ndarray:
-    return 0.5 * (v + v.T)
+    return 0.5 * (v + np.swapaxes(v, -1, -2))
 
 
 def _rk4_step(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -449,9 +474,9 @@ def negativity_trace(
 ) -> NegativityTrace:
     """E_N(t) and plus/minus dispersions from the exact evolution.
 
-    The normal-mode path samples the real normal modes of the drift, made
-    once per drift; the RK4 path marches the full matrix.  Every recorded
-    reduced state is checked for physicality.
+    The normal-mode path applies the drift's reduced channel, sampled once
+    per plan; the RK4 path marches the full matrix.  Every recorded reduced
+    state is checked for physicality.
     """
     _require_two_mode(system_v)
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
@@ -460,19 +485,21 @@ def negativity_trace(
         _, series = evolve(initial_covariance(system_v, drift.bath), drift, cfg)
         blocks = np.array([v.matrix[:4, :4] for v in series])
     else:
-        blocks = drift.normal_modes.system_blocks(
-            system_v, thermal_bath_variances(drift.bath), times
-        )
+        blocks = drift.reduced_channel(times).blocks(system_v)
     return _trace_from_blocks(times, blocks)
 
 
+def physicality_margins(blocks: np.ndarray) -> np.ndarray:
+    """nu_min - 1/2 of each symmetrized block of a (k, 4, 4) stack."""
+    return symplectic_eigenvalues(_symmetrize(blocks))[:, 0] - 0.5
+
+
 def _trace_from_blocks(times: np.ndarray, blocks: np.ndarray) -> NegativityTrace:
-    v = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    nu_min = symplectic_eigenvalues(v)[:, 0]
-    bad = np.flatnonzero(nu_min < 0.5 - REDUCED_PHYSICALITY_ATOL)
+    v, margin = _symmetrize(blocks), physicality_margins(blocks)
+    bad = np.flatnonzero(margin < -REDUCED_PHYSICALITY_ATOL)
     if bad.size:
         raise UnphysicalStateError(
-            f"smallest symplectic eigenvalue {nu_min[bad[0]]:.3e} < 1/2"
+            f"smallest symplectic eigenvalue {0.5 + margin[bad[0]]:.3e} < 1/2"
         )
     nm = mix_modes(v)
     return NegativityTrace(

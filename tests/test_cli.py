@@ -175,6 +175,26 @@ def test_validate_passes(cfg_file, capsys):
     assert "symplecticity" in out
 
 
+def test_validate_reports_physicality_margin(cfg_file, capsys, monkeypatch):
+    from entbath import exact as ex
+
+    # a lower cutoff only shortens validate's RK4 oracle
+    argv = ["validate", cfg_file, "--set", "spectral.cutoff=5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    line = next(s for s in out.splitlines() if "reduced-state physicality" in s)
+    head, _, margin = line.rstrip(")").partition(" samples, min nu-1/2=")
+    assert head == "ok: reduced-state physicality (201"
+    assert -ex.REDUCED_PHYSICALITY_ATOL <= float(margin) < 1e-6
+    # an unphysical channel fails the check instead of passing it
+    original = ex.ReducedChannel.blocks
+    monkeypatch.setattr(
+        ex.ReducedChannel, "blocks", lambda self, v: 0.5 * original(self, v)
+    )
+    assert main(argv) == 4
+    assert "FAIL: reduced-state physicality" in capsys.readouterr().out
+
+
 def test_hash_mismatch_warning_on_overwrite(cfg_file, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["negativity-trace", cfg_file, "--out", str(out)]) == 0

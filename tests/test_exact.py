@@ -239,7 +239,6 @@ def test_real_modes_match_complex_form(build, osc, sd, temperature, n_modes):
     # the reference is scipy's exp(Kt) of the drift, made without normal modes
     from scipy.linalg import expm
 
-    from entbath.bath import thermal_bath_variances
     from entbath.gaussian import log_negativity
 
     bath = discretize(sd, n_modes, temperature)
@@ -247,8 +246,7 @@ def test_real_modes_match_complex_form(build, osc, sd, temperature, n_modes):
     cfg = ex.EvolutionConfig(0.7 * bath.recurrence_time, 0.05, 7)
     times = cfg.sample_times()
     states = (separable_squeezed(1.0), _correlated_state())
-    real = [drift.normal_modes.system_blocks(v, thermal_bath_variances(bath), times)
-            for v in states]
+    real = [drift.reduced_channel(times).blocks(v) for v in states]
     traces = [ex.negativity_trace(v, drift, cfg) for v in states]
     v0s = [ex.initial_covariance(v, bath).matrix for v in states]
     dv = de = 0.0
@@ -291,6 +289,64 @@ def test_drift_factorized_once_per_kind(monkeypatch):
         for v_sys in states:
             ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
     assert calls == ["position", "symmetric"]
+
+
+@pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
+def test_channel_built_once_per_drift_and_plan(build, monkeypatch):
+    builds = []
+    original = ex.NormalModes.reduced_channel
+
+    def counting(self, bath_variances, times):
+        builds.append(len(times))
+        return original(self, bath_variances, times)
+
+    monkeypatch.setattr(ex.NormalModes, "reduced_channel", counting)
+    bath = discretize(OHMIC, 24, 0.5)
+    cfg = ex.EvolutionConfig(3.0, 0.05, 4)
+    states = (separable_squeezed(1.0), separable_squeezed(-0.5), _correlated_state())
+    drift = build(OSC, bath)
+    first = [ex.negativity_trace(v, drift, cfg).e_n for v in states]
+    assert builds == [16]
+    # every state traced last on another drift, and alone on a fresh one
+    reverse = build(OSC, bath)
+    last = [ex.negativity_trace(v, reverse, cfg).e_n for v in states[::-1]][::-1]
+    alone = [ex.negativity_trace(v, build(OSC, bath), cfg).e_n for v in states]
+    assert builds == [16] * 5
+    for a, b, c in zip(first, last, alone):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+    # a second plan on the same drift rebuilds; so does going back
+    other = ex.EvolutionConfig(3.0, 0.05, 5)
+    tr = ex.negativity_trace(states[0], drift, other)
+    assert builds == [16] * 5 + [13]
+    assert np.array_equal(tr.times, other.sample_times())
+    assert np.array_equal(tr.e_n, ex.negativity_trace(states[0], build(OSC, bath), other).e_n)
+    assert np.array_equal(ex.negativity_trace(states[1], drift, cfg).e_n, first[1])
+    assert builds == [16] * 5 + [13, 13, 16]
+
+
+@pytest.mark.parametrize(
+    "build, osc, temperature",
+    [
+        (POSITION, OSC, 0.0),
+        (POSITION, OscillatorParams(1.0, 1.05, 0.95), 10.0),
+        (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), 2.0),
+    ],
+    ids=["position", "detuned-thermal", "symmetric-thermal"],
+)
+def test_reduced_channel_matches_propagator(build, osc, temperature):
+    bath = discretize(OHMIC, 40, temperature)
+    drift = build(osc, bath)
+    times = ex.EvolutionConfig(0.7 * bath.recurrence_time, 0.05, 9).sample_times()
+    channel = drift.reduced_channel(times)
+    states = (separable_squeezed(1.0), _correlated_state())
+    blocks = [channel.blocks(v) for v in states]
+    v0s = [ex.initial_covariance(v, bath).matrix for v in states]
+    for i, t in enumerate(times):
+        s4 = drift.normal_modes.propagator(t)[:4]
+        for v0, block in zip(v0s, blocks):
+            ref = s4 @ v0 @ s4.T
+            assert np.abs(block[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _hand_built_drift(h: np.ndarray, bath) -> ex.DriftMatrix:
