@@ -4,14 +4,15 @@ The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  Two
 integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
-(exactly symplectic, arbitrary t) and a fixed-step RK4 march used as an
-independent cross-check.  Both coupling models leave H without x-p cross
-terms, H = x^T K x / 2 + p^T B p / 2, so their normal modes are real and
-second order: one Cholesky factor of the momentum block B and one real
-symmetric eigensolve of size N+2, computed once per drift and cached on it.
-The reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N
-do not depend on the system state; the drift keeps the channel of its latest
-sampling plan, so each further state costs one 4x4 congruence per sample.
+(exactly symplectic, arbitrary t) and, as an independent cross-check, the
+RK4 step matrix raised to the stride by squaring.  Both coupling models
+leave H without x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so their
+normal modes are real and second order: one Cholesky factor of the momentum
+block B and one real symmetric eigensolve of size N+2, computed once per
+drift and cached on it.  The reduced dynamics is a channel
+V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not depend on the system
+state; the drift keeps the channel of its latest sampling plan, so each
+further state costs one 4x4 congruence per sample.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -55,7 +57,8 @@ class Integrator(enum.Enum):
 class EvolutionConfig:
     """Sampling plan for one evolution.
 
-    ``dt`` is the RK4 step (also the sample spacing before striding); the
+    ``dt`` is the RK4 step (also the sample spacing before striding); the RK4
+    path raises its step matrix to the stride by squaring, and the
     normal-mode path evaluates S(t) directly at the sample times.
     """
 
@@ -71,8 +74,7 @@ class EvolutionConfig:
             raise ValueError("sample_stride must be >= 1")
 
     def sample_times(self) -> np.ndarray:
-        idx = np.arange(int(round(self.t_max / self.dt)) + 1)
-        return self.dt * idx[idx % self.sample_stride == 0]
+        return self.dt * np.arange(0, int(round(self.t_max / self.dt)) + 1, self.sample_stride)
 
 
 @dataclass(frozen=True)
@@ -317,10 +319,7 @@ class NormalModes:
 
         The four system rows of S(t) are built per chunk of samples as
         weights on Q and on P, then mapped to coefficients on the initial
-        positions (sx, through W) and momenta (sp, through A^T).  Their
-        system columns are Z; their bath columns, contracted with the bath
-        covariance in its own coordinates (``bath_variances``, interleaved
-        q, pi), give the noise.
+        positions (through W) and momenta (through A^T).
         """
         om = self.omega
         n = len(om)
@@ -333,23 +332,36 @@ class NormalModes:
         sin_w = np.array(
             [zero, -om * hs[0], zero, -om * hs[1], g[0] / om, zero, g[1] / om, zero]
         )
-        var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
         times = np.array(times, dtype=float)
-        z = np.empty((len(times), 4, 4))
-        noise = np.empty_like(z)
-        for lo in range(0, len(times), SAMPLE_CHUNK):
-            part = slice(lo, lo + SAMPLE_CHUNK)
-            phase = np.multiply.outer(times[part], om)[:, None, :]
-            rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
-            sx = (rows[:, :4].reshape(-1, n) @ self.w).reshape(-1, 4, n)
-            sp = (rows[:, 4:].reshape(-1, n) @ self.a.T).reshape(-1, 4, n)
-            z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
-            bx, bp = sx[..., 2:], sp[..., 2:]
-            noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
-            noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
-        for arr in (times, z, noise):
-            arr.flags.writeable = False
-        return ReducedChannel(times, z, noise)
+
+        def chunks():
+            for lo in range(0, len(times), SAMPLE_CHUNK):
+                phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], om)[:, None, :]
+                rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
+                yield ((rows[:, :4].reshape(-1, n) @ self.w).reshape(-1, 4, n),
+                       (rows[:, 4:].reshape(-1, n) @ self.a.T).reshape(-1, 4, n))
+
+        return _channel_from_rows(times, chunks(), bath_variances)
+
+
+def _channel_from_rows(times: np.ndarray, chunks, bath_variances: np.ndarray) -> ReducedChannel:
+    """The reduced channel from the four system rows of S(t).  ``chunks``
+    yields, in sample order, their coefficients on the initial positions
+    (x1, x2, q1, ...) and momenta (p1, p2, pi1, ...), (k, 4, N+2) each."""
+    var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
+    z = np.empty((len(times), 4, 4))
+    noise = np.empty_like(z)
+    lo = 0
+    for sx, sp in chunks:
+        part = slice(lo, lo + len(sx))
+        lo += len(sx)
+        z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
+        bx, bp = sx[..., 2:], sp[..., 2:]
+        noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
+        noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
+    for arr in (times, z, noise):
+        arr.flags.writeable = False
+    return ReducedChannel(times, z, noise)
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
@@ -405,7 +417,9 @@ def check_rk4_step(
 def evolve(
     v0: CovarianceMatrix, drift: DriftMatrix, cfg: EvolutionConfig
 ) -> tuple[np.ndarray, list[CovarianceMatrix]]:
-    """Full-covariance time series at the configured sample times."""
+    """Full-covariance time series at the configured sample times.  The RK4
+    path takes V <- hop V hop^T per sample: RK4 on every phase-space
+    trajectory, with hop the step matrix raised to the stride."""
     v0.require(Ordering.FULL)
     if v0.dim != drift.dim:
         raise ValueError("state and drift dimensions differ")
@@ -418,15 +432,10 @@ def evolve(
             s = modes.propagator(float(t))
             out.append(CovarianceMatrix(_symmetrize(s @ v0.matrix @ s.T), Ordering.FULL))
         return times, out
-    check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
-    k = drift.k
-    v = np.array(v0.matrix)
+    hop = _rk4_hop(drift, cfg)
     out = [v0]
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    for step in range(1, n_steps + 1):
-        v = _rk4_step(k, v, cfg.dt)
-        if step % cfg.sample_stride == 0:
-            out.append(CovarianceMatrix(_symmetrize(v), Ordering.FULL))
+    for _ in times[1:]:
+        out.append(CovarianceMatrix(_symmetrize(hop @ out[-1].matrix @ hop.T), Ordering.FULL))
     return times, out
 
 
@@ -434,16 +443,21 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + np.swapaxes(v, -1, -2))
 
 
-def _rk4_step(k: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    def deriv(m):
-        km = k @ m
-        return km + km.T
+def _rk4_step(k: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = K x as a matrix, in Horner form:
+    T = I + hK (I + hK/2 (I + hK/3 (I + hK/4)))."""
+    hk = dt * k
+    eye = np.eye(k.shape[0])
+    step = eye + hk / 4.0
+    for order in (3.0, 2.0, 1.0):
+        step = eye + (hk @ step) / order
+    return step
 
-    k1 = deriv(v)
-    k2 = deriv(v + dt / 2.0 * k1)
-    k3 = deriv(v + dt / 2.0 * k2)
-    k4 = deriv(v + dt * k3)
-    return v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
+    """The RK4 step matrix raised to the sample stride, after the step refusal."""
+    check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
+    return np.linalg.matrix_power(_rk4_step(drift.k, cfg.dt), cfg.sample_stride)
 
 
 def reduce_to_system(v_full: CovarianceMatrix) -> CovarianceMatrix:
@@ -475,18 +489,21 @@ def negativity_trace(
     """E_N(t) and plus/minus dispersions from the exact evolution.
 
     The normal-mode path applies the drift's reduced channel, sampled once
-    per plan; the RK4 path marches the full matrix.  Every recorded reduced
-    state is checked for physicality.
+    per plan; the RK4 path builds its own from the system rows of hop^k, one
+    row product per sample.  Every recorded reduced state is checked for
+    physicality.
     """
     _require_two_mode(system_v)
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
     if cfg.integrator is Integrator.RK4:
-        _, series = evolve(initial_covariance(system_v, drift.bath), drift, cfg)
-        blocks = np.array([v.matrix[:4, :4] for v in series])
+        hop = _rk4_hop(drift, cfg)
+        rows = accumulate(repeat(hop, len(times) - 1), np.matmul, initial=np.eye(4, drift.dim))
+        chunks = ((r[None, :, 0::2], r[None, :, 1::2]) for r in rows)
+        channel = _channel_from_rows(times, chunks, thermal_bath_variances(drift.bath))
     else:
-        blocks = drift.reduced_channel(times).blocks(system_v)
-    return _trace_from_blocks(times, blocks)
+        channel = drift.reduced_channel(times)
+    return _trace_from_blocks(times, channel.blocks(system_v))
 
 
 def physicality_margins(blocks: np.ndarray) -> np.ndarray:

@@ -43,7 +43,8 @@ def symplectic_form(dim: int) -> np.ndarray:
 def _check_symmetric(matrix: np.ndarray) -> None:
     # one matrix or a stack, each checked against its own scale
     scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
-    asym = np.abs(matrix - np.swapaxes(matrix, -1, -2)).max(axis=(-2, -1))
+    diff = matrix - np.swapaxes(matrix, -1, -2)
+    asym = np.abs(diff, out=diff).max(axis=(-2, -1))
     if np.any(asym > SYMMETRY_RTOL * scale):
         raise UnphysicalStateError("covariance matrix is not symmetric")
 
@@ -198,7 +199,9 @@ def basis_change(v: CovarianceMatrix, to: Ordering) -> CovarianceMatrix:
 def mix_modes(v: np.ndarray) -> np.ndarray:
     """The basis change of a 4x4 matrix or a (k, 4, 4) stack, symmetrized."""
     m = _MIX @ v @ _MIX.T
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    m += np.swapaxes(m, -1, -2)
+    m *= 0.5
+    return m
 
 
 def two_mode_squeezed(r: float, m: float = 1.0, omega: float = 1.0) -> CovarianceMatrix:

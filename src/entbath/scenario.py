@@ -254,7 +254,7 @@ class Scenario:
         _, m_minus, omega_minus = self.route_scales()
         v_sys = self.initial_state(m_minus, omega_minus)
         ev = self.cfg.evolution
-        times = np.arange(0.0, ev.t_max + ev.dt, ev.dt * ev.sample_stride)
+        times = ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride).sample_times()
         cols = self._moment_columns(v_sys, times)
         return ["t", *cols], [times, *cols.values()]
 

@@ -104,9 +104,13 @@ def test_decoupled_bath_gives_free_periodicity():
     assert np.allclose(v1[:4, :4], v0.matrix[:4, :4], atol=1e-10)
 
 
-def test_rk4_matches_normal_mode_two_mode_toy():
+def _toy_drift():
     bath = DiscreteBath(np.array([0.5, 1.0]), np.ones(2), np.array([0.2, 0.3]), 0.0)
-    drift = ex.build_position_model(OSC, bath)
+    return bath, ex.build_position_model(OSC, bath)
+
+
+def test_rk4_matches_normal_mode_two_mode_toy():
+    bath, drift = _toy_drift()
     v0 = ex.initial_covariance(separable_squeezed(0.8), bath)
     cfg_rk = ex.EvolutionConfig(8.0, 0.002, 4000, ex.Integrator.RK4)
     cfg_nm = ex.EvolutionConfig(8.0, 0.002, 4000, ex.Integrator.NORMAL_MODE)
@@ -126,6 +130,52 @@ def test_rk4_matches_normal_mode_dense_bath():
     _, rk = ex.evolve(v0, drift, cfg_rk)
     _, nm = ex.evolve(v0, drift, cfg_nm)
     assert np.abs(rk[-1].matrix - nm[-1].matrix).max() < 1e-5
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7, 16])
+def test_rk4_step_matrix_is_classical_rk4(stride):
+    _, drift = _toy_drift()
+    dt = 0.01
+    hop = ex._rk4_hop(drift, ex.EvolutionConfig(1.0, dt, stride, ex.Integrator.RK4))
+    k = drift.k
+    # the four-stage recurrence, stepped on every column of the identity
+    x = np.eye(drift.dim)
+    for _ in range(stride):
+        k1 = k @ x
+        k2 = k @ (x + dt / 2.0 * k1)
+        k3 = k @ (x + dt / 2.0 * k2)
+        k4 = k @ (x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.abs(hop - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_rk4_is_fourth_order():
+    bath, drift = _toy_drift()
+    v0 = ex.initial_covariance(separable_squeezed(0.8), bath)
+    _, nm = ex.evolve(v0, drift, ex.EvolutionConfig(8.0, 0.04, 200))
+    errors = []
+    for dt in (0.04, 0.02):
+        n = int(round(8.0 / dt))
+        _, rk = ex.evolve(v0, drift, ex.EvolutionConfig(8.0, dt, n, ex.Integrator.RK4))
+        errors.append(np.abs(rk[-1].matrix - nm[-1].matrix).max())
+    assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.25)
+
+
+def test_rk4_trace_reads_its_channel():
+    bath, drift = small_setup(16, temperature=0.3)
+    v_sys = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)
+    cfg_rk = ex.EvolutionConfig(3.0, 0.002, 50, ex.Integrator.RK4)
+    tr_rk = ex.negativity_trace(v_sys, drift, cfg_rk)
+    tr_nm = ex.negativity_trace(v_sys, drift, ex.EvolutionConfig(3.0, 0.002, 50))
+    np.testing.assert_array_equal(tr_rk.times, tr_nm.times)
+    np.testing.assert_allclose(tr_rk.e_n, tr_nm.e_n, rtol=0, atol=1e-7)
+    # the same channel read out of evolve's RK4 covariances
+    _, series = ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg_rk)
+    blocks = np.array([ex.reduce_to_system(v).matrix for v in series])
+    readout = ex._trace_from_blocks(tr_rk.times, blocks)
+    for name in ("e_n", "dx_plus_sq", "dp_plus_sq", "dx_minus_sq", "dp_minus_sq", "xp_plus"):
+        np.testing.assert_allclose(getattr(tr_rk, name), getattr(readout, name),
+                                   rtol=0, atol=1e-11)
 
 
 def test_global_purity_and_energy_conserved():

@@ -15,6 +15,7 @@ from entbath.gaussian import (
     basis_change,
     free_rotation,
     log_negativity,
+    mix_modes,
     partial_transpose,
     separable_squeezed,
     squeezing_of,
@@ -109,6 +110,19 @@ def test_basis_change_round_trip_and_involution():
     v = random_physical(rng)
     w = basis_change(basis_change(v, Ordering.NORMAL), Ordering.PHYSICAL)
     assert np.allclose(v.matrix, w.matrix, atol=1e-13)
+
+
+def test_mix_modes_symmetrizes_the_congruence():
+    rng = np.random.default_rng(5)
+    stack = np.array([random_physical(rng).matrix for _ in range(64)])
+    m = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / math.sqrt(2.0)
+    for v in (stack, stack[0]):
+        congruence = m @ v @ m.T
+        expected = 0.5 * (congruence + np.swapaxes(congruence, -1, -2))
+        np.testing.assert_array_equal(mix_modes(v), expected)
+    # the stack's congruence alone is symmetric only to rounding
+    congruence = m @ stack @ m.T
+    assert np.any(congruence != np.swapaxes(congruence, -1, -2))
 
 
 def test_basis_change_rejects_full():
