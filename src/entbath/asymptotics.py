@@ -411,7 +411,7 @@ def _resonance(sd: SpectralDensity, m: float, omega: float, static: float):
     """(w_p, Gamma): the peak of chi'' and its half width.
 
     w_p is the root of the real part of the denominator (see
-    ``fdt_dispersions``), found by Newton steps from ``omega`` with a
+    ``FdtRule``), found by Newton steps from ``omega`` with a
     central-difference slope; Gamma = Im Sigma(w_p) / (2 m w_p).  Without a
     root nearby the last point inside (0, cutoff) is kept: the peak only
     places the nodes, it does not enter the integral.
@@ -455,63 +455,72 @@ def _peak_side_nodes(t: np.ndarray, width: float, length: float):
     return offset, far, width * dtheta / cos_t**2
 
 
-def fdt_dispersions(
-    sd: SpectralDensity,
-    omega: float,
-    temperature: float,
-    m: float | None = None,
-) -> tuple[float, float]:
-    """Exact equilibrium (dx+, dp+) from the fluctuation-dissipation theorem.
-
-    Works for any of the named spectral exponents and any temperature;
-    ``omega`` is the renormalized frequency of the x+ oscillator.  This is
-    the continuum limit of the discrete-bath equilibrium, used as the
-    non-perturbative route for phase diagrams and T0.
+class FdtRule:
+    """Exact equilibrium (dx+, dp+) of one plus oscillator, of any named
+    spectral exponent at any temperature, from the fluctuation-dissipation
+    theorem: the continuum limit of the discrete-bath equilibrium and the
+    non-perturbative route for phase diagrams and T0.  ``omega`` is the
+    renormalized frequency of the x+ oscillator.
 
     <x^2> and <p^2> are integrals of coth(w/2T) chi''(w)/pi (times m^2 w^2)
     over (0, cutoff).  Both come from one nested tanh-sinh rule on
     [0, w_p] and [w_p, cutoff], split and tan-mapped at the resonance
     w_p; h halves until two levels agree, and their difference is the
-    error estimate.
+    error estimate.  T enters only through coth: the resonance, the nodes
+    and chi'' at the nodes are built once, each level on first use.
     """
-    m = sd.mass if m is None else m
-    lam = sd.cutoff
-    if not 0 < omega < lam:
-        raise ValueError("omega must lie below the cutoff")
-    # Re D(w) = m (omega^2 - counterterm - w^2) - Re Sigma(w).  The static
-    # parts cancel analytically (exactly when m == sd.mass), and omega - w is
-    # formed from the offsets from the peak: at a narrow peak Re D is a
-    # small difference that rounding of the O(cutoff) terms would swamp.
-    static = (sd.mass - m) * counterterm(sd)
-    wp, width = _resonance(sd, m, omega, static)
 
-    def level_sums(t: np.ndarray) -> tuple[float, float]:
-        left, to_zero, wt_left = _peak_side_nodes(t, width, wp)
-        right, to_cutoff, wt_right = _peak_side_nodes(t, width, lam - wp)
-        w = np.concatenate([to_zero, wp + right])
-        gap = np.concatenate([lam - to_zero, to_cutoff])
-        below = np.concatenate([(omega - wp) + left, (omega - wp) - right])  # omega - w
-        re = m * below * (omega + w) + static - _self_energy_shift(sd, w, gap)
-        im = 2.0 * math.pi * j_omega(sd, w)
-        f = np.concatenate([wt_left, wt_right]) * im / (math.pi * (re * re + im * im))
-        if temperature != 0.0:
-            f /= np.tanh(w / (2.0 * temperature))
-        return float(f.sum()), m * m * float(f @ (w * w))
+    def __init__(self, sd: SpectralDensity, omega: float, m: float | None = None) -> None:
+        if not 0 < omega < sd.cutoff:
+            raise ValueError("omega must lie below the cutoff")
+        self.sd, self.omega, self.m = sd, omega, sd.mass if m is None else m
+        # Re D(w) = m (omega^2 - counterterm - w^2) - Re Sigma(w).  The static
+        # parts cancel analytically (exactly when m == sd.mass), and omega - w
+        # is formed from the offsets from the peak: at a narrow peak Re D is a
+        # small difference that rounding of the O(cutoff) terms would swamp.
+        self.static = (sd.mass - self.m) * counterterm(sd)
+        self.peak, self.width = _resonance(sd, self.m, omega, self.static)
+        self._levels: list[tuple] = []  # (w, chi'' weight without coth, w^2)
 
-    x2 = p2 = 0.0
-    for level in range(_DE_MAX_LEVEL + 1):
-        h = 2.0**-level
+    def _build_level(self, level: int) -> tuple:
         if level == 0:
             t = np.arange(-_DE_T_MAX, _DE_T_MAX + 1, dtype=float)
         else:
-            odd = h * np.arange(1, _DE_T_MAX * 2**level, 2)
+            odd = 2.0**-level * np.arange(1, _DE_T_MAX * 2**level, 2)
             t = np.concatenate([-odd, odd])
-        sx, sp = level_sums(t)
-        x_new, p_new = 0.5 * x2 + h * sx, 0.5 * p2 + h * sp
-        x_err, p_err = abs(x_new - x2), abs(p_new - p2)
-        x2, p2 = x_new, p_new
-        if level > 0 and x_err <= _DE_RTOL * abs(x2) and p_err <= _DE_RTOL * abs(p2):
-            break
-    if x2 <= 0 or p2 <= 0 or x_err > 1e-6 * abs(x2) + 1e-12 or p_err > 1e-6 * abs(p2) + 1e-12:
-        raise NumericalError("fluctuation-dissipation quadrature failed")
-    return math.sqrt(x2), math.sqrt(p2)
+        sd, m, omega, wp = self.sd, self.m, self.omega, self.peak
+        left, to_zero, wt_left = _peak_side_nodes(t, self.width, wp)
+        right, to_cutoff, wt_right = _peak_side_nodes(t, self.width, sd.cutoff - wp)
+        w = np.concatenate([to_zero, wp + right])
+        gap = np.concatenate([sd.cutoff - to_zero, to_cutoff])
+        below = np.concatenate([(omega - wp) + left, (omega - wp) - right])  # omega - w
+        re = m * below * (omega + w) + self.static - _self_energy_shift(sd, w, gap)
+        im = 2.0 * math.pi * j_omega(sd, w)
+        f = np.concatenate([wt_left, wt_right]) * im / (math.pi * (re * re + im * im))
+        return w, f, w * w
+
+    def dispersions(self, temperature: float) -> tuple[float, float]:
+        """(dx+, dp+) at ``temperature``; refuses an unconverged rule."""
+        m = self.m
+        x2 = p2 = 0.0
+        for level in range(_DE_MAX_LEVEL + 1):
+            if level == len(self._levels):  # levels are visited in order
+                self._levels.append(self._build_level(level))
+            w, f, w2 = self._levels[level]
+            if temperature != 0.0:
+                f = f / np.tanh(w / (2.0 * temperature))
+            h = 2.0**-level
+            x_new, p_new = 0.5 * x2 + h * float(f.sum()), 0.5 * p2 + h * (m * m * float(f @ w2))
+            x_err, p_err = abs(x_new - x2), abs(p_new - p2)
+            x2, p2 = x_new, p_new
+            if level > 0 and x_err <= _DE_RTOL * abs(x2) and p_err <= _DE_RTOL * abs(p2):
+                break
+        if x2 <= 0 or p2 <= 0 or x_err > 1e-6 * abs(x2) + 1e-12 or p_err > 1e-6 * abs(p2) + 1e-12:
+            raise NumericalError("fluctuation-dissipation quadrature failed")
+        return math.sqrt(x2), math.sqrt(p2)
+
+
+def fdt_dispersions(sd: SpectralDensity, omega: float, temperature: float,
+                    m: float | None = None) -> tuple[float, float]:
+    """One temperature of an ``FdtRule``; keep the rule for several."""
+    return FdtRule(sd, omega, m).dispersions(temperature)

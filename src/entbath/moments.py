@@ -36,7 +36,7 @@ class MomentState:
     first order in the damping rate and drives transient dips of the plus
     block a few percent below the uncertainty bound (measured down to
     det ~ 0.20 at gamma = 0.2 from a vacuum start), so full physicality is an
-    explicit check via ``validate_physical`` rather than an invariant.
+    explicit check via ``is_physical`` rather than an invariant.
     """
 
     x2_plus: float
@@ -57,23 +57,15 @@ class MomentState:
                 return False
         return True
 
-    def validate_physical(self, atol: float = UNCERTAINTY_ATOL) -> None:
-        if not self.is_physical(atol):
-            raise UnphysicalStateError(
-                f"a mode block violates the uncertainty relation at t={self.time}"
-            )
-
     def plus_block_moments(self) -> tuple[float, float, float]:
         return self.x2_plus, self.p2_plus, self.xp_plus
 
     def minus_block_moments(self) -> tuple[float, float, float]:
         return self.x2_minus, self.p2_minus, self.xp_minus
 
-    def plus_block(self) -> np.ndarray:
-        return _block(self.x2_plus, self.p2_plus, self.xp_plus)
-
     def minus_block(self) -> np.ndarray:
-        return _block(self.x2_minus, self.p2_minus, self.xp_minus)
+        xp = self.xp_minus / 2.0
+        return np.array([[self.x2_minus, xp], [xp, self.p2_minus]])
 
 
 def _require_positive(tag: str, block: tuple[float, float, float], time: float) -> None:
@@ -84,10 +76,6 @@ def _require_positive(tag: str, block: tuple[float, float, float], time: float) 
             f"{tag} block has nonpositive dispersions or determinant "
             f"({det:.6e}) at t={time}"
         )
-
-
-def _block(x2: float, p2: float, xp: float) -> np.ndarray:
-    return np.array([[x2, xp / 2.0], [xp / 2.0, p2]])
 
 
 def vacuum_state(m: float, omega: float) -> MomentState:
@@ -333,7 +321,11 @@ def negativity_from_moments(state: MomentState) -> float:
 
 def negativities(states: Sequence[MomentState]) -> np.ndarray:
     """``negativity_from_moments`` of every state, read out as one stack."""
+    fields = np.fromiter(
+        (x for s in states for x in (s.x2_plus, s.p2_plus, s.xp_plus / 2.0,
+                                     s.x2_minus, s.p2_minus, s.xp_minus / 2.0)),
+        dtype=float, count=6 * len(states)).reshape(-1, 6).T
     v = np.zeros((len(states), 4, 4))  # NORMAL ordering, no (+,-) cross block
-    v[:, :2, :2] = [s.plus_block() for s in states]
-    v[:, 2:, 2:] = [s.minus_block() for s in states]
+    v[:, 0, 0], v[:, 1, 1], v[:, 0, 1], v[:, 2, 2], v[:, 3, 3], v[:, 2, 3] = fields
+    v[:, 1, 0], v[:, 3, 2] = fields[2], fields[5]
     return log_negativities(mix_modes(v))

@@ -63,6 +63,7 @@ class Scenario:
         self.temperature = cfg.bath.temperature
         self.spectral_density = bt.SpectralDensity(float(sp.n), sp.gamma0, sp.cutoff, sy.m)
         self.oscillator = OscillatorParams(sy.m, sy.omega1, sy.omega2, sy.c12, sy.c12_tilde)
+        self._fdt_rules: dict[float, asy.FdtRule] = {}  # by plus mass
 
     # -- builders ---------------------------------------------------------
 
@@ -172,7 +173,9 @@ class Scenario:
             coth = 1.0 if t == 0.0 else 1.0 / math.tanh(omega_plus / (2.0 * t))
             dx = math.sqrt(coth / (2.0 * mass * omega_plus))
             return dx, math.sqrt(mass * omega_plus * coth / 2.0)
-        return asy.fdt_dispersions(self.spectral_density, omega_plus, temperature, mass)
+        if mass not in self._fdt_rules:
+            self._fdt_rules[mass] = asy.FdtRule(self.spectral_density, omega_plus, mass)
+        return self._fdt_rules[mass].dispersions(temperature)
 
     def coefficients(self):
         """Master-equation coefficients at omega+ and the bath temperature;
@@ -182,6 +185,19 @@ class Scenario:
         return asy.coefficient_limits(
             self.spectral_density, self.plus_frequency(), t, regime, self.model
         )
+
+    def moment_coefficients(self):
+        """``coefficients``, refused for position coupling when their fixed
+        point breaks the uncertainty relation (high-T forms at low T, n=3)."""
+        coeffs = self.coefficients()
+        if self.model == "position":
+            m, omega = self.route_scales()[0], self.plus_frequency()
+            dxdp = math.prod(asy.equilibrium_dispersions_position(coeffs, m, omega))
+            if dxdp**2 < 0.25 - mo.UNCERTAINTY_ATOL:
+                raise UnphysicalStateError(
+                    f"the moment route's fixed point has dx+ dp+ = {dxdp:.4g} < 1/2 at "
+                    f"spectral.n={self.cfg.spectral.n!r}, T={self.temperature!r}")
+        return coeffs
 
     def zero_t_criticals(self) -> dict:
         """T0 and the T=0 island edges r1, r2 of position coupling."""
@@ -200,15 +216,15 @@ class Scenario:
 
     # -- routes -----------------------------------------------------------
 
-    def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray) -> dict:
-        """Moment-route E_N and dispersion columns interpolated onto ``times``."""
+    def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray, coeffs) -> dict:
+        """Moment-route E_N and dispersion columns at ``times`` under ``coeffs``."""
         m_plus, m_minus, omega_minus = self.route_scales()
         nm = basis_change(v_sys, Ordering.NORMAL).matrix
         state = mo.MomentState(
             nm[0, 0], nm[1, 1], 2.0 * nm[0, 1], nm[2, 2], nm[3, 3], 2.0 * nm[2, 3]
         )
         traj = mo.integrate(
-            state, self.coefficients(), m_plus, self.plus_frequency(), float(times[-1]),
+            state, coeffs, m_plus, self.plus_frequency(), float(times[-1]),
             model=self.model, m_minus=m_minus, omega_minus=omega_minus, sample_every=5,
         )
         tt = np.array([s.time for s in traj])
@@ -231,6 +247,7 @@ class Scenario:
         asymptotic = self.oscillator.resonant
         if with_moments or asymptotic:
             self.plus_frequency()  # refuse before the exact run
+        coeffs = self.moment_coefficients() if with_moments else None
         drift = self.drift(self.bath())
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)
@@ -242,7 +259,7 @@ class Scenario:
         names, cols = ["t", "E_N_exact"], [tr.times, tr.e_n]
         if with_moments:
             names.append("E_N_moments")
-            cols.append(self._moment_columns(v_sys, tr.times)["E_N_moments"])
+            cols.append(self._moment_columns(v_sys, tr.times, coeffs)["E_N_moments"])
         if asymptotic:
             names.append("E_N_asymptotic")
             cols.append(self._asymptotic_column(v_sys, drift, tr.times))
@@ -251,11 +268,12 @@ class Scenario:
 
     def moments(self) -> tuple[list[str], list]:
         """Moment-route trace on the evolution's sample grid."""
+        coeffs = self.moment_coefficients()
         _, m_minus, omega_minus = self.route_scales()
         v_sys = self.initial_state(m_minus, omega_minus)
         ev = self.cfg.evolution
         times = ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride).sample_times()
-        cols = self._moment_columns(v_sys, times)
+        cols = self._moment_columns(v_sys, times, coeffs)
         return ["t", *cols], [times, *cols.values()]
 
     def phase_diagram(self) -> tuple[list[dict], dict]:

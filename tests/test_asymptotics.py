@@ -234,6 +234,18 @@ def test_fdt_refuses_omega_at_or_above_cutoff():
             asy.fdt_dispersions(OHMIC, omega, 0.0)
 
 
+def test_fdt_rule_reuse_is_bit_identical():
+    # temperatures that need the deep levels first, then shallow ones, then
+    # repeats: one rule reweighting its cached nodes gives every bit of a
+    # fresh rule per temperature
+    temps = (0.0, 0.05, 0.3, 1.0, 10.0, 0.3, 0.0)
+    for sd in (OHMIC, SUB, SUPER):
+        rule = asy.FdtRule(sd, 1.0)
+        reused = [rule.dispersions(t) for t in temps]
+        assert reused == [asy.fdt_dispersions(sd, 1.0, t) for t in temps], sd.exponent
+        assert len(set(reused)) == 5, sd.exponent
+
+
 @pytest.mark.parametrize("sd", [OHMIC, SUB, SUPER], ids=["ohmic", "sub", "super"])
 def test_principal_value_against_cauchy_quadrature(sd):
     from scipy.integrate import quad

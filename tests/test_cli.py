@@ -278,6 +278,24 @@ def test_detuned_is_config_error_in_resonant_routes(command, cfg_file, tmp_path,
     assert "system.omega1/omega2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["moments", "negativity-trace"])
+@pytest.mark.parametrize("temperature, code", [("0.3", 4), ("0", 0), ("10", 0)])
+def test_moment_route_checks_its_fixed_point(command, temperature, code, cfg_file,
+                                             tmp_path, capsys):
+    # the coefficients settle at dx+ dp+ = 0.30 < 1/2 at T = 0.3 (the high-T
+    # forms at low T), at 0.597 at T = 0 and at 10.06 at T = 10
+    out = tmp_path / "out.csv"
+    argv = [command, cfg_file, "--set", f"bath.temperature={temperature}", "--out", str(out)]
+    if command == "negativity-trace":
+        argv.append("--with-moments")
+    assert main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "fixed point has dx+ dp+ = 0.3019 < 1/2" in err
+        assert "spectral.n=1, T=0.3" in err
+        assert not out.exists()
+
+
 def test_detuned_trace_leaves_out_asymptotic_column(cfg_file, tmp_path):
     out = tmp_path / "t.csv"
     assert main(["negativity-trace", cfg_file, *DETUNED, "--out", str(out)]) == 0
@@ -336,6 +354,27 @@ def test_symmetric_trace_moment_column_matches_moments(tmp_path):
     a, b = _read_csv(trace), _read_csv(moments)
     np.testing.assert_allclose(a["t"], b["t"], rtol=0, atol=1e-12)
     np.testing.assert_allclose(a["E_N_moments"], b["E_N_moments"], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["phase-diagram", "asymptotics"])
+def test_scenario_builds_one_fdt_rule_per_op(command, tmp_path, monkeypatch):
+    # T enters the FDT rule only through coth: the cells, r1/r2 and every
+    # step of the T0 bisection reweight one rule, built at one resonance
+    import os
+
+    from entbath import asymptotics as asy
+
+    calls = []
+    resonance = asy._resonance
+    monkeypatch.setattr(asy, "_resonance", lambda *a: calls.append(a) or resonance(*a))
+    yaml_path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "configs", "ohmic_trace.yaml"
+    )
+    argv = [command, yaml_path, "--out", str(tmp_path / "out")]
+    if command == "phase-diagram":
+        argv += ["--summary", str(tmp_path / "summary.json")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 CUSTOM_STATES = ([0.5, 0.5, 0.5, 0.5], [3.0, 0.1, 3.0, 0.1])
