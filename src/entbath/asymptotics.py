@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import SpectralDensity, asymptotic_gamma, counterterm, j_omega
 from .errors import NumericalError
-from .gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation
+from .gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation, squeezing_of
 from .special import harmonic_number
 
 _TINY = 1e-14
@@ -179,7 +179,7 @@ def critical_params(
     """r_crit and S_crit from equilibrium and initial dispersions."""
     if min(dx_plus, dp_plus, dx_minus, dp_minus) <= 0:
         raise ValueError("all dispersions must be positive")
-    r_crit = 0.5 * math.log(m_minus * omega_minus * dx_plus / dp_plus)
+    r_crit = squeezing_of(dx_plus, dp_plus, m_minus, omega_minus)
     s_crit = 0.5 * math.log(4.0 * dx_plus * dp_plus * dx_minus * dp_minus)
     return CriticalParams(r_crit, s_crit)
 

@@ -81,8 +81,8 @@ class EvolutionConfig:
 class DriftMatrix:
     """Drift K = J H of the Lyapunov equation plus the decoupled minus mode.
 
-    ``m_minus``/``omega_minus`` are the exact parameters of the bath-free
-    minus oscillator implied by the (possibly renormalized) model.  The
+    ``m_minus``/``omega_minus`` are ``mode_scales`` of the drift's system
+    block: the bath-free minus oscillator of the (bare) model.  The
     normal modes are computed on first use and kept, so a drift is
     factorized at most once however many states are evolved with it.
     """
@@ -118,14 +118,6 @@ class DriftMatrix:
         return held
 
 
-def _bath_block(h: np.ndarray, bath: DiscreteBath) -> np.ndarray:
-    """Fill the diagonal bath block of H; returns the bath q indices."""
-    iq = 4 + 2 * np.arange(bath.n_modes)
-    h[iq, iq] = bath.masses * bath.frequencies**2
-    h[iq + 1, iq + 1] = 1.0 / bath.masses
-    return iq
-
-
 def _drift_of(h: np.ndarray) -> np.ndarray:
     """K = J H: J swaps each (x, p) row pair of H and negates the p row."""
     k = np.empty_like(h)
@@ -155,95 +147,102 @@ def _check_stable(h: np.ndarray) -> None:
         )
 
 
+def system_hamiltonian(
+    osc: OscillatorParams, model: str, s: float = 0.0
+) -> tuple[np.ndarray, float | None]:
+    """The 4x4 PHYSICAL system block of H for a bath whose discrete
+    counterterm sum is -s, and the symmetric model's bare omega^2 (None for
+    position coupling), which scales that model's momentum couplings.
+
+    The configured parameters are renormalized values: completing the square
+    in the bath coordinates returns them.  Position coupling shifts omega1^2,
+    omega2^2 and c12 by s/2.  The symmetric model requires resonance; its
+    bare frequency solves (w_b^2 - s/2)^2 = w_b^2 Omega^2, so the dressed
+    plus mode and the bath-free minus mode both reproduce the configured
+    ones (and c12 = c12_tilde gives an unsqueezed equilibrium, r_crit = 0).
+    With s = 0 this is the system as configured.
+    """
+    m = osc.m
+    if model == "symmetric":
+        if not osc.resonant:
+            raise ValueError("symmetric model requires resonant oscillators")
+        big_omega_sq = w_bare_sq = osc.omega1**2
+        c12, c12_t = osc.c12, osc.c12_tilde
+        if s:  # s = 0 keeps the configured values exactly
+            w_bare_sq = 0.5 * (s + big_omega_sq + math.sqrt((s + big_omega_sq) ** 2 - s * s))
+            m_over_big_m = (w_bare_sq - s / 2.0) / w_bare_sq
+            c12 = c12 / m_over_big_m + s / 2.0
+            c12_t = c12_t * m_over_big_m * w_bare_sq / big_omega_sq + s / 2.0
+        w1_sq = w2_sq = w_bare_sq
+        b12 = c12_t / (m * w_bare_sq)
+    else:
+        if osc.c12_tilde != 0.0:
+            raise ValueError("momentum coupling requires the symmetric model")
+        w1_sq, w2_sq, c12 = (v + s / 2.0 for v in (osc.omega1**2, osc.omega2**2, osc.c12))
+        w_bare_sq, b12 = None, 0.0
+    h = np.zeros((4, 4))
+    h[0, 0], h[2, 2] = m * w1_sq, m * w2_sq
+    h[1, 1] = h[3, 3] = 1.0 / m
+    h[0, 2] = h[2, 0] = m * c12
+    h[1, 3] = h[3, 1] = b12
+    return h, w_bare_sq
+
+
+def mode_scales(h_sys: np.ndarray, sign: float = -1.0) -> tuple[float, float]:
+    """(mass, frequency) of the x- (sign -1) or x+ (sign +1) oscillator of a
+    4x4 PHYSICAL system block, x± = (x1 ± x2)/sqrt(2).
+
+    Its stiffness is k = (K11 + K22)/2 ± K12 and its inverse mass
+    b = (B11 + B22)/2 ± B12, so the mode is (1/b, sqrt(k b)).  For resonant
+    oscillators x- never sees the bath, and these are its exact scales.
+    """
+    k = (h_sys[0, 0] + h_sys[2, 2]) / 2.0 + sign * h_sys[0, 2]
+    b = (h_sys[1, 1] + h_sys[3, 3]) / 2.0 + sign * h_sys[1, 3]
+    if k <= 0 or b <= 0:
+        raise ValueError(f"x{'-+'[sign > 0]} oscillator unstable: stiffness {k:.3e}, "
+                         f"inverse mass {b:.3e}")
+    return 1.0 / b, math.sqrt(k * b)
+
+
+def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize: bool):
+    """Drift of either model: the system block, the diagonal bath block, the
+    position couplings (x1 + x2) sum c_k q_k and, for the symmetric model,
+    the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / m_k w_k) pi_k."""
+    s = -bath.counterterm_sum(osc.m) if renormalize else 0.0
+    h_sys, w_bare_sq = system_hamiltonian(osc, model, s)
+    dim = 4 + 2 * bath.n_modes
+    h = np.zeros((dim, dim))
+    h[:4, :4] = h_sys
+    iq = 4 + 2 * np.arange(bath.n_modes)
+    h[iq, iq] = bath.masses * bath.frequencies**2
+    h[iq + 1, iq + 1] = 1.0 / bath.masses
+    c = bath.couplings
+    h[0, iq] = h[iq, 0] = h[2, iq] = h[iq, 2] = c
+    if model == "symmetric":
+        cp = c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+        h[1, iq + 1] = h[iq + 1, 1] = h[3, iq + 1] = h[iq + 1, 3] = cp
+    _check_stable(h)
+    try:
+        m_minus, omega_minus = mode_scales(h_sys)
+    except ValueError as err:
+        raise UnstableHamiltonianError(str(err)) from err
+    return DriftMatrix(_drift_of(h), h, bath, model, m_minus, omega_minus)
+
+
 def build_position_model(
     osc: OscillatorParams, bath: DiscreteBath, renormalize: bool = True
 ) -> DriftMatrix:
-    """Drift matrix for bilinear position coupling (x1 + x2) sum c_k q_k.
-
-    With ``renormalize`` the given frequencies and coupling are interpreted
-    as renormalized values: the bare ones are shifted by half the discrete
-    counterterm sum, so that completing the square in the bath coordinates
-    returns exactly the requested dressed plus mode.
-    """
-    if osc.c12_tilde != 0.0:
-        raise ValueError("momentum coupling requires the symmetric model")
-    m = osc.m
-    shift = -bath.counterterm_sum(m) / 2.0 if renormalize else 0.0
-    w1_sq = osc.omega1**2 + shift
-    w2_sq = osc.omega2**2 + shift
-    c12 = osc.c12 + shift
-
-    dim = 4 + 2 * bath.n_modes
-    h = np.zeros((dim, dim))
-    h[0, 0] = m * w1_sq
-    h[2, 2] = m * w2_sq
-    h[1, 1] = h[3, 3] = 1.0 / m
-    h[0, 2] = h[2, 0] = m * c12
-    iq = _bath_block(h, bath)
-    h[0, iq] = h[iq, 0] = bath.couplings
-    h[2, iq] = h[iq, 2] = bath.couplings
-    _check_stable(h)
-    k_mat = _drift_of(h)
-
-    w_minus_sq = (w1_sq + w2_sq) / 2.0 - c12
-    if w_minus_sq <= 0:
-        raise UnstableHamiltonianError("minus oscillator frequency^2 <= 0")
-    return DriftMatrix(k_mat, h, bath, "position", m, math.sqrt(w_minus_sq))
+    """Drift matrix for bilinear position coupling (x1 + x2) sum c_k q_k;
+    ``renormalize=False`` takes the configured system as bare."""
+    return _assemble(osc, bath, "position", renormalize)
 
 
 def build_symmetric_model(
     osc: OscillatorParams, bath: DiscreteBath, renormalize: bool = True
 ) -> DriftMatrix:
-    """Drift matrix for coupling symmetric in position and momentum.
-
-    The interaction is the coordinate form
-    (x1 + x2) sum c_k q_k + ((p1 + p2)/(m w)) sum (c_k / m_k w_k) pi_k
-    with equal position and momentum coupling strengths.  Requires
-    resonance.  With ``renormalize``, the bare frequency solves
-    (w_b^2 - S/2)^2 = w_b^2 Omega^2 where S is the discrete counterterm
-    sum; this makes both the dressed plus mode and the bath-free minus
-    mode reproduce the requested renormalized parameters exactly (and
-    yields an unsqueezed equilibrium, r_crit = 0, when c12 = c12_tilde).
-    """
-    if not osc.resonant:
-        raise ValueError("symmetric model requires resonant oscillators")
-    m = osc.m
-    big_omega_sq = osc.omega1**2
-    s = -bath.counterterm_sum(m)
-    if renormalize:
-        w_bare_sq = 0.5 * (
-            s + big_omega_sq + math.sqrt((s + big_omega_sq) ** 2 - s * s)
-        )
-        m_over_big_m = (w_bare_sq - s / 2.0) / w_bare_sq
-        c12 = osc.c12 / m_over_big_m + s / 2.0
-        c12_t = osc.c12_tilde * m_over_big_m * w_bare_sq / big_omega_sq + s / 2.0
-    else:
-        w_bare_sq = big_omega_sq
-        c12, c12_t = osc.c12, osc.c12_tilde
-
-    dim = 4 + 2 * bath.n_modes
-    h = np.zeros((dim, dim))
-    h[0, 0] = h[2, 2] = m * w_bare_sq
-    h[1, 1] = h[3, 3] = 1.0 / m
-    h[0, 2] = h[2, 0] = m * c12
-    h[1, 3] = h[3, 1] = c12_t / (m * w_bare_sq)
-    iq = _bath_block(h, bath)
-    c = bath.couplings
-    h[0, iq] = h[iq, 0] = c
-    h[2, iq] = h[iq, 2] = c
-    cp = c / (m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
-    h[1, iq + 1] = h[iq + 1, 1] = cp
-    h[3, iq + 1] = h[iq + 1, 3] = cp
-    _check_stable(h)
-    k_mat = _drift_of(h)
-
-    fp = 1.0 - c12_t / w_bare_sq
-    fx = w_bare_sq - c12
-    if fp <= 0 or fx <= 0:
-        raise UnstableHamiltonianError("minus oscillator unstable")
-    m_minus = m / fp
-    omega_minus = math.sqrt(fx * fp)
-    return DriftMatrix(k_mat, h, bath, "symmetric", m_minus, omega_minus)
+    """Drift matrix for coupling symmetric in position and momentum, with
+    equal strengths; requires resonance (see ``system_hamiltonian``)."""
+    return _assemble(osc, bath, "symmetric", renormalize)
 
 
 def _require_two_mode(system_v: CovarianceMatrix) -> None:

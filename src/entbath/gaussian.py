@@ -262,7 +262,7 @@ def free_rotation(block: np.ndarray, m: float, omega: float, t: float) -> np.nda
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Bare system parameters: masses, frequencies and mutual couplings.
+    """System parameters as configured: mass, frequencies and couplings.
 
     ``c12`` couples positions, ``c12_tilde`` momenta (symmetric model only);
     both carry frequency-squared units.
@@ -281,27 +281,3 @@ class OscillatorParams:
     @property
     def resonant(self) -> bool:
         return self.omega1 == self.omega2
-
-    def minus_mode_position(self) -> tuple[float, float]:
-        """(m-, omega-) of the decoupled x- oscillator, position coupling."""
-        w2 = (self.omega1**2 + self.omega2**2) / 2.0 - self.c12
-        if w2 <= 0:
-            raise ValueError("omega_minus^2 <= 0: no stable minus oscillator")
-        return self.m, math.sqrt(w2)
-
-    def plus_mode_position(self) -> tuple[float, float]:
-        w2 = (self.omega1**2 + self.omega2**2) / 2.0 + self.c12
-        if w2 <= 0:
-            raise ValueError("omega_plus^2 <= 0: no stable plus oscillator")
-        return self.m, math.sqrt(w2)
-
-    def minus_mode_symmetric(self) -> tuple[float, float]:
-        """(m-, omega-) for the position/momentum-symmetric model."""
-        if not self.resonant:
-            raise ValueError("symmetric model requires resonant oscillators")
-        w2 = self.omega1**2
-        fx = 1.0 - self.c12 / w2
-        fp = 1.0 - self.c12_tilde / w2
-        if fx <= 0 or fp <= 0:
-            raise ValueError("minus oscillator unstable for these couplings")
-        return self.m / fp, math.sqrt(w2 * fx * fp)

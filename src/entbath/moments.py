@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -270,11 +271,16 @@ def integrate(
 
     The minus block is rotated analytically to each sample time, so its
     evolution is exact regardless of dt.  ``m`` and ``omega`` follow the
-    conventions of the chosen stepper.
+    conventions of the chosen stepper.  Without ``dt`` the step is
+    ``default_step`` of the rates: computed once for constant inputs, and
+    at each step's start when an input is a callable of time, so a
+    schedule whose rates grow is stepped finer.  An explicit ``dt`` is a
+    fixed step, refused where it exceeds the bound.
     """
     if model not in _FORMS:
         raise ValueError(f"unknown coupling model {model!r}")
     env = _environment(model, coeffs, m, omega)
+    rescale = dt is None and any(callable(v) for v in (coeffs, m, omega))
     if dt is None:
         dt = default_step(*env(state.time)[:2])
 
@@ -284,10 +290,12 @@ def integrate(
     )
     minus0 = state.minus_block()
     t0 = t = float(state.time)
-    n_steps = max(1, math.ceil((t_final - t0) / dt))
+    steps = count() if rescale else range(max(1, math.ceil((t_final - t0) / dt)))
     out = [state]
     y = tuple(map(float, state.plus_block_moments()))
-    for k in range(n_steps):
+    for k in steps:
+        if rescale:
+            dt = default_step(*env(t)[:2])
         step_dt = min(dt, t_final - t)
         if step_dt <= 0:
             break
@@ -301,15 +309,8 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# Minus mode and entanglement readout
+# Entanglement readout
 # ---------------------------------------------------------------------------
-
-def free_minus_evolution(
-    minus_block: np.ndarray, m_minus: float, omega_minus: float, t: float
-) -> np.ndarray:
-    """Free-oscillator rotation of the decoupled minus-mode block."""
-    return free_rotation(minus_block, m_minus, omega_minus, t)
-
 
 def negativity_from_moments(state: MomentState) -> float:
     """E_N of the two-oscillator state assembled from the two mode blocks.

@@ -32,6 +32,7 @@ from .gaussian import (
     OscillatorParams,
     basis_change,
     separable_squeezed,
+    squeezing_of,
     symplectic_eigenvalues,
     two_mode_squeezed,
 )
@@ -48,8 +49,7 @@ def minus_mode_readout(
     nm = basis_change(v_sys, Ordering.NORMAL).matrix
     dx = math.sqrt(nm[2, 2])
     dp = math.sqrt(nm[3, 3])
-    r = 0.5 * math.log(m_minus * omega_minus * dx / dp)
-    return r, dx * dp, nm[2:, 2:]
+    return squeezing_of(dx, dp, m_minus, omega_minus), dx * dp, nm[2:, 2:]
 
 
 class Scenario:
@@ -116,21 +116,22 @@ class Scenario:
     def route_scales(self, drift: ex.DriftMatrix | None = None) -> tuple[float, float, float]:
         """(plus mass, m-, omega-) at which a route prepares and reads its state.
 
-        The exact trace (given its ``drift``) uses the drift's own bath-free
-        minus oscillator, whose mass also sets the symmetric plus mode's
-        thermal state; the moment and closed-form routes use ``system.m`` and
-        the minus mode implied by the renormalized system parameters.  For
-        the symmetric model the two differ (m- = 2.17 against 1 on
+        The exact trace (given its ``drift``) uses the minus mode of the
+        drift's bare system block, whose mass also sets the symmetric plus
+        mode's thermal state; the moment and closed-form routes use
+        ``system.m`` and the minus mode of the block as configured.  For the
+        symmetric model the two differ (m- = 2.17 against 1 on
         configs/symmetric_trace.yaml), so the moment column of a trace
         rotates a state prepared at the other scale.
         """
         if drift is not None:
             return drift.m_minus, drift.m_minus, drift.omega_minus
-        osc = self.oscillator
+        return (self.mass, *self._configured_mode(-1.0))
+
+    def _configured_mode(self, sign: float) -> tuple[float, float]:
+        """``exact.mode_scales`` of the system block as configured."""
         try:
-            if self.model == "symmetric":
-                return (self.mass, *osc.minus_mode_symmetric())
-            return (self.mass, *osc.minus_mode_position())
+            return ex.mode_scales(ex.system_hamiltonian(self.oscillator, self.model)[0], sign)
         except ValueError as err:
             raise ConfigError(f"system.c12: {err}") from err
 
@@ -140,8 +141,9 @@ class Scenario:
 
         Their minus mode is bath-free only for resonant oscillators, and a
         plus mode at or above the cutoff has no damped equilibrium.
-        omega+ = sqrt((omega1^2 + omega2^2)/2 + c12) for position coupling
-        and omega1 for the symmetric model.
+        omega+ is the x+ frequency of the configured block,
+        sqrt((omega1^2 + omega2^2)/2 + c12), for position coupling and
+        omega1 for the symmetric model.
         """
         sy = self.cfg.system
         if not self.oscillator.resonant:
@@ -151,10 +153,7 @@ class Scenario:
             )
         omega_plus = sy.omega1
         if self.model == "position":
-            try:
-                _, omega_plus = self.oscillator.plus_mode_position()
-            except ValueError as err:
-                raise ConfigError(f"system.c12: {err}") from err
+            omega_plus = self._configured_mode(1.0)[1]
         lam = self.cfg.spectral.cutoff
         if omega_plus >= lam:
             raise ConfigError(
@@ -236,7 +235,7 @@ class Scenario:
         m_plus, m_minus, omega_minus = self.route_scales(drift)
         dx_p, dp_p = self.plus_equilibrium(self.temperature, m_plus)
         r, product, _ = minus_mode_readout(v_sys, m_minus, omega_minus)
-        r_crit = 0.5 * math.log(m_minus * omega_minus * dx_p / dp_p)
+        r_crit = squeezing_of(dx_p, dp_p, m_minus, omega_minus)
         s_crit = 0.5 * math.log(4.0 * dx_p * dp_p * product)
         e = asy.entanglement_oscillation(r, r_crit, s_crit, omega_minus, times)
         return np.maximum(e, 0.0)

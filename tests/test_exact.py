@@ -76,6 +76,64 @@ def test_unstable_hamiltonian_refused():
         ex.build_position_model(osc, bath, renormalize=False)
 
 
+def _builder_minus(osc, model, s):
+    # the builders' closed-form minus modes before one block decided them
+    m = osc.m
+    if model == "position":
+        w1_sq, w2_sq = osc.omega1**2 + s / 2.0, osc.omega2**2 + s / 2.0
+        return m, math.sqrt((w1_sq + w2_sq) / 2.0 - (osc.c12 + s / 2.0))
+    big_sq = osc.omega1**2
+    w_sq = 0.5 * (s + big_sq + math.sqrt((s + big_sq) ** 2 - s * s))
+    ratio = (w_sq - s / 2.0) / w_sq
+    c12 = osc.c12 / ratio + s / 2.0
+    c12_t = osc.c12_tilde * ratio * w_sq / big_sq + s / 2.0
+    fp = 1.0 - c12_t / w_sq
+    return m / fp, math.sqrt((w_sq - c12) * fp)
+
+
+def _configured_minus(osc, model):
+    # the same closed forms of the configured, unrenormalized system
+    if model == "position":
+        return osc.m, math.sqrt((osc.omega1**2 + osc.omega2**2) / 2.0 - osc.c12)
+    w_sq = osc.omega1**2
+    fx, fp = 1.0 - osc.c12 / w_sq, 1.0 - osc.c12_tilde / w_sq
+    return osc.m / fp, math.sqrt(w_sq * fx * fp)
+
+
+@pytest.mark.parametrize("m", [0.7, 1.3, 2.0])
+@pytest.mark.parametrize("model", ["position", "symmetric"])
+def test_mode_scales_match_closed_forms(model, m):
+    from entbath.config import from_dict, validate
+    from entbath.errors import ConfigError
+    from entbath.scenario import Scenario
+
+    bath = discretize(SpectralDensity.ohmic(0.01, 20.0), 48)  # stable unrenormalized
+    if model == "position":  # a detuned pair
+        w1, w2, c12, c12_t, build = 1.05, 0.95, 0.15, 0.0, ex.build_position_model
+    else:
+        w1, w2, c12, c12_t, build = 1.2, 1.2, 0.15, -0.1, ex.build_symmetric_model
+
+    def scenario(c12):
+        system = {"m": m, "omega1": w1, "omega2": w2, "c12": c12, "c12_tilde": c12_t}
+        return Scenario(validate(from_dict(
+            {"model": model, "spectral": {"n": 1}, "system": system})))
+
+    osc = OscillatorParams(m, w1, w2, c12, c12_t)
+    for renormalize in (True, False):
+        s = -bath.counterterm_sum(m) if renormalize else 0.0
+        drift = build(osc, bath, renormalize=renormalize)
+        assert (drift.m_minus, drift.omega_minus) == pytest.approx(
+            _builder_minus(osc, model, s), rel=1e-14)
+    assert scenario(c12).route_scales() == pytest.approx(
+        (m, *_configured_minus(osc, model)), rel=1e-14)
+    # a minus mode with k <= 0 is refused by the block and by the route
+    h_sys, _ = ex.system_hamiltonian(OscillatorParams(m, w1, w2, 1.5, c12_t), model)
+    with pytest.raises(ValueError, match="stiffness"):
+        ex.mode_scales(h_sys)
+    with pytest.raises(ConfigError, match="system.c12"):
+        scenario(1.5).route_scales()
+
+
 # ---------------------------------------------------------------------------
 # Propagator invariants
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbath.errors import OrderingError, UnphysicalStateError
+from entbath.exact import mode_scales, system_hamiltonian
 from entbath.gaussian import (
     CovarianceMatrix,
     Ordering,
@@ -196,14 +197,15 @@ def test_free_rotation_periodicity():
 
 def test_oscillator_params_mode_scales():
     osc = OscillatorParams(1.0, 1.0, 1.0, c12=0.19, c12_tilde=0.0)
-    m_minus, w_minus = osc.minus_mode_position()
-    m_plus, w_plus = osc.plus_mode_position()
+    h_sys = system_hamiltonian(osc, "position")[0]
+    m_minus, w_minus = mode_scales(h_sys)
+    m_plus, w_plus = mode_scales(h_sys, 1.0)
     assert m_minus == m_plus == 1.0
     assert w_minus == pytest.approx(math.sqrt(0.81))
     assert w_plus == pytest.approx(math.sqrt(1.19))
     # symmetric model with equal couplings keeps M_- Omega_- = m Omega
     osc2 = OscillatorParams(2.0, 1.5, 1.5, c12=0.3, c12_tilde=0.3)
-    m2, w2 = osc2.minus_mode_symmetric()
+    m2, w2 = mode_scales(system_hamiltonian(osc2, "symmetric")[0])
     f = 1.0 - 0.3 / 1.5**2
     assert m2 == pytest.approx(2.0 / f)
     assert w2 == pytest.approx(1.5 * f)
@@ -212,4 +214,4 @@ def test_oscillator_params_mode_scales():
 def test_oscillator_params_detuned_symmetric_rejected():
     osc = OscillatorParams(1.0, 1.0, 1.1)
     with pytest.raises(ValueError):
-        osc.minus_mode_symmetric()
+        system_hamiltonian(osc, "symmetric")

@@ -15,6 +15,7 @@ from entbath.errors import StepSizeError, UnphysicalStateError
 from entbath.gaussian import (
     Ordering,
     basis_change,
+    free_rotation,
     log_negativity,
     two_mode_squeezed,
 )
@@ -91,7 +92,7 @@ def test_minus_block_rotation_is_exact():
     traj = mo.integrate(start, c, 1.0, 1.0, 5.0, m_minus=1.0, omega_minus=1.0,
                         sample_every=100)
     end = traj[-1]
-    rot = mo.free_minus_evolution(start.minus_block(), 1.0, 1.0, end.time)
+    rot = free_rotation(start.minus_block(), 1.0, 1.0, end.time)
     assert end.x2_minus == pytest.approx(rot[0, 0], rel=1e-12)
     assert end.p2_minus == pytest.approx(rot[1, 1], rel=1e-12)
 
@@ -103,6 +104,25 @@ def test_step_size_guard():
         mo.step_position_model(s, c, 1.0, 1.0, 0.5)
     assert mo.default_step(1.0, 0.2) == pytest.approx(0.01)
     assert mo.default_step(1.0, 3.0) == pytest.approx(0.01 / 3.0)
+
+
+@pytest.mark.parametrize("growing", ["omega", "gamma"])
+def test_default_step_follows_growing_rates(growing):
+    # rates that outgrow the first step are stepped finer, not refused
+    if growing == "omega":
+        coeffs, omega = position_coeffs(), lambda t: 1.3 + 0.01 * t
+        first = mo.default_step(1.3, coeffs.gamma)
+    else:  # gamma grows 30x over the window
+        coeffs = mo.TabulatedSchedule([0.0, 10.0], [asy.PositionCoefficients(0.1, 0.1, 0.0),
+                                                    asy.PositionCoefficients(3.0, 3.0, 0.0)])
+        omega, first = 1.0, mo.default_step(1.0, 0.1)
+    start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2)
+    with pytest.raises(StepSizeError):  # an explicit step stays fixed
+        mo.integrate(start, coeffs, 1.0, omega, 10.0, dt=first)
+    end = mo.integrate(start, coeffs, 1.0, omega, 10.0)[-1]
+    fine = mo.integrate(start, coeffs, 1.0, omega, 10.0, dt=1e-3)[-1]
+    assert end.time == 10.0
+    assert end.plus_block_moments() == pytest.approx(fine.plus_block_moments(), abs=1e-8)
 
 
 def _chained_steps(step, start, coeffs, mass, omega, t_final, dt, every):
