@@ -253,11 +253,12 @@ def squeezing_of(dx: float, dp: float, m: float, omega: float) -> float:
     return 0.5 * math.log(m * omega * dx / dp)
 
 
-def free_rotation(block: np.ndarray, m: float, omega: float, t: float) -> np.ndarray:
-    """Evolve a single-mode 2x2 covariance block under a free oscillator."""
-    c, s = math.cos(omega * t), math.sin(omega * t)
-    s1 = np.array([[c, s / (m * omega)], [-m * omega * s, c]])
-    return s1 @ np.asarray(block, dtype=float) @ s1.T
+def free_rotation(block: np.ndarray, m: float, omega: float, t) -> np.ndarray:
+    """Evolve a single-mode 2x2 covariance block under a free oscillator; an
+    array of times gives the stack of blocks (..., 2, 2)."""
+    c, s = np.cos(omega * np.asarray(t)), np.sin(omega * np.asarray(t))
+    s1 = np.moveaxis(np.array([[c, s / (m * omega)], [-m * omega * s, c]]), (0, 1), (-2, -1))
+    return s1 @ np.asarray(block, dtype=float) @ np.swapaxes(s1, -1, -2)
 
 
 @dataclass(frozen=True)

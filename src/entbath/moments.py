@@ -1,17 +1,18 @@
 """Master-equation second-moment dynamics for the plus mode, free rotation
 for the minus mode.
 
-The plus-mode moments obey three coupled linear ODEs whose coefficients
-(damping, diffusion, anomalous diffusion) are supplied as schedules; the
-minus mode never sees the bath and simply rotates.  RK4 with a fixed step
-keeps runs bit-for-bit reproducible.
+The plus-mode moments y = (<x^2>, <p^2>, <{x,p}>) obey y' = M y + b, with
+coefficients (damping, diffusion, anomalous diffusion) supplied as
+schedules; the minus mode never sees the bath and simply rotates.  With a
+constant 1 appended, one RK4 step is one 4x4 matrix: built once for
+constant inputs, whose steps are its powers, and once per step for
+schedules.  A fixed step ends at t0 + k dt, the last one at t_final.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import count
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,14 +50,12 @@ class MomentState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_positive("plus", self.plus_block_moments(), self.time)
-        _require_positive("minus", self.minus_block_moments(), self.time)
+        _require_positive("plus", [self.plus_block_moments()], self.time)
+        _require_positive("minus", [self.minus_block_moments()], self.time)
 
     def is_physical(self, atol: float = UNCERTAINTY_ATOL) -> bool:
-        for x2, p2, xp in (self.plus_block_moments(), self.minus_block_moments()):
-            if x2 * p2 - (xp / 2.0) ** 2 < 0.25 - atol:
-                return False
-        return True
+        blocks = (self.plus_block_moments(), self.minus_block_moments())
+        return all(x2 * p2 - (xp / 2.0) ** 2 >= 0.25 - atol for x2, p2, xp in blocks)
 
     def plus_block_moments(self) -> tuple[float, float, float]:
         return self.x2_plus, self.p2_plus, self.xp_plus
@@ -69,14 +68,30 @@ class MomentState:
         return np.array([[self.x2_minus, xp], [xp, self.p2_minus]])
 
 
-def _require_positive(tag: str, block: tuple[float, float, float], time: float) -> None:
-    x2, p2, xp = block
+@dataclass(frozen=True)
+class Trajectory:
+    """The samples of ``integrate``: ``times`` (k,), the (k, 3) rows
+    (<x^2>, <p^2>, <{x,p}>) of the ``plus`` and ``minus`` blocks, and the
+    smallest plus-block x2 p2 - (xp/2)^2 over every step."""
+
+    times: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    min_plus_det: float
+
+
+def _require_positive(tag: str, blocks, times) -> np.ndarray:
+    """Determinants of (k, 3) moment rows at ``times``; refuses the first row
+    whose dispersions or determinant are not positive (NaN included)."""
+    x2, p2, xp = np.asarray(blocks, dtype=float).T
     det = x2 * p2 - (xp / 2.0) ** 2
-    if min(x2, p2) <= 0.0 or det <= 0.0:
+    bad = np.flatnonzero(~((x2 > 0.0) & (p2 > 0.0) & (det > 0.0)))
+    if bad.size:
         raise UnphysicalStateError(
             f"{tag} block has nonpositive dispersions or determinant "
-            f"({det:.6e}) at t={time}"
+            f"({det[bad[0]]:.6e}) at t={np.broadcast_to(times, det.shape)[bad[0]]}"
         )
+    return det
 
 
 def vacuum_state(m: float, omega: float) -> MomentState:
@@ -90,16 +105,6 @@ def vacuum_state(m: float, omega: float) -> MomentState:
 # ---------------------------------------------------------------------------
 # Coefficient schedules
 # ---------------------------------------------------------------------------
-
-class ConstantSchedule:
-    """Time-independent coefficients (the asymptotic-value default), mass or omega."""
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-
-    def __call__(self, t: float):
-        return self.coeffs
-
 
 class TabulatedSchedule:
     """Linear interpolation over a strictly increasing time grid.
@@ -123,12 +128,9 @@ class TabulatedSchedule:
             self._cls = SymmetricCoefficients
         else:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        cols = []
-        for name in self._fields:
-            cols.append(np.array([getattr(v, name) for v in values], dtype=float))
-        if any(len(c) != len(self.times) for c in cols):
+        self._cols = [np.array([getattr(v, f) for v in values], dtype=float) for f in self._fields]
+        if any(len(c) != len(self.times) for c in self._cols):
             raise ValueError("values length must match times length")
-        self._cols = cols
 
     def __call__(self, t: float):
         vals = [float(np.interp(t, self.times, col)) for col in self._cols]
@@ -139,115 +141,130 @@ class TabulatedSchedule:
 # RK4 stepping
 # ---------------------------------------------------------------------------
 
-def _check_step(dt: float, omega: float, gamma: float) -> None:
-    fastest = max(abs(omega), abs(gamma))
-    if fastest > 0 and dt > _STEP_FACTOR / fastest * (1.0 + 1e-12):
+def _check_step(dt, omega, gamma) -> None:
+    """Refuse the first step above 0.01/max(omega, gamma) at its start."""
+    dt, fastest = np.broadcast_arrays(dt, np.maximum(np.abs(omega), np.abs(gamma)))
+    bad = np.flatnonzero(dt * fastest > _STEP_FACTOR * (1.0 + 1e-12))
+    if bad.size:
         raise StepSizeError(
-            f"dt={dt:.3e} exceeds {_STEP_FACTOR}/max rate = "
-            f"{_STEP_FACTOR / fastest:.3e}"
+            f"dt={dt.flat[bad[0]]:.3e} exceeds {_STEP_FACTOR}/max rate = "
+            f"{_STEP_FACTOR / fastest.flat[bad[0]]:.3e}"
         )
 
 
 def _position_form(m, w, c) -> tuple:
+    """d<x^2>/dt   = <{x,p}>/m
+    d<p^2>/dt   = -m O^2 <{x,p}> - 4 gamma <p^2> + 2 D
+    d<{x,p}>/dt = 2<p^2>/m - 2 m O^2 <x^2> - 2 gamma <{x,p}> - 2 f"""
     w2 = w ** 2
     return (m, 0.0, 0.0, -m * w2, 4.0 * c.gamma, 2.0 * c.diffusion,
             2.0 * m * w2, 2.0 * c.gamma, 2.0 * c.anomalous)
 
 
 def _symmetric_form(m, w, c) -> tuple:
+    """d<x^2>/dt   = <{x,p}>/M - 4 g~ <x^2> + 2 D~/(M^2 O^2)
+    d<p^2>/dt   = -M O^2 <{x,p}> - 4 g~ <p^2> + 2 D~
+    d<{x,p}>/dt = 2<p^2>/M - 2 M O^2 <x^2> - 4 g~ <{x,p}>"""
     w2 = w * w
     return (m, 4.0 * c.gamma, 2.0 * c.diffusion / (m * m * w2), -m * w2,
             4.0 * c.gamma, 2.0 * c.diffusion, 2.0 * m * w2, 4.0 * c.gamma, 0.0)
 
 
-# the ODE coefficients (m, a1, ..., a8) of each model for _rates
+# the ODE coefficients (m, a1, ..., a8) of each model for _generators
 _FORMS = {"position": _position_form, "symmetric": _symmetric_form}
 
 
-def _rates(a: tuple, x2: float, p2: float, xp: float) -> tuple:
-    """Plus-block moment ODEs of both models in one linear form:
-
+def _generators(a: np.ndarray) -> np.ndarray:
+    """Generators A = [[M, b], [0, 0]] of y = (x2, p2, xp, 1) from stacked
+    ODE coefficients (..., 9) = (m, a1, ..., a8) of both models' form
         d<x^2>/dt   = <{x,p}>/m - a1 <x^2> + a2
         d<p^2>/dt   = a3 <{x,p}> - a4 <p^2> + a5
         d<{x,p}>/dt = 2<p^2>/m - a6 <x^2> - a7 <{x,p}> - a8
-
-    The stepper docstrings give each model's equations; every product is
-    rounded in the order written there.
     """
-    m, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    return (
-        xp / m - a1 * x2 + a2,
-        a3 * xp - a4 * p2 + a5,
-        2.0 * p2 / m - a6 * x2 - a7 * xp - a8,
-    )
+    m, a1, a2, a3, a4, a5, a6, a7, a8 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    g = np.zeros(np.shape(m) + (4, 4))
+    g[..., 0, 0], g[..., 0, 2], g[..., 0, 3] = -a1, 1.0 / m, a2
+    g[..., 1, 1], g[..., 1, 2], g[..., 1, 3] = -a4, a3, a5
+    g[..., 2, 0], g[..., 2, 1], g[..., 2, 2], g[..., 2, 3] = -a6, 2.0 / m, -a7, -a8
+    return g
+
+
+def _step_matrices(g: np.ndarray, h) -> np.ndarray:
+    """Classical RK4 steps of y' = A(t) y as matrices, from the generators
+    g (..., 3, 4, 4) at each step's start, middle and end and the step sizes
+    h (...): k1 = A1 y, k2 = A2 (y + h k1/2), k3 = A2 (y + h k2/2) and
+    k4 = A3 (y + h k3).  For one constant A this is the Taylor polynomial
+    I + hA (I + hA/2 (I + hA/3 (I + hA/4)))."""
+    h = np.asarray(h, dtype=float)[..., None, None]
+    a1, a2, a3 = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
+    eye = np.eye(4)
+    k2 = a2 @ (eye + h / 2.0 * a1)
+    k3 = a2 @ (eye + h / 2.0 * k2)
+    k4 = a3 @ (eye + h * k3)
+    return eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _environment(model: str, coeffs, mass, omega):
-    """t -> (omega, gamma, ODE coefficients), as Python floats (faster than
-    numpy scalars in the RK4 loop); constant inputs are resolved once."""
+    """t -> (omega, gamma, ODE coefficients) as Python floats."""
     form = _FORMS[model]
-    at = lambda m, w, c: (float(w), float(c.gamma), tuple(map(float, form(m, w, c))))
-    if not any(callable(v) for v in (coeffs, mass, omega)):
-        fixed = at(mass, omega, coeffs)
-        return lambda t: fixed
-    cfn, mfn, ofn = (
-        v if callable(v) else ConstantSchedule(v) for v in (coeffs, mass, omega)
-    )
-    return lambda t: at(mfn(t), ofn(t), cfn(t))
+    cfn, mfn, ofn = (v if callable(v) else (lambda t, v=v: v) for v in (coeffs, mass, omega))
+
+    def at(t):
+        m, w, c = mfn(t), ofn(t), cfn(t)
+        return float(w), float(c.gamma), tuple(map(float, form(m, w, c)))
+    return at
 
 
-def _rk4(env, y: tuple, t: float, dt: float) -> tuple:
-    """One checked RK4 step of the plus-block moments y = (x2, p2, xp)."""
-    w, gamma, a = env(t)
-    _check_step(dt, w, gamma)
-    x2, p2, xp = y
-    h = dt / 2.0
-    mid = env(t + h)[2]
-    k1 = _rates(a, x2, p2, xp)
-    k2 = _rates(mid, x2 + h * k1[0], p2 + h * k1[1], xp + h * k1[2])
-    k3 = _rates(mid, x2 + h * k2[0], p2 + h * k2[1], xp + h * k2[2])
-    k4 = _rates(env(t + dt)[2], x2 + dt * k3[0], p2 + dt * k3[1], xp + dt * k3[2])
-    h = dt / 6.0
-    return (
-        x2 + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        p2 + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        xp + h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-    )
+def _fixed_grid(t0: float, t_final: float, dt: float) -> np.ndarray:
+    """Step ends t0 + k dt from the step count, the last one at t_final exactly."""
+    n = math.ceil((t_final - t0) / dt)
+    if n > 1 and t0 + (n - 1) * dt >= t_final:
+        n -= 1
+    return np.append(t0 + np.arange(n) * dt, t_final)
 
 
-def _step(model: str, state: MomentState, coeffs, mass, omega, dt: float) -> MomentState:
-    env = _environment(model, coeffs, mass, omega)
-    x2, p2, xp = _rk4(env, state.plus_block_moments(), state.time, dt)
-    return replace(state, x2_plus=x2, p2_plus=p2, xp_plus=xp, time=state.time + dt)
+def _orbit(step: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
+    """(step^1 y0, ..., step^n y0) as (n, 4): the powers step^1..step^b, with
+    b = ceil(sqrt(n)), applied in one batched product to y0 and to the
+    orbit of y0 under step^b."""
+    b = math.isqrt(n - 1) + 1
+    powers = [step]
+    for _ in range(b - 1):
+        powers.append(step @ powers[-1])
+    bases = [y0[None]] + ([_orbit(powers[-1], y0, (n - 1) // b)] if n > b else [])
+    return np.einsum("pij,kj->kpi", np.array(powers), np.concatenate(bases)).reshape(-1, 4)[:n]
 
 
-def step_position_model(
-    state: MomentState, coeffs, m: float, omega, dt: float
-) -> MomentState:
-    """One RK4 step of the position-coupling plus-mode moment ODEs.
-
-        d<x^2>/dt   = <{x,p}>/m
-        d<{x,p}>/dt = 2<p^2>/m - 2 m O^2 <x^2> - 2 gamma <{x,p}> - 2 f
-        d<p^2>/dt   = -m O^2 <{x,p}> - 4 gamma <p^2> + 2 D
-
-    ``coeffs`` and ``omega`` may be callables of time.  The minus block is
-    left as it is; ``integrate`` rotates it.
-    """
-    return _step("position", state, coeffs, m, omega, dt)
+def _constant_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tuple:
+    """Step ends and states of constant inputs: the orbit of y0 under the one
+    step matrix, then the last (short) step's own matrix."""
+    w, gamma, a = env(t0)
+    dt = dt if dt is not None else default_step(w, gamma)
+    ends = _fixed_grid(t0, t_final, dt)
+    n, last = len(ends) - 1, ends[-1] - ends[-2]
+    _check_step(dt if n > 1 else last, w, gamma)
+    step, tail = _step_matrices(np.broadcast_to(_generators(a), (2, 3, 4, 4)), [dt, last])
+    y = np.concatenate([y0[None], _orbit(step, y0, n - 1)]) if n > 1 else y0[None]
+    return ends, np.concatenate([y, (tail @ y[-1])[None]])
 
 
-def step_symmetric_model(
-    state: MomentState, coeffs, mass, omega, dt: float
-) -> MomentState:
-    """One RK4 step of the symmetric-coupling plus-mode moment ODEs.
-
-        d<p^2>/dt   = -M O^2 <{x,p}> - 4 g~ <p^2> + 2 D~
-        d<x^2>/dt   = <{x,p}>/M - 4 g~ <x^2> + 2 D~/(M^2 O^2)
-        d<{x,p}>/dt = 2<p^2>/M - 2 M O^2 <x^2> - 4 g~ <{x,p}>
-
-    ``coeffs``, ``mass`` and ``omega`` may be callables of time.
-    """
-    return _step("symmetric", state, coeffs, mass, omega, dt)
+def _scheduled_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tuple:
+    """Step ends and states of callable inputs, one step matrix per step; without
+    ``dt`` each step is ``default_step`` of the rates at its start."""
+    ends, at, mid = [t0] if dt is None else list(_fixed_grid(t0, t_final, dt)), [env(t0)], []
+    while ends[-1] < t_final or len(at) < len(ends):
+        if len(at) == len(ends):
+            ends.append(min(ends[-1] + default_step(*at[-1][:2]), t_final))
+        t, t_next = ends[len(at) - 1], ends[len(at)]
+        mid.append(env(t + (t_next - t) / 2.0)[2])
+        at.append(env(t_next))
+    ends, h = np.array(ends), np.diff(ends)
+    w, gamma, a = (np.array(v) for v in zip(*at))
+    _check_step(h, w[:-1], gamma[:-1])
+    y = [y0]
+    for step in _step_matrices(_generators(np.stack([a[:-1], mid, a[1:]], axis=1)), h):
+        y.append(step @ y[-1])
+    return ends, np.array(y)
 
 
 def default_step(omega: float, gamma: float) -> float:
@@ -266,67 +283,50 @@ def integrate(
     m_minus: float | None = None,
     omega_minus: float | None = None,
     sample_every: int = 1,
-) -> list[MomentState]:
-    """March the plus-mode ODEs to t_final; returns sampled states.
+) -> Trajectory:
+    """March the plus-mode ODEs from ``state`` to t_final; samples every
+    ``sample_every``-th step and the final one.
 
     The minus block is rotated analytically to each sample time, so its
-    evolution is exact regardless of dt.  ``m`` and ``omega`` follow the
-    conventions of the chosen stepper.  Without ``dt`` the step is
-    ``default_step`` of the rates: computed once for constant inputs, and
-    at each step's start when an input is a callable of time, so a
-    schedule whose rates grow is stepped finer.  An explicit ``dt`` is a
-    fixed step, refused where it exceeds the bound.
+    evolution is exact regardless of dt.  ``coeffs``, ``m`` and ``omega``
+    may be callables of time.  Without ``dt`` the step is ``default_step``
+    of the rates: computed once for constant inputs, and at each step's
+    start when an input is a callable of time, so a schedule whose rates
+    grow is stepped finer.  An explicit ``dt`` is a fixed step, refused
+    where it exceeds the bound.  The plus block must stay positive at every
+    step, and the minus block at every sample.
     """
     if model not in _FORMS:
         raise ValueError(f"unknown coupling model {model!r}")
+    t0 = float(state.time)
+    if not t_final > t0:
+        raise ValueError(f"t_final={t_final} does not follow the state's time {t0}")
     env = _environment(model, coeffs, m, omega)
-    rescale = dt is None and any(callable(v) for v in (coeffs, m, omega))
-    if dt is None:
-        dt = default_step(*env(state.time)[:2])
-
-    mm = m_minus if m_minus is not None else (m(0.0) if callable(m) else m)
-    wm = omega_minus if omega_minus is not None else (
-        omega(0.0) if callable(omega) else omega
-    )
-    minus0 = state.minus_block()
-    t0 = t = float(state.time)
-    steps = count() if rescale else range(max(1, math.ceil((t_final - t0) / dt)))
-    out = [state]
-    y = tuple(map(float, state.plus_block_moments()))
-    for k in steps:
-        if rescale:
-            dt = default_step(*env(t)[:2])
-        step_dt = min(dt, t_final - t)
-        if step_dt <= 0:
-            break
-        y = _rk4(env, y, t, step_dt)
-        t += step_dt
-        _require_positive("plus", y, t)
-        if k % sample_every == sample_every - 1 or t >= t_final:
-            rot = free_rotation(minus0, mm, wm, t - t0)
-            out.append(MomentState(*y, rot[0, 0], rot[1, 1], 2.0 * rot[0, 1], t))
-    return out
+    y0 = np.array([*state.plus_block_moments(), 1.0])
+    scheduled = any(callable(v) for v in (coeffs, m, omega))
+    ends, y = (_scheduled_march if scheduled else _constant_march)(env, y0, t0, t_final, dt)
+    det = _require_positive("plus", y[:, :3], ends)
+    n = len(ends) - 1
+    sampled = np.r_[0:n:sample_every, n]
+    times = ends[sampled]
+    mm, wm = (given if given is not None else (v(0.0) if callable(v) else v)
+              for given, v in ((m_minus, m), (omega_minus, omega)))
+    rot = free_rotation(state.minus_block(), mm, wm, times - t0)
+    minus = np.stack([rot[:, 0, 0], rot[:, 1, 1], 2.0 * rot[:, 0, 1]], axis=1)
+    _require_positive("minus", minus, times)
+    return Trajectory(times, y[sampled, :3], minus, float(det.min()))
 
 
 # ---------------------------------------------------------------------------
 # Entanglement readout
 # ---------------------------------------------------------------------------
 
-def negativity_from_moments(state: MomentState) -> float:
-    """E_N of the two-oscillator state assembled from the two mode blocks.
-
-    Valid in the asymptotic regime where the (+,-) cross block vanishes.
-    """
-    return float(negativities([state])[0])
-
-
-def negativities(states: Sequence[MomentState]) -> np.ndarray:
-    """``negativity_from_moments`` of every state, read out as one stack."""
-    fields = np.fromiter(
-        (x for s in states for x in (s.x2_plus, s.p2_plus, s.xp_plus / 2.0,
-                                     s.x2_minus, s.p2_minus, s.xp_minus / 2.0)),
-        dtype=float, count=6 * len(states)).reshape(-1, 6).T
-    v = np.zeros((len(states), 4, 4))  # NORMAL ordering, no (+,-) cross block
-    v[:, 0, 0], v[:, 1, 1], v[:, 0, 1], v[:, 2, 2], v[:, 3, 3], v[:, 2, 3] = fields
-    v[:, 1, 0], v[:, 3, 2] = fields[2], fields[5]
+def negativities(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """E_N of the states assembled from (k, 3) plus and minus block moments
+    as in ``Trajectory``; valid where the (+,-) cross block vanishes."""
+    v = np.zeros((len(plus), 4, 4))  # NORMAL ordering, no (+,-) cross block
+    for i, rows in ((0, plus), (2, minus)):
+        x2, p2, xp = np.asarray(rows, dtype=float).T
+        v[:, i, i], v[:, i + 1, i + 1] = x2, p2
+        v[:, i, i + 1] = v[:, i + 1, i] = xp / 2.0
     return log_negativities(mix_modes(v))

@@ -226,10 +226,9 @@ class Scenario:
             state, coeffs, m_plus, self.plus_frequency(), float(times[-1]),
             model=self.model, m_minus=m_minus, omega_minus=omega_minus, sample_every=5,
         )
-        tt = np.array([s.time for s in traj])
-        disp = np.array([(s.x2_plus, s.p2_plus, s.x2_minus, s.p2_minus) for s in traj])
-        cols = [mo.negativities(traj), *disp.T]
-        return {k: np.interp(times, tt, v) for k, v in zip(["E_N_moments", *DISPERSIONS], cols)}
+        cols = [mo.negativities(traj.plus, traj.minus), *traj.plus.T[:2], *traj.minus.T[:2]]
+        names = ["E_N_moments", *DISPERSIONS]
+        return {k: np.interp(times, traj.times, v) for k, v in zip(names, cols)}
 
     def _asymptotic_column(self, v_sys, drift, times) -> np.ndarray:
         m_plus, m_minus, omega_minus = self.route_scales(drift)

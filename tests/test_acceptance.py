@@ -129,11 +129,11 @@ def test_criterion_2_fixed_points(announce):
         traj = mo.integrate(
             mo.vacuum_state(1.0, 1.0), c, 1.0, 1.0, 50.0 / c.gamma, sample_every=1000
         )
-        end = traj[-1]
+        x2, p2, xp = traj.plus[-1]
         scale = max(dx * dx, dp * dp)
-        assert abs(end.x2_plus - dx * dx) < 1e-8 * scale
-        assert abs(end.p2_plus - dp * dp) < 1e-8 * scale
-        assert abs(end.xp_plus) < 1e-8 * scale
+        assert abs(x2 - dx * dx) < 1e-8 * scale
+        assert abs(p2 - dp * dp) < 1e-8 * scale
+        assert abs(xp) < 1e-8 * scale
         cases.append(f"position T={t_bath:g}")
     cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, None, "symmetric")
     dxs, dps = asy.equilibrium_dispersions_symmetric(cs, 1.0, 1.0)
@@ -141,8 +141,8 @@ def test_criterion_2_fixed_points(announce):
         mo.vacuum_state(1.0, 1.0), cs, 1.0, 1.0, 50.0 / cs.gamma,
         model="symmetric", sample_every=1000,
     )
-    assert abs(traj[-1].x2_plus - dxs * dxs) < 1e-8
-    assert abs(traj[-1].p2_plus - dps * dps) < 1e-8
+    assert abs(traj.plus[-1, 0] - dxs * dxs) < 1e-8
+    assert abs(traj.plus[-1, 1] - dps * dps) < 1e-8
     cases.append("symmetric T=0.3")
     announce(f"PASS: criterion 2 — moment fixed points within 1e-8 ({', '.join(cases)})")
 
