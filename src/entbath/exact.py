@@ -7,9 +7,10 @@ integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
 (exactly symplectic, arbitrary t) and, as an independent cross-check, the
 RK4 step matrix raised to the stride by squaring.  Both coupling models
 leave H without x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so their
-normal modes are real and second order: one Cholesky factor of the momentum
-block B and one real symmetric eigensolve of size N+2, computed once per
-drift and cached on it.  The reduced dynamics is a channel
+normal modes are real and second order: one real symmetric eigensolve of
+size N+2, computed once per drift and cached on it.  Its factor of the
+momentum block B costs O(N^2), because B is an arrowhead: two system rows
+beside a diagonal bath block.  The reduced dynamics is a channel
 V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not depend on the system
 state; the drift keeps the channel of its latest sampling plan, so each
 further state costs one 4x4 congruence per sample.
@@ -85,6 +86,8 @@ class DriftMatrix:
     block: the bath-free minus oscillator of the (bare) model.  The
     normal modes are computed on first use and kept, so a drift is
     factorized at most once however many states are evolved with it.
+    ``k`` and ``hamiltonian`` are kept as given (float arrays are not
+    copied) and made read-only.
     """
 
     k: np.ndarray
@@ -96,7 +99,7 @@ class DriftMatrix:
 
     def __post_init__(self) -> None:
         for name in ("k", "hamiltonian"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -364,26 +367,59 @@ def _channel_from_rows(times: np.ndarray, chunks, bath_variances: np.ndarray) ->
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
-    """One Cholesky factor and one real symmetric eigh of size N+2.
+    """One real symmetric eigh of size N+2, around an O(N^2) factor.
 
-    Refuses a Hamiltonian with x-p cross terms (``ValueError``); neither
-    coupling model has them.
+    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, D]] with D
+    diagonal (C = 0 for position coupling), so with the 2x2 Schur complement
+    S = B_ss - C D^-1 C^T the factor L = [[chol(S), C D^-1/2], [0, D^1/2]]
+    has L L^T = B.  L^T K L, A = L U and W = U^T L^-1 are then row and
+    column scalings plus n x 2 by 2 x n products, for any dense K.
+
+    Refuses a Hamiltonian with x-p cross terms or a non-diagonal bath
+    momentum block (``ValueError``; neither coupling model has them) and a
+    momentum block or stiffness that is not positive definite
+    (``UnstableHamiltonianError``).
     """
     h = drift.hamiltonian
     if np.any(h[0::2, 1::2]):
         raise ValueError("real second-order normal modes need H without x-p terms")
+    k, b = h[0::2, 0::2], h[1::2, 1::2]
+    d = np.diagonal(b)[2:]
+    if np.count_nonzero(b[2:, 2:]) != np.count_nonzero(d):
+        raise ValueError("real normal modes need a diagonal bath momentum block")
+    if d.min() <= 0.0:
+        raise UnstableHamiltonianError(
+            f"momentum block of H not positive definite (bath entry {d.min():.3e}); "
+            "no normal-mode form"
+        )
+    c = b[:2, 2:]
     try:
-        low = np.linalg.cholesky(h[1::2, 1::2])
+        low = np.linalg.cholesky(b[:2, :2] - (c / d) @ c.T)
     except np.linalg.LinAlgError as err:
         raise UnstableHamiltonianError(
             "momentum block of H not positive definite; no normal-mode form"
         ) from err
-    w_sq, u = np.linalg.eigh(low.T @ h[0::2, 0::2] @ low)
+    root = np.sqrt(d)
+    e = c / root  # L = [[low, e], [0, diag(root)]]
+    # (L^T K) L in that order: with C = 0 it rounds as the dense product did
+    lk = np.empty_like(k)
+    lk[:2] = low.T @ k[:2]
+    lk[2:] = e.T @ k[:2] + root[:, None] * k[2:]
+    m = np.empty_like(k)
+    m[:, :2] = lk[:, :2] @ low
+    m[:, 2:] = lk[:, :2] @ e + lk[:, 2:] * root
+    w_sq, u = np.linalg.eigh(m)
     if w_sq[0] <= 0.0:
         raise UnstableHamiltonianError(
             f"normal-mode frequency^2 {w_sq[0]:.3e} <= 0; no normal-mode form"
         )
-    return NormalModes(np.sqrt(w_sq), low @ u, np.linalg.solve(low.T, u).T)
+    a = np.empty_like(u)
+    a[:2] = low @ u[:2] + e @ u[2:]
+    a[2:] = root[:, None] * u[2:]
+    w = np.empty_like(u)
+    w[:, :2] = np.linalg.solve(low.T, u[:2]).T
+    w[:, 2:] = (u[2:].T - w[:, :2] @ e) / root
+    return NormalModes(np.sqrt(w_sq), a, w)
 
 
 def check_recurrence(

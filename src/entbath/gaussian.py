@@ -128,6 +128,20 @@ def _eigensolver(m: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eig), axis=-1)[..., ::2]
 
 
+def _real_refinement(m: np.ndarray) -> np.ndarray:
+    # with V = R R^T, X = R^T J R = R^-1 (V J) R is antisymmetric with the
+    # eigenvalues ±i nu of V J, so the eigenvalues of X^T X are each nu^2
+    # twice.  A stack with a row that is not positive definite (unphysical)
+    # goes to the eigensolver.
+    try:
+        r = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return _eigensolver(m)
+    x = np.swapaxes(r, -1, -2) @ symplectic_form(m.shape[-1]) @ r
+    nu_sq = np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)
+    return np.sqrt(nu_sq[..., ::2])
+
+
 def symplectic_eigenvalues(
     v: CovarianceMatrix | np.ndarray, *, general: bool = False
 ) -> np.ndarray:
@@ -145,9 +159,10 @@ def symplectic_eigenvalues(
     nu = _two_mode_closed_form(stack)
     # the closed form cancels catastrophically near the purity boundary
     # (|nu - 1/2| ~ 1e-8 observed for squeezed pure states); refine there
+    # with a real symmetric eigensolve
     near = np.abs(nu[:, 0] - 0.5) < 1e-6
     if near.any():
-        nu[near] = _eigensolver(stack[near])
+        nu[near] = _real_refinement(stack[near])
     return nu.reshape(m.shape[:-2] + (2,))
 
 

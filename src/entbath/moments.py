@@ -67,6 +67,14 @@ class MomentState:
         xp = self.xp_minus / 2.0
         return np.array([[self.x2_minus, xp], [xp, self.p2_minus]])
 
+    def minus_rows(self, m: float, omega: float, times: np.ndarray) -> np.ndarray:
+        """(k, 3) minus-block rows as in ``Trajectory``, rotated exactly from
+        this state's time to each of ``times``; each must stay positive."""
+        rot = free_rotation(self.minus_block(), m, omega, times - self.time)
+        rows = np.stack([rot[:, 0, 0], rot[:, 1, 1], 2.0 * rot[:, 0, 1]], axis=1)
+        _require_positive("minus", rows, times)
+        return rows
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -311,10 +319,7 @@ def integrate(
     times = ends[sampled]
     mm, wm = (given if given is not None else (v(0.0) if callable(v) else v)
               for given, v in ((m_minus, m), (omega_minus, omega)))
-    rot = free_rotation(state.minus_block(), mm, wm, times - t0)
-    minus = np.stack([rot[:, 0, 0], rot[:, 1, 1], 2.0 * rot[:, 0, 1]], axis=1)
-    _require_positive("minus", minus, times)
-    return Trajectory(times, y[sampled, :3], minus, float(det.min()))
+    return Trajectory(times, y[sampled, :3], state.minus_rows(mm, wm, times), float(det.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -216,19 +216,29 @@ class Scenario:
     # -- routes -----------------------------------------------------------
 
     def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray, coeffs) -> dict:
-        """Moment-route E_N and dispersion columns at ``times`` under ``coeffs``."""
+        """Moment-route E_N and dispersion columns at the uniform ``times``
+        under ``coeffs``: the RK4 step is the largest allowed one that divides
+        the sample spacing, so the plus rows are stepped onto ``times`` (the
+        interpolation only absorbs rounding), and the minus rows are rotated
+        exactly to ``times``."""
         m_plus, m_minus, omega_minus = self.route_scales()
+        omega_plus = self.plus_frequency()
         nm = basis_change(v_sys, Ordering.NORMAL).matrix
         state = mo.MomentState(
             nm[0, 0], nm[1, 1], 2.0 * nm[0, 1], nm[2, 2], nm[3, 3], 2.0 * nm[2, 3]
         )
+        step = mo.default_step(omega_plus, coeffs.gamma)
+        spacing = float(times[1] - times[0]) if len(times) > 1 else step
+        per_sample = math.ceil(spacing / step - 1e-9)  # a ratio whole up to rounding
         traj = mo.integrate(
-            state, coeffs, m_plus, self.plus_frequency(), float(times[-1]),
-            model=self.model, m_minus=m_minus, omega_minus=omega_minus, sample_every=5,
+            state, coeffs, m_plus, omega_plus, float(times[-1]), spacing / per_sample,
+            model=self.model, m_minus=m_minus, omega_minus=omega_minus,
+            sample_every=per_sample,
         )
-        cols = [mo.negativities(traj.plus, traj.minus), *traj.plus.T[:2], *traj.minus.T[:2]]
-        names = ["E_N_moments", *DISPERSIONS]
-        return {k: np.interp(times, traj.times, v) for k, v in zip(names, cols)}
+        plus = np.stack([np.interp(times, traj.times, col) for col in traj.plus.T], axis=1)
+        minus = state.minus_rows(m_minus, omega_minus, times)
+        cols = [mo.negativities(plus, minus), *plus.T[:2], *minus.T[:2]]
+        return dict(zip(["E_N_moments", *DISPERSIONS], cols))
 
     def _asymptotic_column(self, v_sys, drift, times) -> np.ndarray:
         m_plus, m_minus, omega_minus = self.route_scales(drift)

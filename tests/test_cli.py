@@ -133,6 +133,44 @@ def test_moments_samples_on_the_trace_grid(cfg_file, tmp_path):
     np.testing.assert_array_equal(_read_csv(moments)["t"], t)
 
 
+def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
+    # c12 = 0.1 gives omega+ = sqrt(1.1), whose default RK4 step does not
+    # divide the trace spacing: the minus columns are still the free rotation
+    # at the trace times, and the plus columns and E_N carry RK4 error only
+    import os
+
+    from entbath import moments as mo
+    from entbath.gaussian import Ordering, basis_change, free_rotation
+    from entbath.scenario import Scenario
+
+    yaml_path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "configs", "ohmic_trace.yaml"
+    )
+    override = "system.c12=0.1"
+    out = tmp_path / "m.csv"
+    assert main(["moments", yaml_path, "--set", override, "--out", str(out)]) == 0
+    cols = _read_csv(out)
+    scenario = Scenario(load_config(yaml_path, [override]))
+    m_plus, m_minus, omega_minus = scenario.route_scales()
+    nm = basis_change(scenario.initial_state(m_minus, omega_minus), Ordering.NORMAL).matrix
+    rot = free_rotation(nm[2:, 2:], m_minus, omega_minus, cols["t"])
+    np.testing.assert_allclose(cols["dx_minus_sq"], rot[:, 0, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cols["dp_minus_sq"], rot[:, 1, 1], rtol=0, atol=1e-12)
+    # a 100-times finer reference on the same grid (the parent's interpolated
+    # columns were off by 1.0e-2 in dx_plus_sq and 1.5e-3 in E_N)
+    state = mo.MomentState(nm[0, 0], nm[1, 1], 2.0 * nm[0, 1], nm[2, 2], nm[3, 3],
+                           2.0 * nm[2, 3])
+    t = cols["t"]
+    fine = mo.integrate(state, scenario.moment_coefficients(), m_plus,
+                        scenario.plus_frequency(), float(t[-1]), (t[1] - t[0]) / 100,
+                        m_minus=m_minus, omega_minus=omega_minus, sample_every=100)
+    np.testing.assert_allclose(fine.times, t, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(cols["dx_plus_sq"], fine.plus[:, 0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cols["dp_plus_sq"], fine.plus[:, 1], rtol=0, atol=1e-6)
+    e_n = mo.negativities(fine.plus, fine.minus)
+    np.testing.assert_allclose(cols["E_N_moments"], e_n, rtol=0, atol=1e-6)
+
+
 def test_phase_diagram_parallelism_invariant(cfg_file, tmp_path):
     # sweep.parallelism is accepted but ignored and left out of the hash, so
     # whole artifacts, config echo included, are identical

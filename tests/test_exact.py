@@ -482,6 +482,93 @@ def test_real_modes_refuse_indefinite_momentum_block():
         ex.normal_modes(_hand_built_drift(h, bath))
 
 
+def test_real_modes_refuse_non_diagonal_bath_momentum_block():
+    bath = discretize(OHMIC, 8)
+    h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
+    h[5, 7] = h[7, 5] = 0.01  # pi1 pi2 coupling: the arrowhead factor does not apply
+    with pytest.raises(ValueError, match="diagonal bath momentum block"):
+        ex.normal_modes(_hand_built_drift(h, bath))
+
+
+def _dense_normal_modes(drift):
+    # the dense-Cholesky form the block-arrowhead factor replaced
+    h = drift.hamiltonian
+    low = np.linalg.cholesky(h[1::2, 1::2])
+    w_sq, u = np.linalg.eigh(low.T @ h[0::2, 0::2] @ low)
+    return ex.NormalModes(np.sqrt(w_sq), low @ u, np.linalg.solve(low.T, u).T)
+
+
+@pytest.mark.parametrize("n_modes", [8, 48, 597])
+@pytest.mark.parametrize(
+    "build, osc",
+    [
+        (POSITION, OscillatorParams(1.0, 1.0, 1.0)),
+        (POSITION, OscillatorParams(1.3, 1.05, 0.95, 0.1)),
+        (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2)),
+        (SYMMETRIC, OscillatorParams(0.7, 1.2, 1.2, -0.1, 0.15)),
+    ],
+    ids=["position", "position-detuned-c12", "symmetric", "symmetric-m"],
+)
+def test_arrowhead_factor_matches_dense_cholesky(build, osc, n_modes):
+    bath = discretize(OHMIC, n_modes, 1.0)
+    drift = build(osc, bath)
+    modes, dense = ex.normal_modes(drift), _dense_normal_modes(drift)
+    if drift.model == "position":  # B is diagonal: the same arithmetic
+        for got, ref in zip((modes.omega, modes.a, modes.w), (dense.omega, dense.a, dense.w)):
+            assert np.array_equal(got, ref)
+    else:
+        assert np.abs(modes.omega / dense.omega - 1.0).max() <= 1e-10
+        for t in (0.0, 7.3, 0.7 * bath.recurrence_time):
+            got, ref = modes.propagator(t)[:4], dense.propagator(t)[:4]
+            assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    # K A = W^T Omega^2 and W A = I, with K and B the position and momentum blocks
+    k, b = drift.hamiltonian[0::2, 0::2], drift.hamiltonian[1::2, 1::2]
+    assert np.abs(k @ modes.a - modes.w.T * modes.omega**2).max() <= 1e-14 * np.abs(k).max()
+    assert np.abs(modes.w @ modes.a - np.eye(n_modes + 2)).max() <= 1e-13
+    assert np.abs(modes.a @ modes.a.T - b).max() <= 1e-13 * np.abs(b).max()
+    if n_modes == 8:
+        from scipy.linalg import expm
+
+        t = 0.7 * bath.recurrence_time
+        s_ref = expm(drift.k * t)
+        assert np.abs(modes.propagator(t) - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
+
+
+@pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
+def test_normal_modes_make_one_cubic_call(build, monkeypatch):
+    # the factor is O(N^2): one eigh of size N+2, and every other
+    # np.linalg call inside exact factors a 2x2 matrix
+    calls = []
+
+    class Linalg:
+        def __getattr__(self, name):
+            fn = getattr(np.linalg, name)
+            if not callable(fn) or isinstance(fn, type):
+                return fn
+
+            def recorded(*args, **kwargs):
+                calls.append((name, [np.shape(a) for a in args]))
+                return fn(*args, **kwargs)
+            return recorded
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    n_modes = 40
+    drift = build(OscillatorParams(1.0, 1.0, 1.0, 0.1, 0.1 if build is SYMMETRIC else 0.0),
+                  discretize(OHMIC, n_modes))
+    monkeypatch.setattr(ex, "np", Numpy())
+    ex.normal_modes(drift)
+    eighs = [shapes for name, shapes in calls if name == "eigh"]
+    assert eighs == [[(n_modes + 2, n_modes + 2)]]
+    others = [(name, shapes) for name, shapes in calls if name != "eigh"]
+    assert {name for name, _ in others} <= {"cholesky", "solve"}
+    assert all(shapes[0] == (2, 2) for _, shapes in others), others
+
+
 def _loop_built(drift, osc, renormalize):
     # the element-by-element construction the vectorized builders replaced
     from entbath.gaussian import symplectic_form

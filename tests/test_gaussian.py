@@ -98,6 +98,53 @@ def test_stacked_eigenvalues_match_eigensolver():
     assert np.abs(nu[40:, 0] - 0.5).max() < 1e-7 + 1e-12
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+def test_real_refinement_matches_eigensolver_near_half(r, monkeypatch):
+    # the states an exact trace reads: a thermal, squeezed plus mode beside
+    # an exactly pure minus mode squeezed by r, both rotated freely
+    import entbath.gaussian as g
+
+    rng = np.random.default_rng(17)
+    stack = []
+    for phase in rng.uniform(0.0, 2.0 * math.pi, 24):
+        nm = np.zeros((4, 4))
+        r_plus, nu_plus = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 5.0)
+        plus = nu_plus * np.diag([math.exp(2.0 * r_plus), math.exp(-2.0 * r_plus)])
+        nm[:2, :2] = free_rotation(plus, 1.0, 1.0, rng.uniform(0.0, 2.0 * math.pi))
+        minus = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]) / 2.0
+        nm[2:, 2:] = free_rotation(minus, 1.3, 0.8, phase)
+        stack.append(mix_modes(nm))
+    stack = np.array(stack)
+    calls = []
+    eigensolver = g._eigensolver
+    monkeypatch.setattr(g, "_eigensolver", lambda m: calls.append(len(m)) or eigensolver(m))
+    nu = symplectic_eigenvalues(stack)
+    assert calls == []  # every row refined, none by the complex eigensolver
+    ref = symplectic_eigenvalues(stack, general=True)
+    # both routes read the rounded input, whose own conditioning moves a
+    # pure mode's nu by about eps e^(4|r|) (3.6e-11 at r = 3)
+    tol = 1e-12 + np.finfo(float).eps * math.exp(4.0 * abs(r))
+    assert np.abs(nu - ref).max() <= tol
+    assert np.abs(nu[:, 0] - 0.5).max() <= tol
+
+
+def test_refinement_falls_back_to_eigensolver_for_indefinite_rows(monkeypatch):
+    import entbath.gaussian as g
+
+    pure = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL).matrix
+    indefinite = np.diag([2.0, 0.125, -0.5, -0.5])  # closed form reads nu = 1/2
+    mixed = random_physical(np.random.default_rng(3)).matrix
+    stack = np.array([pure, indefinite, mixed])
+    calls = []
+    eigensolver = g._eigensolver
+    monkeypatch.setattr(g, "_eigensolver", lambda m: calls.append(len(m)) or eigensolver(m))
+    nu = symplectic_eigenvalues(stack)
+    # the two near rows go to the eigensolver together, as before the real route
+    assert calls == [2]
+    assert np.array_equal(nu[:2], eigensolver(stack[:2]))
+    assert np.array_equal(nu[2], symplectic_eigenvalues(mixed))
+
+
 def test_ordering_guard():
     v = two_mode_squeezed(1.0)
     with pytest.raises(OrderingError):
