@@ -13,7 +13,11 @@ momentum block B costs O(N^2), because B is an arrowhead: two system rows
 beside a diagonal bath block.  The reduced dynamics is a channel
 V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not depend on the system
 state; the drift keeps the channel of its latest sampling plan, so each
-further state costs one 4x4 congruence per sample.
+further state costs one 4x4 congruence per sample.  The channel samples
+the rows of S(t) in the (x+, p+, x-, p-) basis.  When H is unchanged by
+exchanging the two oscillators (every resonant builder config), x- and p-
+decouple from the rest: only x+ and p+ are sampled, and the minus rows
+are the closed-form free rotation, with no bath noise.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .errors import (
     UnstableHamiltonianError,
 )
 from .gaussian import (
+    MIX,
     CovarianceMatrix,
     Ordering,
     OscillatorParams,
+    free_propagator,
     log_negativities,
     mix_modes,
     symplectic_eigenvalues,
@@ -83,7 +89,8 @@ class DriftMatrix:
     """Drift K = J H of the Lyapunov equation plus the decoupled minus mode.
 
     ``m_minus``/``omega_minus`` are ``mode_scales`` of the drift's system
-    block: the bath-free minus oscillator of the (bare) model.  The
+    block: the bath-free minus oscillator of the (bare) model; the channel
+    reads its minus pair from H instead (``normal_modes``).  The
     normal modes are computed on first use and kept, so a drift is
     factorized at most once however many states are evolved with it.
     ``k`` and ``hamiltonian`` are kept as given (float arrays are not
@@ -269,15 +276,18 @@ def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> Covari
 # Propagators
 # ---------------------------------------------------------------------------
 
-# samples per batched product in NormalModes.reduced_channel; bounds the
-# working set to a few MB at N ~ 1200
+# samples per GEMM in NormalModes.reduced_channel: their 2 (free minus
+# pair) or 4 sampled rows against W and A^T keep the working set to a
+# few MB at N ~ 1200
 SAMPLE_CHUNK = 128
 
 
 @dataclass(frozen=True)
 class ReducedChannel:
     """V_s(t) = Z V_s(0) Z^T + N at ``times``: ``z`` is the system block of S(t)
-    and ``noise`` the thermal bath's part, (len(times), 4, 4) each, PHYSICAL order."""
+    and ``noise`` the thermal bath's part, (len(times), 4, 4) each, PHYSICAL order.
+    For a free minus pair the minus rows of ``z`` are its exact rotation and
+    ``noise`` is the plus block's alone."""
 
     times: np.ndarray
     z: np.ndarray
@@ -298,12 +308,14 @@ class NormalModes:
     orthogonal), the coordinates Q = W x and P = A^T p, with A = L U and
     W = U^T L^-1, rotate freely, each at its omega, and x = A Q, p = W^T P:
     the exact normal modes of a linear bath (Ullersma, Physica 32, 27
-    (1966)).  For position coupling L = M^(-1/2).
+    (1966)).  For position coupling L = M^(-1/2).  ``minus`` is the
+    (mass, frequency) of a minus pair that H leaves free, else None.
     """
 
     omega: np.ndarray
     a: np.ndarray
     w: np.ndarray
+    minus: tuple[float, float] | None = None
 
     def propagator(self, t: float) -> np.ndarray:
         """The full S(t) = exp(Kt) in FULL ordering."""
@@ -319,40 +331,46 @@ class NormalModes:
     def reduced_channel(self, bath_variances: np.ndarray, times: np.ndarray) -> ReducedChannel:
         """The reduced channel at ``times`` of a diagonal thermal bath.
 
-        The four system rows of S(t) are built per chunk of samples as
-        weights on Q and on P, then mapped to coefficients on the initial
-        positions (through W) and momenta (through A^T).
+        The system rows of S(t) in NORMAL order (x+, p+, x-, p-) are built
+        per chunk of samples as weights on Q and on P, then mapped to
+        coefficients on the initial positions (through W) and momenta
+        (through A^T).  With a free minus pair only x+ and p+ are sampled:
+        x+ is cos g+ on Q and sin g+ / omega on P, p+ is -omega sin h+ on Q
+        and cos h+ on P; the minus rows are the free rotation at ``minus``.
         """
         om = self.omega
         n = len(om)
-        g = self.a[:2]      # x_s(t) = g_s . (cos Q + sin P / omega)
-        hs = self.w[:, :2].T  # p_s(t) = h_s . (-omega sin Q + cos P)
-        zero = np.zeros(n)
-        # cos(omega t) and sin(omega t) weights on Q of the rows in PHYSICAL
-        # order (x1, p1, x2, p2), then on P of the same rows
-        cos_w = np.array([g[0], zero, g[1], zero, zero, hs[0], zero, hs[1]])
-        sin_w = np.array(
-            [zero, -om * hs[0], zero, -om * hs[1], g[0] / om, zero, g[1] / om, zero]
-        )
+        frame = MIX if self.minus is None else MIX[:2]
+        g = frame[:, 0::2] @ self.a[:2]        # x rows: g . (cos Q + sin P / omega)
+        hs = frame[:, 1::2] @ self.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
+        k = len(frame)
         times = np.array(times, dtype=float)
 
         def chunks():
             for lo in range(0, len(times), SAMPLE_CHUNK):
                 phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], om)[:, None, :]
-                rows = np.cos(phase) * cos_w + np.sin(phase) * sin_w
-                yield ((rows[:, :4].reshape(-1, n) @ self.w).reshape(-1, 4, n),
-                       (rows[:, 4:].reshape(-1, n) @ self.a.T).reshape(-1, 4, n))
+                cos, sin = np.cos(phase), np.sin(phase)
+                on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
+                on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
+                yield (on_q @ self.w).reshape(-1, k, n), (on_p @ self.a.T).reshape(-1, k, n)
 
-        return _channel_from_rows(times, chunks(), bath_variances)
+        return _channel_from_rows(times, chunks(), bath_variances, frame, self.minus)
 
 
-def _channel_from_rows(times: np.ndarray, chunks, bath_variances: np.ndarray) -> ReducedChannel:
-    """The reduced channel from the four system rows of S(t).  ``chunks``
-    yields, in sample order, their coefficients on the initial positions
-    (x1, x2, q1, ...) and momenta (p1, p2, pi1, ...), (k, 4, N+2) each."""
+def _channel_from_rows(
+    times: np.ndarray, chunks, bath_variances: np.ndarray, frame: np.ndarray,
+    minus: tuple[float, float] | None = None,
+) -> ReducedChannel:
+    """The reduced channel from sampled system rows of S(t).  ``frame``
+    (k, 4) gives the rows as combinations of the PHYSICAL ones, and
+    ``chunks`` yields, in sample order, their coefficients on the initial
+    positions (x1, x2, q1, ...) and momenta (p1, p2, pi1, ...), (s, k, N+2)
+    each.  With ``minus`` = (mass, frequency) the rows outside a two-row
+    frame are the free minus pair, which carries no bath noise."""
     var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
-    z = np.empty((len(times), 4, 4))
-    noise = np.empty_like(z)
+    k = len(frame)
+    z = np.empty((len(times), k, 4))
+    noise = np.empty((len(times), k, k))
     lo = 0
     for sx, sp in chunks:
         part = slice(lo, lo + len(sx))
@@ -361,9 +379,26 @@ def _channel_from_rows(times: np.ndarray, chunks, bath_variances: np.ndarray) ->
         bx, bp = sx[..., 2:], sp[..., 2:]
         noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
         noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
+    z, noise = frame.T @ z, frame.T @ noise @ frame
+    if minus is not None:
+        free = MIX[2:]
+        z += free.T @ free_propagator(*minus, times) @ free
     for arr in (times, z, noise):
         arr.flags.writeable = False
     return ReducedChannel(times, z, noise)
+
+
+def _free_minus(h: np.ndarray) -> tuple[float, float] | None:
+    """``mode_scales`` of H's system block if its minus pair is free, else None.
+
+    x- and p- are odd under exchanging the oscillators and every other
+    coordinate is even, so their rows of H touch nothing but themselves
+    exactly when the exchange leaves the x1/x2 and p1/p2 rows unchanged.
+    """
+    rows = h[:4]
+    swapped = rows[[2, 3, 0, 1]]
+    swapped[:, :4] = swapped[:, [2, 3, 0, 1]]
+    return mode_scales(h[:4, :4]) if np.array_equal(swapped, rows) else None
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
@@ -375,10 +410,11 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     has L L^T = B.  L^T K L, A = L U and W = U^T L^-1 are then row and
     column scalings plus n x 2 by 2 x n products, for any dense K.
 
-    Refuses a Hamiltonian with x-p cross terms or a non-diagonal bath
-    momentum block (``ValueError``; neither coupling model has them) and a
-    momentum block or stiffness that is not positive definite
-    (``UnstableHamiltonianError``).
+    Whether the minus pair is free is decided here, once per drift
+    (``_free_minus``).  Refuses a Hamiltonian with x-p cross terms or a
+    non-diagonal bath momentum block (``ValueError``; neither coupling
+    model has them) and a momentum block or stiffness that is not positive
+    definite (``UnstableHamiltonianError``).
     """
     h = drift.hamiltonian
     if np.any(h[0::2, 1::2]):
@@ -419,7 +455,7 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     w = np.empty_like(u)
     w[:, :2] = np.linalg.solve(low.T, u[:2]).T
     w[:, 2:] = (u[2:].T - w[:, :2] @ e) / root
-    return NormalModes(np.sqrt(w_sq), a, w)
+    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(h))
 
 
 def check_recurrence(
@@ -535,7 +571,7 @@ def negativity_trace(
         hop = _rk4_hop(drift, cfg)
         rows = accumulate(repeat(hop, len(times) - 1), np.matmul, initial=np.eye(4, drift.dim))
         chunks = ((r[None, :, 0::2], r[None, :, 1::2]) for r in rows)
-        channel = _channel_from_rows(times, chunks, thermal_bath_variances(drift.bath))
+        channel = _channel_from_rows(times, chunks, thermal_bath_variances(drift.bath), np.eye(4))
     else:
         channel = drift.reduced_channel(times)
     return _trace_from_blocks(times, channel.blocks(system_v))

@@ -196,8 +196,9 @@ def log_negativities(v: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -np.log(2.0 * nu_min))
 
 
-# x± = (x1 ± x2)/sqrt(2): orthogonal, symplectic and involutive
-_MIX = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / math.sqrt(2.0)
+# PHYSICAL -> NORMAL, rows x+, p+, x-, p- with x± = (x1 ± x2)/sqrt(2):
+# orthogonal, symplectic and involutive
+MIX = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / math.sqrt(2.0)
 
 
 def basis_change(v: CovarianceMatrix, to: Ordering) -> CovarianceMatrix:
@@ -213,7 +214,7 @@ def basis_change(v: CovarianceMatrix, to: Ordering) -> CovarianceMatrix:
 
 def mix_modes(v: np.ndarray) -> np.ndarray:
     """The basis change of a 4x4 matrix or a (k, 4, 4) stack, symmetrized."""
-    m = _MIX @ v @ _MIX.T
+    m = MIX @ v @ MIX.T
     m += np.swapaxes(m, -1, -2)
     m *= 0.5
     return m
@@ -268,11 +269,17 @@ def squeezing_of(dx: float, dp: float, m: float, omega: float) -> float:
     return 0.5 * math.log(m * omega * dx / dp)
 
 
+def free_propagator(m: float, omega: float, t) -> np.ndarray:
+    """The 2x2 map of (x, p) under a free oscillator; an array of times gives
+    the stack (..., 2, 2)."""
+    c, s = np.cos(omega * np.asarray(t)), np.sin(omega * np.asarray(t))
+    return np.moveaxis(np.array([[c, s / (m * omega)], [-m * omega * s, c]]), (0, 1), (-2, -1))
+
+
 def free_rotation(block: np.ndarray, m: float, omega: float, t) -> np.ndarray:
     """Evolve a single-mode 2x2 covariance block under a free oscillator; an
     array of times gives the stack of blocks (..., 2, 2)."""
-    c, s = np.cos(omega * np.asarray(t)), np.sin(omega * np.asarray(t))
-    s1 = np.moveaxis(np.array([[c, s / (m * omega)], [-m * omega * s, c]]), (0, 1), (-2, -1))
+    s1 = free_propagator(m, omega, t)
     return s1 @ np.asarray(block, dtype=float) @ np.swapaxes(s1, -1, -2)
 
 

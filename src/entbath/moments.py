@@ -11,6 +11,7 @@ schedules.  A fixed step ends at t0 + k dt, the last one at t_final.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -136,13 +137,24 @@ class TabulatedSchedule:
             self._cls = SymmetricCoefficients
         else:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        self._cols = [np.array([getattr(v, f) for v in values], dtype=float) for f in self._fields]
-        if any(len(c) != len(self.times) for c in self._cols):
+        nodes = np.array([[getattr(v, f) for f in self._fields] for v in values], dtype=float)
+        if len(nodes) != len(self.times):
             raise ValueError("values length must match times length")
+        # np.interp's arithmetic, slope (t - t_j) + f_j, as Python floats:
+        # one bracket search per call serves every field
+        self._grid = self.times.tolist()
+        self._nodes = nodes.tolist()
+        self._slopes = (np.diff(nodes, axis=0) / np.diff(self.times)[:, None]).tolist()
 
     def __call__(self, t: float):
-        vals = [float(np.interp(t, self.times, col)) for col in self._cols]
-        return self._cls(*vals)
+        t = float(t)
+        j = bisect.bisect_right(self._grid, t) - 1
+        if j < 0:
+            return self._cls(*self._nodes[0])
+        if j == len(self._slopes):
+            return self._cls(*self._nodes[-1])
+        dt = t - self._grid[j]
+        return self._cls(*(s * dt + f for s, f in zip(self._slopes[j], self._nodes[j])))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from entbath.gaussian import (
     Ordering,
     OscillatorParams,
     basis_change,
+    free_rotation,
     separable_squeezed,
     symplectic_eigenvalues,
     two_mode_squeezed,
@@ -567,6 +568,119 @@ def test_normal_modes_make_one_cubic_call(build, monkeypatch):
     others = [(name, shapes) for name, shapes in calls if name != "eigh"]
     assert {name for name, _ in others} <= {"cholesky", "solve"}
     assert all(shapes[0] == (2, 2) for _, shapes in others), others
+
+
+# ---------------------------------------------------------------------------
+# The free minus pair: plus rows sampled, minus rows rotated in closed form
+# ---------------------------------------------------------------------------
+
+def _minus_rotation(system_v, m_minus, omega_minus, times):
+    nm = basis_change(system_v, Ordering.NORMAL).matrix
+    return free_rotation(nm[2:, 2:], m_minus, omega_minus, times)
+
+
+@pytest.mark.parametrize("build, state", [
+    (POSITION, lambda m, w: separable_squeezed(2.0)),
+    (POSITION, lambda m, w: separable_squeezed(-2.0)),
+    (SYMMETRIC, lambda m, w: basis_change(two_mode_squeezed(1.0, m, w), Ordering.PHYSICAL)),
+], ids=["position-r2", "position-r-2", "symmetric-two-mode"])
+def test_trace_minus_columns_are_the_free_rotation(build, state):
+    # the shipped trace plan (N = 597): the minus dispersions of a resonant
+    # drift are the exact rotation at its block's scales (the sampled minus
+    # rows were 8.9e-11 off)
+    bath = discretize(OHMIC, 597)
+    drift = build(OSC, bath)
+    m_minus, omega_minus = ex.mode_scales(drift.hamiltonian[:4, :4])
+    v_sys = state(m_minus, omega_minus)
+    cfg = ex.EvolutionConfig(150.0, 0.02, 10)
+    tr = ex.negativity_trace(v_sys, drift, cfg)
+    rot = _minus_rotation(v_sys, m_minus, omega_minus, tr.times)
+    assert np.abs(tr.dx_minus_sq - rot[:, 0, 0]).max() <= 1e-12
+    assert np.abs(tr.dp_minus_sq - rot[:, 1, 1]).max() <= 1e-12
+
+
+def test_free_minus_pair_is_decided_from_the_hamiltonian():
+    from scipy.linalg import expm
+
+    bath = discretize(OHMIC, 48, 0.5)
+    cfg = ex.EvolutionConfig(0.7 * bath.recurrence_time, 0.05, 7)
+    times = cfg.sample_times()
+    states = (separable_squeezed(1.0), _correlated_state())
+    base = ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
+    scales = ex.mode_scales(base.hamiltonian[:4, :4])
+    assert scales[0] > 2.0  # the renormalized block: far from the 1.0 passed below
+    # a resonant block, hand-built with arbitrary minus scales, still
+    # rotates its minus pair at the block's scales
+    drift = _hand_built_drift(np.array(base.hamiltonian), bath)
+    assert drift.normal_modes.minus == scales
+    for v in states:
+        tr = ex.negativity_trace(v, drift, cfg)
+        rot = _minus_rotation(v, *scales, times)
+        assert np.abs(tr.dx_minus_sq - rot[:, 0, 0]).max() <= 1e-12
+        assert np.abs(tr.dp_minus_sq - rot[:, 1, 1]).max() <= 1e-12
+    # the same block with x2 coupled at half strength: the pair is not
+    # free, and the four-row channel matches exp(Kt)
+    h = np.array(base.hamiltonian)
+    h[2, 4::2] *= 0.5
+    h[4::2, 2] *= 0.5
+    drift = _hand_built_drift(h, bath)
+    assert drift.normal_modes.minus is None
+    blocks = [drift.reduced_channel(times).blocks(v) for v in states]
+    v0s = [ex.initial_covariance(v, bath).matrix for v in states]
+    for i, t in enumerate(times):
+        s4 = expm(drift.k * t)[:4]
+        for v0, block in zip(v0s, blocks):
+            ref = s4 @ v0 @ s4.T
+            assert np.abs(block[i] - 0.5 * (ref + ref.T)).max() <= 1e-10
+
+
+class _Recorded(np.ndarray):
+    """W or A of a NormalModes that logs every matmul it is an operand of."""
+
+    def __array_finalize__(self, obj):
+        self.tag, self.log = getattr(obj, "tag", None), getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul:
+            for x in inputs:
+                if isinstance(x, _Recorded):
+                    x.log.append((x.tag, plain[0].shape, plain[1].shape))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("osc, rows", [
+    (OSC, 2),
+    (OscillatorParams(1.0, 1.0, 1.0, 0.2), 2),
+    (OscillatorParams(1.0, 1.05, 0.95), 4),
+], ids=["resonant", "resonant-c12", "detuned"])
+def test_channel_multiplies_the_sampled_rows_only(osc, rows):
+    # the GEMMs against the (N+2)^2 W and A^T: 2 rows per sample for a free
+    # minus pair, all 4 otherwise
+    from dataclasses import replace
+
+    from entbath.bath import thermal_bath_variances
+
+    n_modes = 40
+    bath = discretize(OHMIC, n_modes, 1.0)
+    modes = ex.normal_modes(ex.build_position_model(osc, bath))
+    log = []
+    views = {}
+    for tag in ("a", "w"):
+        views[tag] = getattr(modes, tag).view(_Recorded)
+        views[tag].tag, views[tag].log = tag, log
+    times = ex.EvolutionConfig(20.0, 0.05, 1).sample_times()
+    assert len(times) > ex.SAMPLE_CHUNK
+    variances = thermal_bath_variances(bath)
+    channel = replace(modes, **views).reduced_channel(variances, times)
+    square = (n_modes + 2, n_modes + 2)
+    gemm_rows = {"a": 0, "w": 0}
+    for tag, left, right in log:
+        if right == square:
+            gemm_rows[tag] += left[0]
+    assert gemm_rows == {"a": rows * len(times), "w": rows * len(times)}
+    plain = modes.reduced_channel(variances, times)
+    assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
 
 
 def _loop_built(drift, osc, renormalize):

@@ -269,6 +269,28 @@ def test_tabulated_schedule_interpolation_and_clamping():
         mo.TabulatedSchedule([0.0], vals[:1])
 
 
+@pytest.mark.parametrize("kind", ["position", "symmetric"])
+def test_tabulated_schedule_matches_np_interp(kind):
+    # one bracket search per call: every field is np.interp of its column,
+    # at the nodes, between them and clamped outside the grid
+    rng = np.random.default_rng(7)
+    grid = np.cumsum(rng.uniform(0.05, 2.0, 9)) - 3.0
+    cls = asy.PositionCoefficients if kind == "position" else asy.SymmetricCoefficients
+    fields = ("gamma", "diffusion", "anomalous")[:len(cls.__dataclass_fields__)]
+    cols = {f: rng.uniform(-2.0, 2.0, len(grid)) for f in fields}
+    sched = mo.TabulatedSchedule(grid, [cls(*row) for row in zip(*cols.values())], kind=kind)
+    between = rng.uniform(grid[0], grid[-1], 200)
+    outside = [grid[0] - 5.0, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + 5.0]
+    for ts in (grid, (grid[1:] + grid[:-1]) / 2.0, between, outside):
+        for t in ts:
+            got = sched(t)
+            for f in fields:
+                want = np.interp(t, grid, cols[f])
+                assert abs(getattr(got, f) - want) <= 1e-15 * abs(want), (f, t)
+    for i, t in enumerate(grid):
+        assert all(getattr(sched(t), f) == cols[f][i] for f in fields)
+
+
 def test_schedule_reaches_time_dependent_fixed_point():
     # coefficients that settle onto the asymptotic values drive the state
     # to the same equilibrium as the constant schedule
