@@ -125,13 +125,17 @@ class DiscreteBath:
 
 
 def discretize(sd: SpectralDensity, n_modes: int, temperature: float = 0.0) -> DiscreteBath:
-    """Uniform-grid bath: w_k = k dw, dw = Lambda/N, c_k^2 = 2 w_k J(w_k) dw."""
+    """Uniform-grid bath: w_k = k dw, dw = Lambda/N, c_k^2 = 2 w_k J(w_k) dw.
+
+    The top mode is the cutoff itself: where N dw rounds just above Lambda,
+    J is read at Lambda, so the hard cutoff never decouples that mode.
+    """
     if n_modes < 1:
         raise ValueError("need at least one bath mode")
     dw = sd.cutoff / n_modes
     w = dw * np.arange(1, n_modes + 1)
     masses = np.ones(n_modes)
-    couplings = np.sqrt(2.0 * masses * w * j_omega(sd, w) * dw)
+    couplings = np.sqrt(2.0 * masses * w * j_omega(sd, np.minimum(w, sd.cutoff)) * dw)
     return DiscreteBath(w, masses, couplings, temperature)
 
 

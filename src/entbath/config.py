@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
@@ -135,6 +136,8 @@ def apply_override(cfg: RunConfig, item: str) -> None:
 def _require_number(value, name: str, *, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(f"{name}: must be positive, got {value}")
     if nonnegative and value < 0:
@@ -194,6 +197,9 @@ def validate(cfg: RunConfig) -> RunConfig:
             or any(not isinstance(row, list) or len(row) != 4 for row in mat)
         ):
             raise ConfigError("initial_state.covariance: expected a 4x4 nested list")
+        for row in mat:
+            for v in row:
+                _require_number(v, "initial_state.covariance")
     ev = cfg.evolution
     _require_number(ev.dt, "evolution.dt", positive=True)
     _require_number(ev.t_max, "evolution.t_max", positive=True)

@@ -7,10 +7,13 @@ integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
 (exactly symplectic, arbitrary t) and, as an independent cross-check, the
 RK4 step matrix raised to the stride by squaring.  Both coupling models
 leave H without x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so their
-normal modes are real and second order: one real symmetric eigensolve of
-size N+2, computed once per drift and cached on it.  Its factor of the
-momentum block B costs O(N^2), because B is an arrowhead: two system rows
-beside a diagonal bath block.  The reduced dynamics is a channel
+normal modes are real and second order, computed once per drift and
+cached on it.  The factor of the momentum block B costs O(N^2), because B
+is an arrowhead: two system rows beside a diagonal bath block.  For
+position coupling the mass-weighted stiffness is an arrowhead too, and
+its modes solve a secular equation in O(N^2) time and memory; the
+symmetric model takes one real symmetric eigensolve of size N+2.  The
+reduced dynamics is a channel
 V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not depend on the system
 state; the drift keeps the channel of its latest sampling plan, so each
 further state costs one 4x4 congruence per sample.  The channel samples
@@ -32,6 +35,7 @@ import numpy as np
 
 from .bath import DiscreteBath, thermal_bath_covariance, thermal_bath_variances
 from .errors import (
+    NumericalError,
     RecurrenceWindowError,
     StepSizeError,
     UnphysicalStateError,
@@ -402,19 +406,27 @@ def _free_minus(h: np.ndarray) -> tuple[float, float] | None:
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
-    """One real symmetric eigh of size N+2, around an O(N^2) factor.
+    """Real normal modes in O(N^2) when H couples through positions only,
+    else one real symmetric eigh of size N+2 around an O(N^2) factor.
 
     The momentum block is an arrowhead, B = [[B_ss, C], [C^T, D]] with D
-    diagonal (C = 0 for position coupling), so with the 2x2 Schur complement
-    S = B_ss - C D^-1 C^T the factor L = [[chol(S), C D^-1/2], [0, D^1/2]]
-    has L L^T = B.  L^T K L, A = L U and W = U^T L^-1 are then row and
-    column scalings plus n x 2 by 2 x n products, for any dense K.
+    diagonal, so with the 2x2 Schur complement S = B_ss - C D^-1 C^T the
+    factor L = [[chol(S), C D^-1/2], [0, D^1/2]] has L L^T = B.
 
-    Whether the minus pair is free is decided here, once per drift
-    (``_free_minus``).  Refuses a Hamiltonian with x-p cross terms or a
-    non-diagonal bath momentum block (``ValueError``; neither coupling
-    model has them) and a momentum block or stiffness that is not positive
-    definite (``UnstableHamiltonianError``).
+    Position coupling (decided here from H, once per drift) has B diagonal,
+    K's bath block diagonal and both system rows coupled to the bath
+    through the same mass-weighted vector.  In the mass-weighted
+    (x+, x-, bath) coordinates only x+ touches the bath, and x- touches
+    x+ alone, so L^T K L is an arrowhead with tip x+: its modes solve a
+    secular equation (``_arrowhead_eigh``).  Any other H (the symmetric
+    model, hand-built ones) forms L^T K L, A = L U and W = U^T L^-1 with row
+    and column scalings plus n x 2 by 2 x n products, around one ``eigh``.
+
+    Whether the minus pair is free is decided here too (``_free_minus``).
+    Refuses a Hamiltonian with x-p cross terms or a non-diagonal bath
+    momentum block (``ValueError``; neither coupling model has them) and a
+    momentum block or stiffness that is not positive definite
+    (``UnstableHamiltonianError``).
     """
     h = drift.hamiltonian
     if np.any(h[0::2, 1::2]):
@@ -436,6 +448,20 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
             "momentum block of H not positive definite; no normal-mode form"
         ) from err
     root = np.sqrt(d)
+    l_sys = np.diagonal(low)
+    if (
+        not np.any(c) and low[1, 0] == 0.0
+        and np.count_nonzero(k[2:, 2:]) == np.count_nonzero(np.diagonal(k)[2:])
+        and np.array_equal(l_sys[0] * k[0, 2:], l_sys[1] * k[1, 2:])
+    ):
+        w_sq, a, w = _position_modes(k, np.concatenate([l_sys, root]), d)
+    else:
+        w_sq, a, w = _factored_modes(k, low, c, root)
+    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(h))
+
+
+def _factored_modes(k, low, c, root):
+    """(omega^2, A, W) from one eigh of L^T K L, L = [[low, C D^-1/2], [0, D^1/2]]."""
     e = c / root  # L = [[low, e], [0, diag(root)]]
     # (L^T K) L in that order: with C = 0 it rounds as the dense product did
     lk = np.empty_like(k)
@@ -455,7 +481,224 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     w = np.empty_like(u)
     w[:, :2] = np.linalg.solve(low.T, u[:2]).T
     w[:, 2:] = (u[2:].T - w[:, :2] @ e) / root
-    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(h))
+    return w_sq, a, w
+
+
+def _position_modes(k, lw, d):
+    """(omega^2, A, W) of a position-coupled H with diagonal L = diag(lw).
+
+    With y = x / lw, M = L K L has equal system-bath rows v, so in the
+    (y+, y-, bath) coordinates, y± = (y1 ± y2)/sqrt(2), it is the arrowhead
+    with tip y+ (stiffness a++), border (a+-, sqrt(2) v) and poles
+    (a--, d_k K_kk).  A = L R U and W = U^T R^T L^-1, R the ± rotation.
+    """
+    m_ss = lw[:2, None] * k[:2, :2] * lw[:2]
+    mean, half = (m_ss[0, 0] + m_ss[1, 1]) / 2.0, (m_ss[0, 0] - m_ss[1, 1]) / 2.0
+    border = np.empty(len(k) - 1)
+    border[0] = half
+    border[1:] = math.sqrt(2.0) * lw[0] * k[0, 2:] * lw[2:]
+    poles = np.empty_like(border)
+    poles[0] = mean - m_ss[0, 1]
+    poles[1:] = d * np.diagonal(k)[2:]
+    w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
+    plus, minus = u[0] / math.sqrt(2.0), u[1] / math.sqrt(2.0)
+    u[0], u[1] = plus + minus, plus - minus
+    a = u * lw[:, None]
+    u /= lw[:, None]
+    return w_sq, a, u.T
+
+
+# secular tables are (block, K) for a block of roots or poles; K * block
+# stays near this many doubles (512 kB, which stays in cache)
+_SECULAR_TABLE = 1 << 16
+_SECULAR_MAX_ITER = 50
+_EPS = np.finfo(float).eps
+
+
+def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the symmetric
+    arrowhead [[alpha, border^T], [border, diag(poles)]], in O(n^2).
+
+    A border entry below tol = 8 eps ||M|| is dropped, and two poles less
+    than tol apart share one coupling after a Givens rotation (as LAPACK
+    dlaed2 deflates): each pole left uncoupled is an eigenvalue.  The
+    live poles p_j > 0 with weights z_j^2 = border_j^2 / p_j, and the pole
+    0 with z_0^2 = alpha - sum z_j^2 (the Schur complement, which must be
+    > 0), make the rank-one problem diag(0, p) + z z^T with the same
+    eigenvalues; ``_secular_roots`` solves it.  Each eigenvector is
+    (-1, bh_j / (p_j - lam)) normalized, with bh from the computed roots
+    (Loewner; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)),
+    so the vectors are orthogonal to working precision.
+    """
+    n = len(poles)
+    if poles.min() <= 0.0:
+        raise UnstableHamiltonianError(
+            f"normal-mode frequency^2 {poles.min():.3e} <= 0; no normal-mode form"
+        )
+    border = border.copy()
+    tol = 8.0 * _EPS * max(abs(alpha), float(poles.max()), math.sqrt(border @ border))
+    border[np.abs(border) <= tol] = 0.0
+
+    def by_pole(idx):
+        return idx[np.argsort(poles[idx], kind="stable")]
+
+    live = by_pole(np.flatnonzero(border))
+    rotations = []  # (i, j, c, s): slot i holds c e_i - s e_j, slot j s e_i + c e_j
+    for at in np.flatnonzero(np.diff(poles[live]) <= tol):
+        i, j = live[at], live[at + 1]
+        r = math.hypot(border[i], border[j])
+        rotations.append((i, j, border[j] / r, border[i] / r))
+        border[i], border[j] = 0.0, r
+    live = by_pole(np.flatnonzero(border))
+    deflated = np.setdiff1d(np.arange(n), live)
+    p, b2 = poles[live], border[live] ** 2
+    z0_sq = alpha - float(np.sum(b2 / p))
+    if z0_sq <= 0.0:
+        raise UnstableHamiltonianError(
+            f"normal-mode frequency^2 <= 0 (stiffness Schur complement {z0_sq:.3e}); "
+            "no normal-mode form"
+        )
+    pole = np.concatenate([[0.0], p])
+    origin, tau = _secular_roots(pole, np.concatenate([[z0_sq], b2 / p]))
+    lam = np.concatenate([pole[origin] + tau, poles[deflated]])
+    order = np.argsort(lam, kind="stable")
+    col = np.empty(n + 1, dtype=np.intp)
+    col[order] = np.arange(n + 1)
+    sec, rows = col[:len(p) + 1], live + 1
+    u = np.zeros((n + 1, n + 1))
+    u[deflated + 1, col[len(p) + 1:]] = 1.0
+    u[0, sec] = -1.0
+    sq = np.ones(n + 1)  # squared norms of the secular columns
+    sec_runs = _runs(sec)
+    step = max(1, _SECULAR_TABLE // len(pole))
+    for lo in range(0, len(p), step):
+        blk = slice(lo, lo + step)
+        gap = (p[blk, None] - pole[origin]) - tau  # p_j - lam_i
+        bh = np.sqrt(_loewner_sq(gap, p[blk], p, lo)) * np.sign(border[live[blk]])
+        vec = np.divide(bh[:, None], gap, out=gap)
+        sq[sec] += np.einsum("ji,ji->i", vec, vec)
+        for r_src, r_dst in _runs(rows[blk]):
+            for c_src, c_dst in sec_runs:
+                u[r_dst, c_dst] = vec[r_src, c_src]
+    u /= np.sqrt(sq)
+    for i, j, c, s in reversed(rotations):
+        u[i + 1], u[j + 1] = c * u[i + 1] + s * u[j + 1], c * u[j + 1] - s * u[i + 1]
+    return lam[order], u
+
+
+def _runs(idx: np.ndarray) -> list[tuple[slice, slice]]:
+    """(positions in ``idx``, values) as slice pairs, one per run of consecutive values."""
+    cut = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+    return [(slice(a, b), slice(int(idx[a]), int(idx[a]) + b - a)) for a, b in zip(cut, cut[1:])]
+
+
+def _loewner_sq(gap, pj, p, lo):
+    """bh_j^2 for the live poles ``pj`` = p[lo:lo + len(pj)] from their gaps
+    p_j - lam_i to every root: -prod_i (p_j - lam_i) / prod_(k != j) (p_j - p_k),
+    as |p_j - lam_0| |p_j - lam_j| times the ratios (p_j - lam_k) / (p_j - p_k)."""
+    rows = np.arange(len(pj))
+    denom = pj[:, None] - p
+    denom[rows, lo + rows] = gap[rows, lo + rows + 1]  # ratio 1 at k = j
+    return np.abs(gap[:, 0] * gap[rows, lo + rows + 1] * np.prod(gap[:, 1:] / denom, axis=1))
+
+
+def _secular_roots(pole: np.ndarray, z_sq: np.ndarray):
+    """Roots of f(lam) = 1 + sum_j z_sq_j / (pole_j - lam), the eigenvalues
+    of diag(pole) + z z^T, for ascending poles and z_sq > 0.
+
+    Root i lies in (pole_i, pole_i+1), the last in (pole_-1, pole_-1 +
+    sum z_sq).  Each is kept as (origin, tau), root = pole[origin] + tau,
+    with the origin the nearer pole, so every gap pole_j - root is
+    (pole_j - pole[origin]) - tau to high relative accuracy.  The start is
+    LAPACK dlaed4's two-pole guess at the bracket's midpoint; the steps are
+    its fixed-weight (middle way) rational steps, bisecting whenever one
+    leaves the bracket, over the still-live roots of a block at once.  A
+    root has converged when |f| is within the rounding of its evaluation
+    or the step is below the rounding of tau.
+    """
+    size = len(pole)
+    if size == 1:
+        return np.zeros(1, dtype=np.intp), z_sq.copy()
+    total = float(np.sum(z_sq))
+    origin = np.empty(size, dtype=np.intp)
+    tau = np.empty(size)
+    step = max(1, _SECULAR_TABLE // size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, size, step):
+            idx = np.arange(start, min(size, start + step))
+            origin[idx], tau[idx] = _secular_block(pole, z_sq, total, idx)
+    return origin, tau
+
+
+def _secular_block(pole, z_sq, total, idx):
+    """(origin, tau) of the roots ``idx`` of ``_secular_roots``."""
+    size = len(pole)
+    lo = np.minimum(idx, size - 2)
+    hi = lo + 1
+    last = idx == size - 1
+    gap = pole[hi] - pole[lo]
+    half = np.where(last, total / 2.0, gap / 2.0)
+    zlo, zhi = z_sq[lo], z_sq[hi]
+    # f at the midpoint, from the pole below the root
+    below = np.where(last, pole[hi], pole[lo])
+    w = z_sq / ((pole - below[:, None]) - half[:, None])
+    f_mid = 1.0 + w.sum(axis=1)
+    rows = np.arange(len(idx))
+    c = f_mid - w[rows, lo] - w[rows, hi]
+    # the two-pole model c + zlo/(p_lo - lam) + zhi/(p_hi - lam) = 0
+    left = ~last & (f_mid > 0.0)  # root nearer p_lo: origin p_lo, tau in (0, half)
+    a_l = c * gap + zlo + zhi
+    b_l = zlo * gap
+    disc_l = np.sqrt(np.abs(a_l * a_l - 4.0 * b_l * c))
+    tau_l = np.where(a_l > 0.0, 2.0 * b_l / (a_l + disc_l), (a_l - disc_l) / (2.0 * c))
+    a_r = -c * gap + zlo + zhi
+    b_r = zhi * gap
+    disc_r = np.sqrt(np.abs(a_r * a_r + 4.0 * b_r * c))
+    tau_r = np.where(a_r > 0.0, -2.0 * b_r / (a_r + disc_r), (a_r - disc_r) / (2.0 * c))
+    tau_last = np.where(a_r < 0.0, 2.0 * b_r / (disc_r - a_r), (a_r + disc_r) / (2.0 * c))
+    beyond = last & (f_mid <= 0.0)  # last root past the midpoint
+    tau_last = np.where(beyond & (c <= zlo / (gap + total) + zhi / total), total, tau_last)
+    tau = np.where(left, tau_l, np.where(last, tau_last, tau_r))
+    lower = np.where(left, 0.0, np.where(last, np.where(beyond, half, 0.0), -half))
+    upper = np.where(left, half, np.where(last, np.where(beyond, total, half), 0.0))
+    origin = np.where(left, lo, hi)
+    # iterate on the roots still live, in two reused tables
+    live = np.arange(len(idx))
+    shifted = pole - pole[origin][:, None]
+    inv, work = np.empty_like(shifted), np.empty_like(shifted)
+    for _ in range(_SECULAR_MAX_ITER):
+        lv, t = live, tau[live]
+        r = np.arange(len(lv))
+        delta = np.subtract(shifted, t[:, None], out=inv[:len(lv)])
+        d_lo, d_hi = delta[r, lo[lv]], delta[r, hi[lv]]
+        np.reciprocal(delta, out=delta)
+        f = 1.0 + delta @ z_sq
+        df = np.multiply(delta, delta, out=work[:len(lv)]) @ z_sq
+        spread = np.abs(delta, out=work[:len(lv)]) @ z_sq  # sum_j |z_sq_j / delta_j|
+        done = np.abs(f) <= _EPS * (16.0 * spread + 2.0 + np.abs(t) * df)
+        g, l_last = gap[lv], last[lv]
+        cc = np.where(left[lv], f - d_hi * df + g * zlo[lv] / d_lo**2,
+                      f - d_lo * df - g * zhi[lv] / d_hi**2)
+        aa = (d_lo + d_hi) * f - d_lo * d_hi * df
+        bb = d_lo * d_hi * f
+        cc = np.where(l_last, np.abs(cc), cc)
+        disc = np.sqrt(np.abs(aa * aa - 4.0 * bb * cc))
+        eta = np.where(aa <= 0.0, (aa - disc) / (2.0 * cc), 2.0 * bb / (aa + disc))
+        eta_last = np.where(aa >= 0.0, (aa + disc) / (2.0 * cc), 2.0 * bb / (aa - disc))
+        eta = np.where(l_last, eta_last, eta)
+        eta = np.where((f * eta >= 0.0) | ~np.isfinite(eta), -f / df, eta)
+        right = f < 0.0  # the root lies above t
+        lower[lv] = np.where(right, np.maximum(lower[lv], t), lower[lv])
+        upper[lv] = np.where(right, upper[lv], np.minimum(upper[lv], t))
+        new = t + eta
+        new = np.where((new >= upper[lv]) | (new <= lower[lv]),
+                       (np.where(right, upper[lv], lower[lv]) + t) / 2.0, new)
+        tau[lv] = np.where(done, t, new)
+        done |= np.abs(new - t) <= 2.0 * _EPS * np.abs(new)
+        live, shifted = live[~done], shifted[~done]
+        if not len(live):
+            return origin, tau
+    raise NumericalError(f"secular equation: {len(live)} roots did not converge")
 
 
 def check_recurrence(

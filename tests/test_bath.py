@@ -89,6 +89,23 @@ def test_discretize_grid_and_couplings():
     assert np.allclose(bath.couplings, expected)
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+def test_every_mode_is_coupled(exponent):
+    # N dw rounds just above the cutoff for 45 sizes below 3300 (147, 525,
+    # 1050, ...); the top mode must keep its coupling there
+    sd = SpectralDensity(exponent, 0.1, 20.0)
+    for n_modes in range(1, 3301):
+        bath = discretize(sd, n_modes)
+        assert bath.couplings.min() > 0.0, n_modes
+    # where the top mode sits on the cutoff nothing changes
+    for n_modes in (8, 48, 597, 1194):
+        bath = discretize(sd, n_modes)
+        assert bath.frequencies[-1] == sd.cutoff
+        w = bath.frequencies
+        dw = sd.cutoff / n_modes
+        assert np.array_equal(bath.couplings, np.sqrt(2.0 * w * j_omega(sd, w) * dw))
+
+
 def test_thermal_covariance_occupancies():
     sd = SpectralDensity.ohmic(0.1, 20.0)
     cold = thermal_bath_covariance(discretize(sd, 4, 0.0))

@@ -204,6 +204,22 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "spectral.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (["evolution.t_max=.inf"], "evolution.t_max"),
+    (["spectral.gamma0=.nan"], "spectral.gamma0"),
+    (["initial_state.r=.nan"], "initial_state.r"),
+    (["initial_state.kind=custom_covariance",
+      "initial_state.covariance=[[a,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"],
+     "initial_state.covariance"),
+], ids=["inf-t_max", "nan-gamma0", "nan-r", "text-covariance"])
+def test_non_finite_or_non_numeric_is_config_error(overrides, field, cfg_file, tmp_path, capsys):
+    argv = ["negativity-trace", cfg_file, "--out", str(tmp_path / "t.csv")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_refusals(cfg_file, tmp_path, capsys):
     code = main([
         "negativity-trace", cfg_file, "--out", str(tmp_path / "t.csv"),

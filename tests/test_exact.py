@@ -514,14 +514,12 @@ def test_arrowhead_factor_matches_dense_cholesky(build, osc, n_modes):
     bath = discretize(OHMIC, n_modes, 1.0)
     drift = build(osc, bath)
     modes, dense = ex.normal_modes(drift), _dense_normal_modes(drift)
-    if drift.model == "position":  # B is diagonal: the same arithmetic
-        for got, ref in zip((modes.omega, modes.a, modes.w), (dense.omega, dense.a, dense.w)):
-            assert np.array_equal(got, ref)
-    else:
-        assert np.abs(modes.omega / dense.omega - 1.0).max() <= 1e-10
-        for t in (0.0, 7.3, 0.7 * bath.recurrence_time):
-            got, ref = modes.propagator(t)[:4], dense.propagator(t)[:4]
-            assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    # position modes come from the secular equation, symmetric ones from
+    # the arrowhead factor: both within 1e-10 of the dense route
+    assert np.abs(modes.omega / dense.omega - 1.0).max() <= 1e-10
+    for t in (0.0, 7.3, 0.7 * bath.recurrence_time):
+        got, ref = modes.propagator(t)[:4], dense.propagator(t)[:4]
+        assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     # K A = W^T Omega^2 and W A = I, with K and B the position and momentum blocks
     k, b = drift.hamiltonian[0::2, 0::2], drift.hamiltonian[1::2, 1::2]
     assert np.abs(k @ modes.a - modes.w.T * modes.omega**2).max() <= 1e-14 * np.abs(k).max()
@@ -537,8 +535,9 @@ def test_arrowhead_factor_matches_dense_cholesky(build, osc, n_modes):
 
 @pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
 def test_normal_modes_make_one_cubic_call(build, monkeypatch):
-    # the factor is O(N^2): one eigh of size N+2, and every other
-    # np.linalg call inside exact factors a 2x2 matrix
+    # position modes are O(N^2): no eigh, and every np.linalg call inside
+    # exact factors a 2x2 matrix; the symmetric factor is O(N^2) around
+    # one eigh of size N+2
     calls = []
 
     class Linalg:
@@ -564,10 +563,172 @@ def test_normal_modes_make_one_cubic_call(build, monkeypatch):
     monkeypatch.setattr(ex, "np", Numpy())
     ex.normal_modes(drift)
     eighs = [shapes for name, shapes in calls if name == "eigh"]
-    assert eighs == [[(n_modes + 2, n_modes + 2)]]
+    assert eighs == ([[(n_modes + 2, n_modes + 2)]] if build is SYMMETRIC else [])
     others = [(name, shapes) for name, shapes in calls if name != "eigh"]
     assert {name for name, _ in others} <= {"cholesky", "solve"}
     assert all(shapes[0] == (2, 2) for _, shapes in others), others
+
+
+# ---------------------------------------------------------------------------
+# Position coupling: normal modes from the secular equation
+# ---------------------------------------------------------------------------
+
+def _eigh_position_modes(drift):
+    # the dense eigh reference for a diagonal momentum block: M = L K L, L = B^(1/2)
+    h = drift.hamiltonian
+    lw = np.sqrt(np.diagonal(h)[1::2])
+    w_sq, u = np.linalg.eigh(lw[:, None] * h[0::2, 0::2] * lw)
+    return ex.NormalModes(np.sqrt(w_sq), lw[:, None] * u, (u / lw[:, None]).T,
+                          ex._free_minus(h))
+
+
+def _secular_sizes(monkeypatch):
+    # the number of poles (0 and the live ones) of every secular solve
+    sizes = []
+    original = ex._secular_roots
+
+    def spy(pole, z_sq):
+        sizes.append(len(pole))
+        return original(pole, z_sq)
+
+    monkeypatch.setattr(ex, "_secular_roots", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+def test_secular_frequencies_match_mpmath(exponent):
+    import mpmath
+
+    mpmath.mp.dps = 40
+    for osc in (OSC, OscillatorParams(1.0, 1.05, 0.95, 0.1)):
+        drift = ex.build_position_model(osc, discretize(SpectralDensity(exponent, 0.1, 20.0), 24))
+        h = drift.hamiltonian
+        lw = [mpmath.sqrt(mpmath.mpf(float(v))) for v in np.diagonal(h)[1::2]]
+        k = h[0::2, 0::2]
+        m = mpmath.matrix([[lw[i] * mpmath.mpf(float(k[i, j])) * lw[j] for j in range(26)]
+                           for i in range(26)])
+        ref = np.array(sorted(float(mpmath.sqrt(v)) for v in mpmath.eigsy(m, eigvals_only=True)))
+        assert np.abs(ex.normal_modes(drift).omega / ref - 1.0).max() <= 1e-14
+
+
+def _hand_bath(n_modes, zero_at):
+    w = 20.0 / n_modes * np.arange(1, n_modes + 1)
+    c = discretize(OHMIC, n_modes).couplings.copy()
+    c[zero_at] = 0.0
+    return DiscreteBath(w, np.ones(n_modes), c, 1.0)
+
+
+@pytest.mark.parametrize("case, live", [
+    ("zero-coupling", 40),
+    ("top-mode-147", 148),
+    ("minus-on-bath-pole", 41),
+], ids=["zero-coupling", "top-mode-147", "minus-on-bath-pole"])
+def test_deflated_modes_match_eigh(case, live, monkeypatch):
+    # a zero coupling and a minus pole on a bath pole leave the secular
+    # problem (LAPACK dlaed2's deflations); N = 147 puts the top mode a
+    # rounding above the cutoff
+    if case == "zero-coupling":
+        drift = ex.build_position_model(OSC, _hand_bath(40, 17))
+    elif case == "top-mode-147":
+        drift = ex.build_position_model(OSC, discretize(OHMIC, 147, 1.0))
+    else:
+        osc = OscillatorParams(1.0, 1.05, math.sqrt(2.0 - 1.05**2))
+        drift = ex.build_position_model(osc, discretize(OHMIC, 40, 1.0))
+        assert 1.0 in drift.bath.frequencies  # the minus frequency
+    sizes = _secular_sizes(monkeypatch)
+    modes = ex.normal_modes(drift)
+    assert sizes == [live]  # pole 0 and the live bath (and minus) poles
+    ref = _eigh_position_modes(drift)
+    assert np.abs(modes.omega / ref.omega - 1.0).max() <= 1e-10
+    for t in (0.0, 7.3, 0.7 * drift.bath.recurrence_time):
+        got, want = modes.propagator(t)[:4], ref.propagator(t)[:4]
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    assert np.abs(modes.w @ modes.a - np.eye(drift.dim // 2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", [597, 1194])
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+def test_secular_negativity_matches_eigh(exponent, n_modes):
+    from entbath.bath import thermal_bath_variances
+
+    sd = SpectralDensity(exponent, 0.1, 20.0)
+    times = ex.EvolutionConfig(150.0, 0.02, 50).sample_times()
+    states = (separable_squeezed(2.0), separable_squeezed(-2.0), _correlated_state())
+    for osc in (OSC, OscillatorParams(1.0, 1.0, 1.0, 0.2), OscillatorParams(1.0, 1.05, 0.95)):
+        drift = ex.build_position_model(osc, discretize(sd, n_modes))
+        modes, ref = ex.normal_modes(drift), _eigh_position_modes(drift)
+        for temperature in (0.0, 10.0):
+            variances = thermal_bath_variances(discretize(sd, n_modes, temperature))
+            got, want = (m.reduced_channel(variances, times) for m in (modes, ref))
+            for v in states:
+                e_got = ex._trace_from_blocks(times, got.blocks(v)).e_n
+                e_want = ex._trace_from_blocks(times, want.blocks(v)).e_n
+                assert np.abs(e_got - e_want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["spread", "three-coincident", "tiny-border", "uncoupled"])
+def test_arrowhead_eigh_is_an_orthonormal_eigenbasis(case):
+    rng = np.random.default_rng(7)
+    poles = rng.uniform(0.1, 400.0, 60)
+    border = rng.normal(size=60) * 10.0 ** rng.uniform(-6.0, 0.0, 60)
+    if case == "three-coincident":  # a chain of Givens deflations
+        poles[[3, 17, 40]] = poles[5]
+    elif case == "tiny-border":
+        border[[2, 9]] = 1e-15
+    elif case == "uncoupled":
+        border[:] = 0.0
+    alpha = float(np.sum(border**2 / poles)) + 0.5
+    lam, u = ex._arrowhead_eigh(alpha, border, poles)
+    m = np.diag(np.concatenate([[alpha], poles]))
+    m[0, 1:] = m[1:, 0] = border
+    norm = np.abs(m).max()
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - np.linalg.eigvalsh(m)).max() <= 1e-14 * norm
+    assert np.abs(m @ u - u * lam).max() <= 1e-14 * norm
+    assert np.abs(u.T @ u - np.eye(61)).max() <= 1e-14
+
+
+def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
+    # every position-builder drift is solved by the secular equation; a
+    # symmetric drift and a hand-built H whose x2 couples at half strength
+    # keep the eigh route, and all of them match exp(Kt)
+    from scipy.linalg import expm
+
+    bath = discretize(OHMIC, 24, 0.5)
+    unequal = np.array(ex.build_position_model(OSC, bath).hamiltonian)
+    unequal[2, 4::2] *= 0.5
+    unequal[4::2, 2] *= 0.5
+    cases = [
+        (ex.build_position_model(OSC, bath), 1),
+        (ex.build_position_model(OscillatorParams(1.0, 1.05, 0.95, 0.1), bath), 1),
+        (ex.build_position_model(OscillatorParams(1.3, 3.0, 3.0, 0.2), bath,
+                                 renormalize=False), 1),
+        (ex.build_symmetric_model(OSC, bath), 0),
+        (_hand_built_drift(unequal, bath), 0),
+    ]
+    t = 0.7 * bath.recurrence_time
+    for drift, solves in cases:
+        sizes = _secular_sizes(monkeypatch)
+        s = ex.normal_modes(drift).propagator(t)
+        assert len(sizes) == solves
+        s_ref = expm(drift.k * t)
+        assert np.abs(s - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
+
+
+def test_secular_modes_refuse_an_indefinite_stiffness():
+    # what the eigh route refused as omega^2 <= 0, the secular route
+    # refuses from the Schur complement or a pole
+    bath = discretize(OHMIC, 16)
+    base = np.array(ex.build_position_model(OSC, bath).hamiltonian)
+    plus = base.copy()
+    plus[0, 0] = plus[2, 2] = 0.2  # x+ below the counterterm
+    minus = base.copy()
+    minus[0, 2] = minus[2, 0] = base[0, 0] + 0.5  # x- stiffness < 0
+    pole = base.copy()
+    pole[4, 4] = 0.0  # a bath oscillator without stiffness
+    for h in (plus, minus, pole):
+        with pytest.raises(UnstableHamiltonianError, match="frequency"):
+            ex.normal_modes(_hand_built_drift(h, bath))
 
 
 # ---------------------------------------------------------------------------
