@@ -44,11 +44,6 @@ class SymmetricCoefficients:
     diffusion: float
 
 
-class Regime(enum.Enum):
-    ZERO_T = "zero_t"
-    HIGH_T = "high_t"
-
-
 def equilibrium_dispersions_position(
     coeffs: PositionCoefficients, m: float, omega: float
 ) -> tuple[float, float]:
@@ -85,10 +80,10 @@ def coefficient_limits(
     sd: SpectralDensity,
     omega: float,
     temperature: float,
-    regime: Regime,
     model: str = "position",
 ):
-    """Perturbative asymptotic coefficients in the two tabulated regimes.
+    """Perturbative asymptotic coefficients in the two tabulated regimes:
+    T = 0 takes the zero-temperature forms and T > 0 the high-temperature ones.
 
     Only the named exponents (1, 1/2, 3) have tabulated position-coupling
     forms; anything else is refused rather than interpolated.  The
@@ -98,6 +93,8 @@ def coefficient_limits(
     lam = sd.cutoff
     if not 0 < omega < lam:
         raise ValueError("omega must lie below the cutoff")
+    if temperature < 0.0:
+        raise ValueError("temperature must be nonnegative")
     if model == "symmetric":
         gam = 2.0 * math.pi * j_omega(sd, omega) / (omega * m)
         coth = 1.0 if temperature == 0 else 1.0 / math.tanh(omega / (2.0 * temperature))
@@ -106,17 +103,11 @@ def coefficient_limits(
     if model != "position":
         raise ValueError(f"unknown coupling model {model!r}")
 
-    regime = Regime(regime)
-    if regime is Regime.ZERO_T and temperature != 0.0:
-        raise ValueError("zero-temperature forms require T = 0")
-    if regime is Regime.HIGH_T and temperature <= 0.0:
-        raise ValueError("high-temperature forms require T > 0")
-
     gam = asymptotic_gamma(sd, omega)
     t = temperature
     log_ratio = math.log((lam + omega) / (lam - omega))
     if sd.exponent == 1.0:
-        if regime is Regime.ZERO_T:
+        if t == 0.0:
             d = m * gam * omega + (2.0 * m * gam**2 / math.pi) * (
                 2.0 * math.log(lam / omega) - 1.0
             )
@@ -125,14 +116,14 @@ def coefficient_limits(
             d = 2.0 * m * gam * t
             f = -(2.0 * gam / (math.pi * omega)) * log_ratio * t
     elif sd.exponent == 0.5:
-        if regime is Regime.ZERO_T:
+        if t == 0.0:
             d = m * gam * omega
             f = gam * (1.0 - (2.0 / math.pi) * math.sqrt(lam / omega) * log_ratio)
         else:
             d = 2.0 * m * gam * t
             f = -2.0 * gam * t / omega
     elif sd.exponent == 3.0:
-        if regime is Regime.ZERO_T:
+        if t == 0.0:
             d = m * omega * gam
             f = 2.0 * sd.gamma0 / math.pi + gam * math.log(
                 (lam**2 - omega**2) / omega**2
@@ -331,24 +322,22 @@ def r1_r2(dx_plus0: float, dp_plus0: float, m: float, omega: float) -> tuple[flo
     return r1, r2
 
 
-def critical_temperature(
-    position_variance,
-    m: float,
-    omega: float,
-    bracket: tuple[float, float] | None = None,
-    tol: float | None = None,
-) -> float | None:
+# T0 is bisected on (0, T0_BRACKET omega) down to a width T0_TOL omega
+T0_BRACKET = 10.0
+T0_TOL = 1e-8
+
+
+def critical_temperature(position_variance, m: float, omega: float) -> float | None:
     """Bisect m omega <x+^2>(T) = 1/2 for T0; None when there is no crossing.
 
     ``position_variance`` maps a temperature to the equilibrium <x+^2>.
     """
-    lo, hi = bracket if bracket is not None else (0.0, 10.0 * omega)
-    tol = tol if tol is not None else 1e-8 * omega
+    lo, hi = 0.0, T0_BRACKET * omega
     f = lambda t: m * omega * position_variance(t) - 0.5
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         return None
-    while hi - lo > tol:
+    while hi - lo > T0_TOL * omega:
         mid = 0.5 * (lo + hi)
         if f(mid) <= 0.0:
             lo = mid

@@ -21,6 +21,8 @@ from .gaussian import CovarianceMatrix, Ordering
 OHMIC = 1.0
 SUB_OHMIC = 0.5
 SUPER_OHMIC = 3.0
+# an evolution window may use this fraction of the bath's recurrence time
+RECURRENCE_MARGIN = 0.8
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,16 @@ def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:
     return CovarianceMatrix(np.diag(thermal_bath_variances(bath)), Ordering.FULL)
 
 
-def modes_for_window(cutoff: float, t_max: float, margin: float = 0.8) -> int:
-    """Smallest N whose recurrence time keeps t_max inside margin * t_rec."""
+def modes_for_window(cutoff: float, t_max: float) -> int:
+    """Smallest N whose bath keeps t_max inside RECURRENCE_MARGIN of its
+    recurrence time, compared as the recurrence guard compares them: t_rec =
+    2 pi / spacing, with ``discretize``'s spacing cutoff / N."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    return max(1, math.ceil(cutoff * t_max / (2.0 * math.pi * margin)))
+    fits = lambda n: t_max <= RECURRENCE_MARGIN * (2.0 * math.pi / (cutoff / n))
+    n = max(1, math.ceil(cutoff * t_max / (2.0 * math.pi * RECURRENCE_MARGIN)))
+    while n > 1 and fits(n - 1):
+        n -= 1
+    while not fits(n):
+        n += 1
+    return n

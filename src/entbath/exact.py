@@ -2,25 +2,26 @@
 
 The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
-the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  Two
-integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
-(exactly symplectic, arbitrary t) and, as an independent cross-check, the
-RK4 step matrix raised to the stride by squaring.  Both coupling models
-leave H without x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so their
-normal modes are real and second order, computed once per drift and
-cached on it.  The factor of the momentum block B costs O(N^2), because B
-is an arrowhead: two system rows beside a diagonal bath block.  For
-position coupling the mass-weighted stiffness is an arrowhead too, and
+the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  A drift holds
+H and its bath; everything else about it follows from H.  Two integration
+paths are provided: a normal-mode propagator S(t) = exp(Kt) (exactly
+symplectic, arbitrary t) and, as an independent cross-check, the RK4 step
+matrix raised to the stride by squaring, the one place K is formed.  Both
+coupling models leave H without x-p cross terms, H = x^T K x / 2 + p^T B p
+/ 2, so their normal modes are real and second order, computed once per
+drift and cached on it.  The factor of the momentum block B costs O(N^2),
+because B is an arrowhead: two system rows beside a diagonal bath block.
+For position coupling the mass-weighted stiffness is an arrowhead too, and
 its modes solve a secular equation in O(N^2) time and memory; the
 symmetric model takes one real symmetric eigensolve of size N+2.  The
-reduced dynamics is a channel
-V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not depend on the system
-state; the drift keeps the channel of its latest sampling plan, so each
-further state costs one 4x4 congruence per sample.  The channel samples
-the rows of S(t) in the (x+, p+, x-, p-) basis.  When H is unchanged by
-exchanging the two oscillators (every resonant builder config), x- and p-
-decouple from the rest: only x+ and p+ are sampled, and the minus rows
-are the closed-form free rotation, with no bath noise.
+reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N
+do not depend on the system state; the drift keeps the channel of its
+latest sampling plan, so each further state costs one 4x4 congruence per
+sample.  The channel samples the rows of S(t) in the (x+, p+, x-, p-)
+basis.  When H is unchanged by exchanging the two oscillators (every
+resonant builder config), x- and p- decouple from the rest: only x+ and p+
+are sampled, and the minus rows are the closed-form free rotation, with no
+bath noise.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .bath import DiscreteBath, thermal_bath_covariance, thermal_bath_variances
+from .bath import RECURRENCE_MARGIN, DiscreteBath, thermal_bath_covariance, thermal_bath_variances
 from .errors import (
     NumericalError,
     RecurrenceWindowError,
@@ -53,7 +54,6 @@ from .gaussian import (
     symplectic_form,
 )
 
-RECURRENCE_MARGIN = 0.8
 RK4_STEP_FACTOR = 0.05
 REDUCED_PHYSICALITY_ATOL = 1e-9
 _PSD_TOL = 1e-10
@@ -90,33 +90,43 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Drift K = J H of the Lyapunov equation plus the decoupled minus mode.
+    """The total Hamiltonian H of the Lyapunov drift K = J H, and its bath.
 
-    ``m_minus``/``omega_minus`` are ``mode_scales`` of the drift's system
-    block: the bath-free minus oscillator of the (bare) model; the channel
-    reads its minus pair from H instead (``normal_modes``).  The
-    normal modes are computed on first use and kept, so a drift is
-    factorized at most once however many states are evolved with it.
-    ``k`` and ``hamiltonian`` are kept as given (float arrays are not
+    Everything else is derived from H: ``dim``; ``m_minus``/``omega_minus``,
+    ``mode_scales`` of the system block (the bath-free minus oscillator of
+    the bare model), computed once; and ``k``, formed on each read, which
+    only the RK4 oracle needs.  The normal modes are computed on first use
+    and kept, so a drift is factorized at most once however many states are
+    evolved with it.  ``hamiltonian`` is kept as given (a float array is not
     copied) and made read-only.
     """
 
-    k: np.ndarray
     hamiltonian: np.ndarray
     bath: DiscreteBath
-    model: str
-    m_minus: float
-    omega_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("k", "hamiltonian"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        h = np.asarray(self.hamiltonian, dtype=float)
+        h.flags.writeable = False
+        object.__setattr__(self, "hamiltonian", h)
 
     @property
     def dim(self) -> int:
-        return self.k.shape[0]
+        return self.hamiltonian.shape[0]
+
+    @property
+    def k(self) -> np.ndarray:
+        """K = J H, not kept: J swaps each (x, p) row pair of H and negates the p row."""
+        h = self.hamiltonian
+        k = np.empty_like(h)
+        k[0::2], k[1::2] = h[1::2], -h[0::2]
+        return k
+
+    @cached_property
+    def _minus_scales(self) -> tuple[float, float]:
+        return mode_scales(self.hamiltonian[:4, :4])
+
+    m_minus = property(lambda self: self._minus_scales[0])
+    omega_minus = property(lambda self: self._minus_scales[1])
 
     @cached_property
     def normal_modes(self) -> NormalModes:
@@ -130,13 +140,6 @@ class DriftMatrix:
             held = self.normal_modes.reduced_channel(thermal_bath_variances(self.bath), times)
             self.__dict__["_channel"] = held
         return held
-
-
-def _drift_of(h: np.ndarray) -> np.ndarray:
-    """K = J H: J swaps each (x, p) row pair of H and negates the p row."""
-    k = np.empty_like(h)
-    k[0::2], k[1::2] = h[1::2], -h[0::2]
-    return k
 
 
 def _check_stable(h: np.ndarray) -> None:
@@ -236,11 +239,12 @@ def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize
         cp = c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
         h[1, iq + 1] = h[iq + 1, 1] = h[3, iq + 1] = h[iq + 1, 3] = cp
     _check_stable(h)
-    try:
-        m_minus, omega_minus = mode_scales(h_sys)
+    drift = DriftMatrix(h, bath)
+    try:  # an unstable minus mode is refused at build time
+        drift._minus_scales
     except ValueError as err:
         raise UnstableHamiltonianError(str(err)) from err
-    return DriftMatrix(_drift_of(h), h, bath, model, m_minus, omega_minus)
+    return drift
 
 
 def build_position_model(
@@ -392,17 +396,17 @@ def _channel_from_rows(
     return ReducedChannel(times, z, noise)
 
 
-def _free_minus(h: np.ndarray) -> tuple[float, float] | None:
-    """``mode_scales`` of H's system block if its minus pair is free, else None.
+def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:
+    """The drift's (m_minus, omega_minus) if H leaves its minus pair free, else None.
 
     x- and p- are odd under exchanging the oscillators and every other
     coordinate is even, so their rows of H touch nothing but themselves
     exactly when the exchange leaves the x1/x2 and p1/p2 rows unchanged.
     """
-    rows = h[:4]
+    rows = drift.hamiltonian[:4]
     swapped = rows[[2, 3, 0, 1]]
     swapped[:, :4] = swapped[:, [2, 3, 0, 1]]
-    return mode_scales(h[:4, :4]) if np.array_equal(swapped, rows) else None
+    return drift._minus_scales if np.array_equal(swapped, rows) else None
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
@@ -457,7 +461,7 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
         w_sq, a, w = _position_modes(k, np.concatenate([l_sys, root]), d)
     else:
         w_sq, a, w = _factored_modes(k, low, c, root)
-    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(h))
+    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(drift))
 
 
 def _factored_modes(k, low, c, root):

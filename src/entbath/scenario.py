@@ -179,10 +179,8 @@ class Scenario:
     def coefficients(self):
         """Master-equation coefficients at omega+ and the bath temperature;
         position coupling takes the zero-T forms at T = 0, the high-T ones above."""
-        t = self.temperature
-        regime = asy.Regime.ZERO_T if t == 0.0 else asy.Regime.HIGH_T
         return asy.coefficient_limits(
-            self.spectral_density, self.plus_frequency(), t, regime, self.model
+            self.spectral_density, self.plus_frequency(), self.temperature, self.model
         )
 
     def moment_coefficients(self):
@@ -382,10 +380,8 @@ class Scenario:
                               note=" for the RK4 integrator")
         n_modes = self.cfg.bath.n_modes
         if n_modes is not None:
-            ex.check_recurrence(
-                ev.t_max, 2.0 * math.pi * n_modes / sd.cutoff,
-                label="evolution.t_max", note=f" for bath.n_modes={n_modes}",
-            )
+            ex.check_recurrence(ev.t_max, self.bath().recurrence_time, label="evolution.t_max",
+                                note=f" for bath.n_modes={n_modes}")
 
         bath = self.bath(VALIDATE_MODES)
         t_val = 0.5 * ex.RECURRENCE_MARGIN * bath.recurrence_time

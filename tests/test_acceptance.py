@@ -123,8 +123,8 @@ def test_criterion_1_tms_negativity(announce):
 
 def test_criterion_2_fixed_points(announce):
     cases = []
-    for t_bath, regime in ((0.0, asy.Regime.ZERO_T), (10.0, asy.Regime.HIGH_T)):
-        c = asy.coefficient_limits(OHMIC, 1.0, t_bath, regime, "position")
+    for t_bath in (0.0, 10.0):
+        c = asy.coefficient_limits(OHMIC, 1.0, t_bath, "position")
         dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
         traj = mo.integrate(
             mo.vacuum_state(1.0, 1.0), c, 1.0, 1.0, 50.0 / c.gamma, sample_every=1000
@@ -135,7 +135,7 @@ def test_criterion_2_fixed_points(announce):
         assert abs(p2 - dp * dp) < 1e-8 * scale
         assert abs(xp) < 1e-8 * scale
         cases.append(f"position T={t_bath:g}")
-    cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, None, "symmetric")
+    cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
     dxs, dps = asy.equilibrium_dispersions_symmetric(cs, 1.0, 1.0)
     traj = mo.integrate(
         mo.vacuum_state(1.0, 1.0), cs, 1.0, 1.0, 50.0 / cs.gamma,
@@ -202,7 +202,7 @@ def test_criterion_4_fig3_reproduction(fig3, announce):
     expected = math.pi / drift.omega_minus
     assert period == pytest.approx(expected, rel=0.02)
     # measured mean and amplitude vs the perturbative asymptotics
-    c = asy.coefficient_limits(OHMIC, 1.0, 0.0, asy.Regime.ZERO_T, "position")
+    c = asy.coefficient_limits(OHMIC, 1.0, 0.0, "position")
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     cp = asy.critical_params(dx, dp, math.sqrt(0.5), math.sqrt(0.5), 1.0, 1.0)
     mean_pred, amp_pred = asy.mean_and_amplitude(2.0, cp.r_crit, cp.s_crit)
@@ -229,7 +229,7 @@ def test_criterion_5_sign_flip_phase_shift(fig3, announce):
     t = plus.times[sel]
     e_plus = plus.e_n[sel]
     e_minus_shifted = np.interp(t + shift, minus.times, minus.e_n)
-    c = asy.coefficient_limits(OHMIC, 1.0, 0.0, asy.Regime.ZERO_T, "position")
+    c = asy.coefficient_limits(OHMIC, 1.0, 0.0, "position")
     amp = abs(asy.r_crit_from_coefficients(c, 1.0))
     residual = float(np.abs(e_plus - e_minus_shifted).max())
     assert residual < 0.05 * amp

@@ -28,7 +28,7 @@ SUPER = SpectralDensity.super_ohmic(0.15, 20.0)
 # ---------------------------------------------------------------------------
 
 def test_ohmic_zero_t_equilibrium_frozen():
-    c = asy.coefficient_limits(OHMIC, 1.0, 0.0, asy.Regime.ZERO_T)
+    c = asy.coefficient_limits(OHMIC, 1.0, 0.0)
     assert c.gamma == pytest.approx(0.2)
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     assert dx * dx == pytest.approx(0.43633802276324, rel=1e-10)
@@ -40,7 +40,7 @@ def test_ohmic_zero_t_equilibrium_frozen():
 
 def test_high_t_equilibrium_is_classical():
     # D = 2 m gamma T dominates: dp^2 -> T, dx^2 -> T/omega^2 + O(gamma)
-    c = asy.coefficient_limits(OHMIC, 1.0, 10.0, asy.Regime.HIGH_T)
+    c = asy.coefficient_limits(OHMIC, 1.0, 10.0)
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     assert dp * dp == pytest.approx(10.0, rel=1e-12)
     assert dx * dx == pytest.approx(10.0, rel=2e-2)
@@ -48,7 +48,7 @@ def test_high_t_equilibrium_is_classical():
 
 def test_symmetric_coefficients_any_temperature():
     for t in (0.0, 0.3, 10.0):
-        c = asy.coefficient_limits(OHMIC, 1.0, t, None, "symmetric")
+        c = asy.coefficient_limits(OHMIC, 1.0, t, "symmetric")
         coth = 1.0 if t == 0 else 1.0 / math.tanh(1.0 / (2.0 * t))
         assert c.diffusion / c.gamma == pytest.approx(coth, rel=1e-12)
         dx, dp = asy.equilibrium_dispersions_symmetric(c, 1.0, 1.0)
@@ -60,14 +60,13 @@ def test_symmetric_coefficients_any_temperature():
 def test_untabulated_exponent_refused():
     odd = SpectralDensity(2.0, 0.1, 20.0)
     with pytest.raises(ValueError):
-        asy.coefficient_limits(odd, 1.0, 0.0, asy.Regime.ZERO_T)
+        asy.coefficient_limits(odd, 1.0, 0.0)
 
 
-def test_regime_temperature_consistency():
-    with pytest.raises(ValueError):
-        asy.coefficient_limits(OHMIC, 1.0, 1.0, asy.Regime.ZERO_T)
-    with pytest.raises(ValueError):
-        asy.coefficient_limits(OHMIC, 1.0, 0.0, asy.Regime.HIGH_T)
+def test_negative_temperature_refused():
+    for model in ("position", "symmetric"):
+        with pytest.raises(ValueError):
+            asy.coefficient_limits(OHMIC, 1.0, -1.0, model)
 
 
 # ---------------------------------------------------------------------------

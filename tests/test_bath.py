@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from entbath.bath import (
+    RECURRENCE_MARGIN,
     DiscreteBath,
     SpectralDensity,
     asymptotic_gamma,
@@ -17,6 +18,8 @@ from entbath.bath import (
     modes_for_window,
     thermal_bath_covariance,
 )
+from entbath.errors import RecurrenceWindowError
+from entbath.exact import check_recurrence
 
 SDS = [
     SpectralDensity.ohmic(0.1, 20.0),
@@ -133,3 +136,17 @@ def test_modes_for_window():
     assert 2.0 * math.pi * n / 20.0 * 0.8 >= 150.0
     assert 2.0 * math.pi * (n - 1) / 20.0 * 0.8 < 150.0
     assert modes_for_window(20.0, 1e-3) == 1
+
+
+@pytest.mark.parametrize("cutoff", [20.0, 7.0, 13.3, 50.0])
+def test_window_sized_bath_passes_the_recurrence_guard(cutoff):
+    # windows t_max = k 2 pi margin / cutoff sit on the sizing's boundary,
+    # where its estimate and the guard round differently
+    sd = SpectralDensity.ohmic(0.1, cutoff)
+    for k in range(1, 3000):
+        t_max = k * 2.0 * math.pi * RECURRENCE_MARGIN / cutoff
+        n = modes_for_window(cutoff, t_max)
+        check_recurrence(t_max, discretize(sd, n).recurrence_time)
+        if n > 1:
+            with pytest.raises(RecurrenceWindowError):
+                check_recurrence(t_max, discretize(sd, n - 1).recurrence_time)

@@ -375,9 +375,7 @@ def test_master_equation_taken_at_omega_plus(cfg_file, tmp_path):
     assert main(["asymptotics", cfg_file, *sets, "--out", str(asy_json)]) == 0
     assert main(["moments", cfg_file, *sets, "--out", str(mom_csv)]) == 0
     omega_plus = 1.2 ** 0.5
-    coeffs = asy.coefficient_limits(
-        SpectralDensity(1.0, 0.1, 20.0), omega_plus, 0.0, asy.Regime.ZERO_T
-    )
+    coeffs = asy.coefficient_limits(SpectralDensity(1.0, 0.1, 20.0), omega_plus, 0.0)
     doc = json.loads(asy_json.read_text())
     assert doc["coefficients"] == pytest.approx(
         {"gamma": coeffs.gamma, "diffusion": coeffs.diffusion,

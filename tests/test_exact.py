@@ -380,7 +380,7 @@ def test_drift_factorized_once_per_kind(monkeypatch):
     original = ex.normal_modes
 
     def wrapper(drift):
-        calls.append(drift.model)
+        calls.append(drift)
         return original(drift)
 
     monkeypatch.setattr(ex, "normal_modes", wrapper)
@@ -391,13 +391,13 @@ def test_drift_factorized_once_per_kind(monkeypatch):
         separable_squeezed(-0.5),
         basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL),
     )
-    for build in (ex.build_position_model, ex.build_symmetric_model):
-        drift = build(OSC, bath)
+    drifts = [build(OSC, bath) for build in (ex.build_position_model, ex.build_symmetric_model)]
+    for drift in drifts:
         for v_sys in states:
             ex.negativity_trace(v_sys, drift, cfg)
         for v_sys in states:
             ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
-    assert calls == ["position", "symmetric"]
+    assert len(calls) == len(drifts) and all(c is d for c, d in zip(calls, drifts))
 
 
 @pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
@@ -458,17 +458,35 @@ def test_reduced_channel_matches_propagator(build, osc, temperature):
             assert np.abs(block[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _hand_built_drift(h: np.ndarray, bath) -> ex.DriftMatrix:
+def test_drift_is_its_hamiltonian_and_bath(monkeypatch):
+    from dataclasses import fields
+
     from entbath.gaussian import symplectic_form
 
-    return ex.DriftMatrix(symplectic_form(h.shape[0]) @ h, h, bath, "position", 1.0, 1.0)
+    assert [f.name for f in fields(ex.DriftMatrix)] == ["hamiltonian", "bath"]
+    bath = discretize(OHMIC, 8)
+    h = np.array(ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
+                 .hamiltonian)
+    h[0, 0] += 0.3  # an unequal, hand-made block: the minus pair is not free
+    drift = ex.DriftMatrix(h, bath)
+    assert (drift.m_minus, drift.omega_minus) == ex.mode_scales(h[:4, :4])
+    assert drift.dim == 20
+    assert np.array_equal(drift.k, symplectic_form(20) @ h)
+    assert not drift.hamiltonian.flags.writeable
+    # a built drift works its minus scales out once, for itself and its modes
+    calls = []
+    original = ex.mode_scales
+    monkeypatch.setattr(ex, "mode_scales", lambda *a: calls.append(a) or original(*a))
+    drift = ex.build_position_model(OSC, bath)
+    assert drift.normal_modes.minus == (drift.m_minus, drift.omega_minus)
+    assert len(calls) == 1
 
 
 def test_real_modes_refuse_xp_coupling():
     bath = discretize(OHMIC, 8)
     h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
     h[0, 5] = h[5, 0] = 0.05  # x1 coupled to the first bath momentum
-    drift = _hand_built_drift(h, bath)
+    drift = ex.DriftMatrix(h, bath)
     with pytest.raises(ValueError, match="x-p"):
         ex.normal_modes(drift)
     with pytest.raises(ValueError, match="x-p"):
@@ -480,7 +498,7 @@ def test_real_modes_refuse_indefinite_momentum_block():
     h = np.array(ex.build_position_model(OSC, bath).hamiltonian)
     h[1, 3] = h[3, 1] = 2.0  # p1 p2 coupling beyond 1/m: B is indefinite
     with pytest.raises(UnstableHamiltonianError, match="momentum block"):
-        ex.normal_modes(_hand_built_drift(h, bath))
+        ex.normal_modes(ex.DriftMatrix(h, bath))
 
 
 def test_real_modes_refuse_non_diagonal_bath_momentum_block():
@@ -488,7 +506,7 @@ def test_real_modes_refuse_non_diagonal_bath_momentum_block():
     h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
     h[5, 7] = h[7, 5] = 0.01  # pi1 pi2 coupling: the arrowhead factor does not apply
     with pytest.raises(ValueError, match="diagonal bath momentum block"):
-        ex.normal_modes(_hand_built_drift(h, bath))
+        ex.normal_modes(ex.DriftMatrix(h, bath))
 
 
 def _dense_normal_modes(drift):
@@ -579,7 +597,7 @@ def _eigh_position_modes(drift):
     lw = np.sqrt(np.diagonal(h)[1::2])
     w_sq, u = np.linalg.eigh(lw[:, None] * h[0::2, 0::2] * lw)
     return ex.NormalModes(np.sqrt(w_sq), lw[:, None] * u, (u / lw[:, None]).T,
-                          ex._free_minus(h))
+                          ex._free_minus(drift))
 
 
 def _secular_sizes(monkeypatch):
@@ -704,7 +722,7 @@ def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
         (ex.build_position_model(OscillatorParams(1.3, 3.0, 3.0, 0.2), bath,
                                  renormalize=False), 1),
         (ex.build_symmetric_model(OSC, bath), 0),
-        (_hand_built_drift(unequal, bath), 0),
+        (ex.DriftMatrix(unequal, bath), 0),
     ]
     t = 0.7 * bath.recurrence_time
     for drift, solves in cases:
@@ -728,7 +746,7 @@ def test_secular_modes_refuse_an_indefinite_stiffness():
     pole[4, 4] = 0.0  # a bath oscillator without stiffness
     for h in (plus, minus, pole):
         with pytest.raises(UnstableHamiltonianError, match="frequency"):
-            ex.normal_modes(_hand_built_drift(h, bath))
+            ex.normal_modes(ex.DriftMatrix(h, bath))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +788,8 @@ def test_free_minus_pair_is_decided_from_the_hamiltonian():
     base = ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
     scales = ex.mode_scales(base.hamiltonian[:4, :4])
     assert scales[0] > 2.0  # the renormalized block: far from the 1.0 passed below
-    # a resonant block, hand-built with arbitrary minus scales, still
-    # rotates its minus pair at the block's scales
-    drift = _hand_built_drift(np.array(base.hamiltonian), bath)
+    # a resonant block, hand-built, rotates its minus pair at the block's scales
+    drift = ex.DriftMatrix(np.array(base.hamiltonian), bath)
     assert drift.normal_modes.minus == scales
     for v in states:
         tr = ex.negativity_trace(v, drift, cfg)
@@ -784,7 +801,7 @@ def test_free_minus_pair_is_decided_from_the_hamiltonian():
     h = np.array(base.hamiltonian)
     h[2, 4::2] *= 0.5
     h[4::2, 2] *= 0.5
-    drift = _hand_built_drift(h, bath)
+    drift = ex.DriftMatrix(h, bath)
     assert drift.normal_modes.minus is None
     blocks = [drift.reduced_channel(times).blocks(v) for v in states]
     v0s = [ex.initial_covariance(v, bath).matrix for v in states]
@@ -844,7 +861,7 @@ def test_channel_multiplies_the_sampled_rows_only(osc, rows):
     assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
 
 
-def _loop_built(drift, osc, renormalize):
+def _loop_built(drift, osc, renormalize, symmetric):
     # the element-by-element construction the vectorized builders replaced
     from entbath.gaussian import symplectic_form
 
@@ -863,7 +880,7 @@ def _loop_built(drift, osc, renormalize):
         c = bath.couplings[k]
         h[0, iq] = h[iq, 0] = c
         h[2, iq] = h[iq, 2] = c
-        if drift.model == "symmetric":
+        if symmetric:
             cp = c / (osc.m * w_bare * bath.masses[k] * bath.frequencies[k])
             h[1, ip] = h[ip, 1] = cp
             h[3, ip] = h[ip, 3] = cp
@@ -882,7 +899,7 @@ def test_vectorized_build_is_bit_identical(n_modes):
         ]
         for build, osc, renormalize in cases:
             drift = build(osc, bath, renormalize=renormalize)
-            h, k = _loop_built(drift, osc, renormalize)
+            h, k = _loop_built(drift, osc, renormalize, build is ex.build_symmetric_model)
             assert np.array_equal(drift.hamiltonian, h)
             assert np.array_equal(drift.k, k)
 

@@ -30,8 +30,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def position_coeffs(t=0.0):
-    regime = asy.Regime.ZERO_T if t == 0.0 else asy.Regime.HIGH_T
-    return asy.coefficient_limits(OHMIC, 1.0, t, regime, "position")
+    return asy.coefficient_limits(OHMIC, 1.0, t, "position")
 
 
 def test_vacuum_state_physical():
@@ -59,7 +58,7 @@ def test_position_fixed_point_is_stationary():
 
 
 def test_symmetric_fixed_point_is_stationary():
-    c = asy.coefficient_limits(OHMIC, 1.0, 0.3, None, "symmetric")
+    c = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
     dx, dp = asy.equilibrium_dispersions_symmetric(c, 1.0, 1.0)
     s = mo.MomentState(dx * dx, dp * dp, 0.0, 0.5, 0.5, 0.0)
     x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, dt=0.005, model="symmetric").plus[-1]
@@ -188,7 +187,7 @@ def test_integrate_equals_chained_steps(model, tabulated):
         table = [asy.PositionCoefficients(0.1, 0.2, 0.0),
                  asy.PositionCoefficients(0.3, 0.4, 0.1)]
     else:
-        coeffs = asy.coefficient_limits(OHMIC, 1.0, 0.3, None, "symmetric")
+        coeffs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
         table = [asy.SymmetricCoefficients(0.1, 0.2), asy.SymmetricCoefficients(0.2, 0.3)]
     omega = 0.9
     if tabulated:
