@@ -12,8 +12,11 @@ coupling models leave H without x-p cross terms, H = x^T K x / 2 + p^T B p
 drift and cached on it.  The factor of the momentum block B costs O(N^2),
 because B is an arrowhead: two system rows beside a diagonal bath block.
 For position coupling the mass-weighted stiffness is an arrowhead too, and
-its modes solve a secular equation in O(N^2) time and memory; the
-symmetric model takes one real symmetric eigensolve of size N+2.  The
+its modes solve a secular equation in O(N^2) time and memory.  So do the
+symmetric model's at c12 = c12_tilde, where the plus oscillator meets the
+bath through a beam splitter and its frequencies are the eigenvalues of a
+first-order arrowhead; any other H takes one real symmetric eigensolve of
+size N+2.  The
 reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N
 do not depend on the system state; the drift keeps the channel of its
 latest sampling plan, so each further state costs one 4x4 congruence per
@@ -312,12 +315,13 @@ class NormalModes:
     """Real normal modes of H = x^T K x / 2 + p^T B p / 2.
 
     Positions are ordered (x1, x2, q1, ..., qN) and momenta (p1, p2, pi1,
-    ..., piN).  With B = L L^T and L^T K L = U diag(omega^2) U^T (U
-    orthogonal), the coordinates Q = W x and P = A^T p, with A = L U and
-    W = U^T L^-1, rotate freely, each at its omega, and x = A Q, p = W^T P:
-    the exact normal modes of a linear bath (Ullersma, Physica 32, 27
-    (1966)).  For position coupling L = M^(-1/2).  ``minus`` is the
-    (mass, frequency) of a minus pair that H leaves free, else None.
+    ..., piN), and ``omega`` ascends.  The coordinates Q = W x and P = A^T p
+    rotate freely, each at its omega, and x = A Q, p = W^T P, so W A = I,
+    A A^T = B and K A = W^T diag(omega^2): the exact normal modes of a
+    linear bath (Ullersma, Physica 32, 27 (1966)).  With B = L L^T and
+    L^T K L = U diag(omega^2) U^T (U orthogonal), A = L U and W = U^T L^-1;
+    for position coupling L = M^(-1/2).  ``minus`` is the (mass, frequency)
+    of a minus pair that H leaves free, else None.
     """
 
     omega: np.ndarray
@@ -410,8 +414,9 @@ def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
-    """Real normal modes in O(N^2) when H couples through positions only,
-    else one real symmetric eigh of size N+2 around an O(N^2) factor.
+    """Real normal modes in O(N^2) when H couples through positions only or
+    through a beam splitter, else one real symmetric eigh of size N+2
+    around an O(N^2) factor.
 
     The momentum block is an arrowhead, B = [[B_ss, C], [C^T, D]] with D
     diagonal, so with the 2x2 Schur complement S = B_ss - C D^-1 C^T the
@@ -422,9 +427,14 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     through the same mass-weighted vector.  In the mass-weighted
     (x+, x-, bath) coordinates only x+ touches the bath, and x- touches
     x+ alone, so L^T K L is an arrowhead with tip x+: its modes solve a
-    secular equation (``_arrowhead_eigh``).  Any other H (the symmetric
-    model, hand-built ones) forms L^T K L, A = L U and W = U^T L^-1 with row
-    and column scalings plus n x 2 by 2 x n products, around one ``eigh``.
+    secular equation (``_arrowhead_eigh``).  The symmetric model at
+    c12 = c12_tilde (decided from H too, ``_beam_scales``) couples its
+    plus oscillator to each bath mode through a beam splitter, so its
+    frequencies are the eigenvalues of a first-order arrowhead solved the
+    same way (``_beam_splitter_modes``).  Any other H (the symmetric model
+    at c12 != c12_tilde, hand-built ones) forms L^T K L, A = L U and
+    W = U^T L^-1 with row and column scalings plus n x 2 by 2 x n products,
+    around one ``eigh``.
 
     Whether the minus pair is free is decided here too (``_free_minus``).
     Refuses a Hamiltonian with x-p cross terms or a non-diagonal bath
@@ -453,15 +463,74 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
         ) from err
     root = np.sqrt(d)
     l_sys = np.diagonal(low)
+    bath_diagonal = np.count_nonzero(k[2:, 2:]) == np.count_nonzero(np.diagonal(k)[2:])
     if (
-        not np.any(c) and low[1, 0] == 0.0
-        and np.count_nonzero(k[2:, 2:]) == np.count_nonzero(np.diagonal(k)[2:])
+        not np.any(c) and low[1, 0] == 0.0 and bath_diagonal
         and np.array_equal(l_sys[0] * k[0, 2:], l_sys[1] * k[1, 2:])
     ):
         w_sq, a, w = _position_modes(k, np.concatenate([l_sys, root]), d)
+    elif bath_diagonal and (scales := _beam_scales(drift)) is not None:
+        return NormalModes(*_beam_splitter_modes(k, b, *scales), scales[1])
     else:
         w_sq, a, w = _factored_modes(k, low, c, root)
     return NormalModes(np.sqrt(w_sq), a, w, _free_minus(drift))
+
+
+def _beam_scales(drift: DriftMatrix):
+    """((m+, omega+), (m-, omega-)) if H is a free minus pair beside a plus
+    oscillator that meets each bath mode through a beam splitter, else None.
+
+    The free pair (``_free_minus``) has equal x1/x2 and p1/p2 bath rows.
+    The plus-bath terms sqrt(2) (c_k x+ q_k + cp_k p+ pi_k) conserve quanta
+    when cp_k m+ omega+ m_k omega_k = c_k (no a+ b_k or a+^dag b_k^dag
+    terms), which is checked to 8 eps relative, with m_k omega_k =
+    sqrt(K_kk / B_kk).  An x+, x- or bath mode without stiffness is left
+    to the eigh route, which refuses it.
+    """
+    h = drift.hamiltonian
+    k_bath, b_bath = np.diagonal(h)[4::2], np.diagonal(h)[5::2]
+    # x+ and x- have stiffness K11 +- K12 once K11 = K22 (a free pair)
+    if h[0, 0] <= abs(h[0, 2]) or k_bath.min() <= 0.0 or (minus := _free_minus(drift)) is None:
+        return None
+    plus = mode_scales(h[:4, :4], +1.0)
+    c, cp = h[0, 4::2], h[1, 5::2]
+    mw = plus[0] * plus[1] * np.sqrt(k_bath / b_bath)
+    if not np.all(np.abs(cp * mw - c) <= 8.0 * _EPS * np.abs(c)):
+        return None
+    return plus, minus
+
+
+def _beam_splitter_modes(k, b, plus, minus):
+    """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
+
+    In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
+    omega_i) of (x+, bath), H = (X^T M X + P^T M P) / 2 with the
+    first-order arrowhead M = [[omega+, g], [g, diag omega_k]], g_k =
+    sqrt(2) c_k / sqrt(m+ omega+ m_k omega_k), so M = U diag(lam) U^T
+    (``_arrowhead_eigh``) gives the frequencies lam and A_ij = u_ij
+    sqrt(lam_j / (m_i omega_i)), W^T_ij = u_ij sqrt(m_i omega_i / lam_j).
+    The x+ row lands on x1 and x2 at 1/sqrt(2); the free minus pair adds
+    the column (1/sqrt(m-), sqrt(m-)) on x- = (x1 - x2)/sqrt(2).
+    """
+    m_minus, omega_minus = minus
+    k_bath, b_bath = np.diagonal(k)[2:], np.diagonal(b)[2:]
+    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], np.sqrt(k_bath / b_bath)]))
+    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * k[0, 2:] / (root_mw[0] * root_mw[1:]),
+                             np.sqrt(k_bath * b_bath))
+    u[0] *= math.sqrt(0.5)
+    at = int(np.searchsorted(lam, omega_minus))
+    root_lam = np.sqrt(lam)
+    a, wt = np.empty((len(k), len(k))), np.empty((len(k), len(k)))
+    for dst, src in ((slice(None, at), slice(None, at)), (slice(at + 1, None), slice(at, None))):
+        np.multiply(u[:, src], root_lam[src], out=a[1:, dst])
+        np.divide(u[:, src], root_lam[src], out=wt[1:, dst])
+    a[:, at] = wt[:, at] = 0.0
+    a[1:] /= root_mw[:, None]
+    wt[1:] *= root_mw[:, None]
+    a[0], wt[0] = a[1], wt[1]
+    a[0, at], wt[0, at] = math.sqrt(0.5 / m_minus), math.sqrt(0.5 * m_minus)
+    a[1, at], wt[1, at] = -a[0, at], -wt[0, at]
+    return np.insert(lam, at, omega_minus), a, wt.T
 
 
 def _factored_modes(k, low, c, root):
@@ -537,7 +606,8 @@ def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
     n = len(poles)
     if poles.min() <= 0.0:
         raise UnstableHamiltonianError(
-            f"normal-mode frequency^2 {poles.min():.3e} <= 0; no normal-mode form"
+            f"arrowhead pole {poles.min():.3e} <= 0: an uncoupled mode without a positive "
+            "frequency; no normal-mode form"
         )
     border = border.copy()
     tol = 8.0 * _EPS * max(abs(alpha), float(poles.max()), math.sqrt(border @ border))
@@ -559,8 +629,8 @@ def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
     z0_sq = alpha - float(np.sum(b2 / p))
     if z0_sq <= 0.0:
         raise UnstableHamiltonianError(
-            f"normal-mode frequency^2 <= 0 (stiffness Schur complement {z0_sq:.3e}); "
-            "no normal-mode form"
+            f"arrowhead Schur complement {z0_sq:.3e} <= 0: the lowest normal-mode "
+            "frequency is not positive; no normal-mode form"
         )
     pole = np.concatenate([[0.0], p])
     origin, tau = _secular_roots(pole, np.concatenate([[z0_sq], b2 / p]))
@@ -776,12 +846,6 @@ def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
     """The RK4 step matrix raised to the sample stride, after the step refusal."""
     check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
     return np.linalg.matrix_power(_rk4_step(drift.k, cfg.dt), cfg.sample_stride)
-
-
-def reduce_to_system(v_full: CovarianceMatrix) -> CovarianceMatrix:
-    """Partial trace over the bath: the leading 4x4 block."""
-    v_full.require(Ordering.FULL)
-    return CovarianceMatrix(v_full.matrix[:4, :4], Ordering.PHYSICAL)
 
 
 # ---------------------------------------------------------------------------

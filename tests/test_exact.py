@@ -220,6 +220,12 @@ def test_rk4_is_fourth_order():
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.25)
 
 
+def _reduce_to_system(v_full):
+    # partial trace over the bath: the leading 4x4 block
+    v_full.require(Ordering.FULL)
+    return CovarianceMatrix(v_full.matrix[:4, :4], Ordering.PHYSICAL)
+
+
 def test_rk4_trace_reads_its_channel():
     bath, drift = small_setup(16, temperature=0.3)
     v_sys = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)
@@ -230,7 +236,7 @@ def test_rk4_trace_reads_its_channel():
     np.testing.assert_allclose(tr_rk.e_n, tr_nm.e_n, rtol=0, atol=1e-7)
     # the same channel read out of evolve's RK4 covariances
     _, series = ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg_rk)
-    blocks = np.array([ex.reduce_to_system(v).matrix for v in series])
+    blocks = np.array([_reduce_to_system(v).matrix for v in series])
     readout = ex._trace_from_blocks(tr_rk.times, blocks)
     for name in ("e_n", "dx_plus_sq", "dp_plus_sq", "dx_minus_sq", "dp_minus_sq", "xp_plus"):
         np.testing.assert_allclose(getattr(tr_rk, name), getattr(readout, name),
@@ -284,7 +290,7 @@ def test_fast_path_matches_full_reduction():
     tr = ex.negativity_trace(v_sys, drift, cfg)
     _, series = ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg)
     for i, v in enumerate(series):
-        reduced = ex.reduce_to_system(v)
+        reduced = _reduce_to_system(v)
         nm = basis_change(reduced, Ordering.NORMAL).matrix
         assert tr.dx_plus_sq[i] == pytest.approx(nm[0, 0], abs=1e-11)
         assert tr.dp_plus_sq[i] == pytest.approx(nm[1, 1], abs=1e-11)
@@ -538,11 +544,7 @@ def test_arrowhead_factor_matches_dense_cholesky(build, osc, n_modes):
     for t in (0.0, 7.3, 0.7 * bath.recurrence_time):
         got, ref = modes.propagator(t)[:4], dense.propagator(t)[:4]
         assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-    # K A = W^T Omega^2 and W A = I, with K and B the position and momentum blocks
-    k, b = drift.hamiltonian[0::2, 0::2], drift.hamiltonian[1::2, 1::2]
-    assert np.abs(k @ modes.a - modes.w.T * modes.omega**2).max() <= 1e-14 * np.abs(k).max()
-    assert np.abs(modes.w @ modes.a - np.eye(n_modes + 2)).max() <= 1e-13
-    assert np.abs(modes.a @ modes.a.T - b).max() <= 1e-13 * np.abs(b).max()
+    _assert_normal_mode_identities(drift, modes)
     if n_modes == 8:
         from scipy.linalg import expm
 
@@ -551,11 +553,61 @@ def test_arrowhead_factor_matches_dense_cholesky(build, osc, n_modes):
         assert np.abs(modes.propagator(t) - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
 
 
-@pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
-def test_normal_modes_make_one_cubic_call(build, monkeypatch):
-    # position modes are O(N^2): no eigh, and every np.linalg call inside
-    # exact factors a 2x2 matrix; the symmetric factor is O(N^2) around
-    # one eigh of size N+2
+def _assert_normal_mode_identities(drift, modes):
+    # K A = W^T Omega^2, W A = I and A A^T = B, with K and B the position
+    # and momentum blocks
+    k, b = drift.hamiltonian[0::2, 0::2], drift.hamiltonian[1::2, 1::2]
+    assert np.abs(k @ modes.a - modes.w.T * modes.omega**2).max() <= 1e-14 * np.abs(k).max()
+    assert np.abs(modes.w @ modes.a - np.eye(len(k))).max() <= 1e-13
+    assert np.abs(modes.a @ modes.a.T - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def _factored_oracle(drift):
+    # the eigh route, called directly: the reference for the drifts it no
+    # longer serves
+    h = drift.hamiltonian
+    k, b = h[0::2, 0::2], h[1::2, 1::2]
+    c, d = b[:2, 2:], np.diagonal(b)[2:]
+    low = np.linalg.cholesky(b[:2, :2] - (c / d) @ c.T)
+    w_sq, a, w = ex._factored_modes(k, low, c, np.sqrt(d))
+    return ex.NormalModes(np.sqrt(w_sq), a, w, ex._free_minus(drift))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("exponent", [0.5, 3.0])
+def test_beam_splitter_modes_match_the_eigh_route(exponent, temperature):
+    # the shipped symmetric config (c12 = c12_tilde) at its trace plan,
+    # N = 597, against the eigh route.  That route's omega^2 is good to
+    # ~eps ||M||, so its slow modes carry the larger error (its noise is
+    # 4.1e-12 off at n = 0.5, T = 1) and frequencies are compared against
+    # the top one; test_secular_frequencies_match_mpmath holds the
+    # arrowhead's to 1e-14
+    from entbath.bath import thermal_bath_variances
+
+    bath = discretize(SpectralDensity(exponent, 0.1, 20.0), 597, temperature)
+    drift = ex.build_symmetric_model(OSC, bath)
+    assert ex._beam_scales(drift) is not None
+    modes, ref = ex.normal_modes(drift), _factored_oracle(drift)
+    assert np.all(np.diff(modes.omega) >= 0.0)
+    assert np.abs(modes.omega - ref.omega).max() <= 1e-11 * ref.omega[-1]
+    times = ex.EvolutionConfig(150.0, 0.02, 10).sample_times()
+    variances = thermal_bath_variances(bath)
+    got, want = (m.reduced_channel(variances, times) for m in (modes, ref))
+    assert np.abs(got.z - want.z).max() <= 1e-11
+    assert np.abs(got.noise - want.noise).max() <= 1e-11
+    _assert_normal_mode_identities(drift, modes)
+
+
+@pytest.mark.parametrize("build, osc, eighs", [
+    (POSITION, OscillatorParams(1.0, 1.0, 1.0, 0.1), 0),
+    (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.1, 0.1), 0),
+    (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.1, 0.05), 1),
+], ids=["position", "symmetric", "symmetric-c12-ne-c12-tilde"])
+def test_normal_modes_make_one_cubic_call(build, osc, eighs, monkeypatch):
+    # position modes and the symmetric model's at c12 = c12_tilde are
+    # O(N^2): no eigh, and every np.linalg call inside exact factors a 2x2
+    # matrix; at c12 != c12_tilde the factor is O(N^2) around one eigh of
+    # size N+2
     calls = []
 
     class Linalg:
@@ -576,15 +628,17 @@ def test_normal_modes_make_one_cubic_call(build, monkeypatch):
             return getattr(np, name)
 
     n_modes = 40
-    drift = build(OscillatorParams(1.0, 1.0, 1.0, 0.1, 0.1 if build is SYMMETRIC else 0.0),
-                  discretize(OHMIC, n_modes))
+    drifts = [build(osc, discretize(SpectralDensity(exponent, 0.1, 20.0), n_modes, temperature))
+              for exponent in (0.5, 1.0, 3.0) for temperature in (0.0, 1.0)]
     monkeypatch.setattr(ex, "np", Numpy())
-    ex.normal_modes(drift)
-    eighs = [shapes for name, shapes in calls if name == "eigh"]
-    assert eighs == ([[(n_modes + 2, n_modes + 2)]] if build is SYMMETRIC else [])
-    others = [(name, shapes) for name, shapes in calls if name != "eigh"]
-    assert {name for name, _ in others} <= {"cholesky", "solve"}
-    assert all(shapes[0] == (2, 2) for _, shapes in others), others
+    for drift in drifts:
+        calls.clear()
+        ex.normal_modes(drift)
+        eigh_shapes = [shapes for name, shapes in calls if name == "eigh"]
+        assert eigh_shapes == [[(n_modes + 2, n_modes + 2)]] * eighs
+        others = [(name, shapes) for name, shapes in calls if name != "eigh"]
+        assert {name for name, _ in others} <= {"cholesky", "solve"}
+        assert all(shapes[0] == (2, 2) for _, shapes in others), others
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +672,14 @@ def test_secular_frequencies_match_mpmath(exponent):
     import mpmath
 
     mpmath.mp.dps = 40
-    for osc in (OSC, OscillatorParams(1.0, 1.05, 0.95, 0.1)):
-        drift = ex.build_position_model(osc, discretize(SpectralDensity(exponent, 0.1, 20.0), 24))
+    bath = discretize(SpectralDensity(exponent, 0.1, 20.0), 24)
+    # position coupling, and the symmetric model's beam splitter
+    for drift in (ex.build_position_model(OSC, bath),
+                  ex.build_position_model(OscillatorParams(1.0, 1.05, 0.95, 0.1), bath),
+                  ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)):
         h = drift.hamiltonian
-        lw = [mpmath.sqrt(mpmath.mpf(float(v))) for v in np.diagonal(h)[1::2]]
-        k = h[0::2, 0::2]
-        m = mpmath.matrix([[lw[i] * mpmath.mpf(float(k[i, j])) * lw[j] for j in range(26)]
-                           for i in range(26)])
+        low = mpmath.cholesky(mpmath.matrix(h[1::2, 1::2].tolist()))
+        m = low.T * mpmath.matrix(h[0::2, 0::2].tolist()) * low
         ref = np.array(sorted(float(mpmath.sqrt(v)) for v in mpmath.eigsy(m, eigvals_only=True)))
         assert np.abs(ex.normal_modes(drift).omega / ref - 1.0).max() <= 1e-14
 
@@ -707,22 +762,30 @@ def test_arrowhead_eigh_is_an_orthonormal_eigenbasis(case):
 
 
 def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
-    # every position-builder drift is solved by the secular equation; a
-    # symmetric drift and a hand-built H whose x2 couples at half strength
-    # keep the eigh route, and all of them match exp(Kt)
+    # every position-builder drift, and a symmetric one at c12 = c12_tilde,
+    # is solved by the secular equation; a symmetric drift at c12 !=
+    # c12_tilde, a hand-built H whose x2 couples at half strength and one
+    # whose momentum couplings miss the beam splitter by 1e-9 keep the eigh
+    # route, and all of them match exp(Kt)
     from scipy.linalg import expm
 
     bath = discretize(OHMIC, 24, 0.5)
     unequal = np.array(ex.build_position_model(OSC, bath).hamiltonian)
     unequal[2, 4::2] *= 0.5
     unequal[4::2, 2] *= 0.5
+    off_beam = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
+    for row in (1, 3):
+        off_beam[row, 5::2] *= 1.0 + 1e-9
+        off_beam[5::2, row] *= 1.0 + 1e-9
     cases = [
         (ex.build_position_model(OSC, bath), 1),
         (ex.build_position_model(OscillatorParams(1.0, 1.05, 0.95, 0.1), bath), 1),
         (ex.build_position_model(OscillatorParams(1.3, 3.0, 3.0, 0.2), bath,
                                  renormalize=False), 1),
-        (ex.build_symmetric_model(OSC, bath), 0),
+        (ex.build_symmetric_model(OSC, bath), 1),
+        (ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.1), bath), 0),
         (ex.DriftMatrix(unequal, bath), 0),
+        (ex.DriftMatrix(off_beam, bath), 0),
     ]
     t = 0.7 * bath.recurrence_time
     for drift, solves in cases:
@@ -747,6 +810,21 @@ def test_secular_modes_refuse_an_indefinite_stiffness():
     for h in (plus, minus, pole):
         with pytest.raises(UnstableHamiltonianError, match="frequency"):
             ex.normal_modes(ex.DriftMatrix(h, bath))
+    # a beam-form H whose x+ stiffness k+ lies below its counterterm s+:
+    # the momentum couplings are rescaled so that it keeps the beam form,
+    # which makes the plus Schur complement of B b+ (1 - s+ / k+) < 0, so
+    # the momentum block refuses it before the arrowhead is formed
+    beam = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
+    c, k_bath, b_bath = beam[0, 4::2], np.diagonal(beam)[4::2], np.diagonal(beam)[5::2]
+    beam[0, 2] = beam[2, 0] = 0.0
+    beam[0, 0] = beam[2, 2] = 0.5 * np.sum(2.0 * c**2 / k_bath)
+    m_plus, omega_plus = ex.mode_scales(beam[:4, :4], +1.0)
+    cp = c / (m_plus * omega_plus * np.sqrt(k_bath / b_bath))
+    beam[1, 5::2] = beam[5::2, 1] = beam[3, 5::2] = beam[5::2, 3] = cp
+    drift = ex.DriftMatrix(beam, bath)
+    assert ex._beam_scales(drift) is not None
+    with pytest.raises(UnstableHamiltonianError, match="momentum block"):
+        ex.normal_modes(drift)
 
 
 # ---------------------------------------------------------------------------
