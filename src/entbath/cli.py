@@ -11,12 +11,15 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .config import RunConfig, canonical_dict, canonical_json, config_hash, load_config
+from .config import RunConfig, canonical_json, json_hash, load_config
 from .errors import (
     ConfigError,
     NumericalError,
@@ -36,15 +39,13 @@ EXIT_NUMERICAL = 4
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _header_lines(cfg: RunConfig) -> list[str]:
-    return [
-        f"entbath {__version__}",
-        f"config_sha256 {config_hash(cfg)}",
-        f"config {canonical_json(cfg)}",
-    ]
+def _echo(cfg: RunConfig) -> tuple[str, str]:
+    """The config's canonical JSON and its sha256, computed once per artifact."""
+    canonical = canonical_json(cfg)
+    return canonical, json_hash(canonical)
 
 
-def _warn_on_hash_change(path: str | None, cfg: RunConfig) -> None:
+def _warn_on_hash_change(path: str | None, digest: str) -> None:
     if path is None or not os.path.exists(path):
         return
     try:
@@ -52,7 +53,6 @@ def _warn_on_hash_change(path: str | None, cfg: RunConfig) -> None:
             head = fh.read(4096)
     except OSError:
         return
-    digest = config_hash(cfg)
     if "config_sha256" in head and digest not in head:
         print(
             f"warning: overwriting {path} produced by a different config",
@@ -60,30 +60,36 @@ def _warn_on_hash_change(path: str | None, cfg: RunConfig) -> None:
         )
 
 
+def _cells(column) -> list:
+    """One CSV column: strings as given, numbers as shortest round-trip floats."""
+    if len(column) and isinstance(column[0], str):
+        return list(column)
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+
+
 def write_csv(path: str, cfg: RunConfig, names: list[str], columns: list) -> None:
     """Deterministic CSV: shortest round-trip floats, config echo header."""
-    _warn_on_hash_change(path, cfg)
-    lines = [f"# {h}" for h in _header_lines(cfg)]
-    lines.append(",".join(names))
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    canonical, digest = _echo(cfg)
+    _warn_on_hash_change(path, digest)
+    lines = [
+        f"# entbath {__version__}",
+        f"# config_sha256 {digest}",
+        f"# config {canonical}",
+        ",".join(names),
+        *map(",".join, zip(*map(_cells, columns))),
+    ]
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
 def write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
-    _warn_on_hash_change(path, cfg)
+    canonical, digest = _echo(cfg)
+    _warn_on_hash_change(path, digest)
     doc = {
         "artifact_version": __version__,
-        "config_sha256": config_hash(cfg),
-        "config": canonical_dict(cfg),
+        "config_sha256": digest,
+        "config": json.loads(canonical),
         **payload,
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -136,7 +142,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on a process's first ``main`` and reused."""
     ap = argparse.ArgumentParser(
         prog="entbath",
         description="Entanglement dynamics of two oscillators in a common bath",

@@ -17,7 +17,9 @@ Every route returns columns or a payload; writing them is the CLI's job.
 
 from __future__ import annotations
 
+import functools
 import math
+
 import numpy as np
 
 from . import asymptotics as asy
@@ -126,7 +128,11 @@ class Scenario:
         """
         if drift is not None:
             return drift.m_minus, drift.m_minus, drift.omega_minus
-        return (self.mass, *self._configured_mode(-1.0))
+        return (self.mass, *self._configured_minus)
+
+    @functools.cached_property
+    def _configured_minus(self) -> tuple[float, float]:
+        return self._configured_mode(-1.0)
 
     def _configured_mode(self, sign: float) -> tuple[float, float]:
         """``exact.mode_scales`` of the system block as configured."""
@@ -143,8 +149,13 @@ class Scenario:
         plus mode at or above the cutoff has no damped equilibrium.
         omega+ is the x+ frequency of the configured block,
         sqrt((omega1^2 + omega2^2)/2 + c12), for position coupling and
-        omega1 for the symmetric model.
+        omega1 for the symmetric model.  It is decided once per scenario;
+        a refusal is not kept, so every call raises it again.
         """
+        return self._omega_plus
+
+    @functools.cached_property
+    def _omega_plus(self) -> float:
         sy = self.cfg.system
         if not self.oscillator.resonant:
             raise ConfigError(

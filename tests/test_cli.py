@@ -1,12 +1,15 @@
 """Command-line interface: config handling, determinism, exit codes."""
 
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
-from entbath.cli import main
+from entbath import config as config_module
+from entbath.cli import _parser, main, write_csv
 from entbath.config import (
     apply_override,
     canonical_json,
@@ -88,6 +91,71 @@ def test_canonical_json_is_key_sorted_and_hash_stable():
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.yaml")
+
+
+UNPARSABLE_OVERRIDES = ["sweep.r_grid=[1,", "bath.temperature={", "model='symmetric"]
+
+
+@pytest.mark.parametrize("item", UNPARSABLE_OVERRIDES)
+def test_unparsable_override_is_config_error(item, cfg_file, tmp_path, capsys):
+    key = item.split("=", 1)[0]
+    with pytest.raises(ConfigError, match=key):
+        apply_override(from_dict(dict(BASE)), item)
+    assert main(["asymptotics", cfg_file, "--set", item, "--out", str(tmp_path / "a.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.yaml")))
+# every override this file passes to --set or apply_override: YAML scalars,
+# .inf/.nan, null, nested lists and bare words
+OVERRIDES = [
+    "bath.n_modes=4", "bath.n_modes=true", "bath.temperature=0", "bath.temperature=0.3",
+    "bath.temperature=1", "bath.temperature=10", "bath.temperature=10.5", "bath.unknown=1",
+    "evolution.dt=0.02", "evolution.dt=0.3", "evolution.integrator=rk4",
+    "evolution.sample_stride=1", "evolution.sample_stride=true", "evolution.t_max=.inf",
+    "evolution.t_max=1.0", "evolution.t_max=100", "evolution.t_max=150", "evolution.t_max=50",
+    "initial_state.covariance=[[a,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+    "initial_state.covariance=[[0.1,0,0,0],[0,0.1,0,0],[0,0,0.5,0],[0,0,0,0.5]]",
+    "initial_state.covariance=[[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], "
+    "[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]",
+    "initial_state.kind=custom_covariance", "initial_state.r=.nan", "initial_state.r=1.0",
+    "model=symmetric", "spectral.gamma0=.nan", "spectral.n=3", "sweep.parallelism=1",
+    "sweep.parallelism=2", "sweep.parallelism=true", "sweep.r_grid=null",
+    "system.c12=0.1", "system.c12=0.2", "system.c12=1.5", "system.omega1=1.05",
+    "system.omega1=25", "system.omega2=0.95", "system.omega2=25",
+    *UNPARSABLE_OVERRIDES,
+]
+
+
+def _load_or_refusal(path, overrides):
+    try:
+        cfg = load_config(path, overrides)
+    except ConfigError:
+        return "refused"
+    return cfg, canonical_json(cfg), config_hash(cfg)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_matches_the_pure_python_fallback(monkeypatch):
+    assert config_module.YAML_LOADER is yaml.CSafeLoader
+    for item in OVERRIDES:
+        raw = item.split("=", 1)[1]
+        parsed = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            try:
+                parsed.append(repr(yaml.load(raw, Loader=loader)))
+            except yaml.YAMLError:
+                parsed.append("invalid")
+        assert parsed[0] == parsed[1], item
+    for path in CONFIGS:
+        for overrides in ([], *([item] for item in OVERRIDES)):
+            results = []
+            for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+                monkeypatch.setattr(config_module, "YAML_LOADER", loader)
+                results.append(_load_or_refusal(path, overrides))
+            assert results[0] == results[1], (path, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +497,23 @@ def test_scenario_builds_one_fdt_rule_per_op(command, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_scenario_decides_plus_frequency_once(cfg_file, monkeypatch):
+    from entbath import exact as ex
+    from entbath.scenario import Scenario
+
+    calls = []
+    block = ex.system_hamiltonian
+    monkeypatch.setattr(ex, "system_hamiltonian", lambda *a: calls.append(a) or block(*a))
+    scenario = Scenario(load_config(cfg_file, ["system.c12=0.1"]))
+    assert [scenario.plus_frequency() for _ in range(3)] == [pytest.approx(1.1**0.5)] * 3
+    assert len({scenario.route_scales() for _ in range(3)}) == 1
+    assert len(calls) == 2  # one configured block per sign
+    detuned = Scenario(load_config(cfg_file, ["system.omega1=1.05", "system.omega2=0.95"]))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="system.omega1/omega2"):
+            detuned.plus_frequency()
+
+
 CUSTOM_STATES = ([0.5, 0.5, 0.5, 0.5], [3.0, 0.1, 3.0, 0.1])
 
 
@@ -475,6 +560,43 @@ def test_phase_diagram_refuses_custom_covariance(cfg_file, tmp_path, capsys):
     assert "custom_covariance" in capsys.readouterr().err
 
 
+def test_csv_columns_match_per_cell_repr(tmp_path):
+    # the per-cell formatting the column-wise writer replaced, as the oracle
+    def per_cell(row):
+        return ",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+
+    names = ["a", "ints", "floats", "mixed", "phase", "special"]
+    columns = [
+        np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, 1e22]),
+        [0, 1, -7, 2**53 + 1, 10**20],
+        [0.5, -0.0, 5e-324, 1.7976931348623157e308, 123456789.125],
+        [1, 2.5, True, np.float64(0.3), -3],
+        ["SD", "SDR", "NSD", "SD", "SDR"],
+        np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324]),
+    ]
+    cfg = validate(from_dict(dict(BASE)))
+    path = tmp_path / "mixed.csv"
+    write_csv(str(path), cfg, names, columns)
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[3:] == [",".join(names), *map(per_cell, zip(*columns)), ""]
+
+
+def test_cached_parser_leaks_no_override(cfg_file, tmp_path):
+    def asymptotics(name, *sets):
+        out = tmp_path / name
+        assert main(["asymptotics", cfg_file, *sets, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    _parser.cache_clear()
+    fresh = asymptotics("fresh.json")
+    _parser.cache_clear()
+    overridden = asymptotics("n3.json", "--set", "spectral.n=3")
+    again = asymptotics("again.json")
+    assert _parser.cache_info().currsize == 1 and _parser.cache_info().hits == 1
+    assert overridden != fresh
+    assert again == fresh
+
+
 def test_import_leaves_scipy_unloaded():
     import os
     import subprocess
@@ -491,7 +613,9 @@ def test_import_leaves_scipy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m in ('multiprocessing', 'concurrent.futures')))\n"
+        "print(entbath.cli._parser.cache_info().currsize)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True, env=env)
-    assert done.stdout.split() == ["[]", "[]"]
+    # ... and builds no argument parser: main builds it on first use
+    assert done.stdout.split() == ["[]", "[]", "0"]
