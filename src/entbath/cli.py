@@ -60,11 +60,11 @@ def _warn_on_hash_change(path: str | None, digest: str) -> None:
         )
 
 
-def _cells(column) -> list:
+def _cells(column):
     """One CSV column: strings as given, numbers as shortest round-trip floats."""
     if len(column) and isinstance(column[0], str):
-        return list(column)
-    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+        return column
+    return map(repr, np.asarray(column, dtype=float).tolist())
 
 
 def write_csv(path: str, cfg: RunConfig, names: list[str], columns: list) -> None:

@@ -107,7 +107,7 @@ def test_unparsable_override_is_config_error(item, cfg_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.yaml")))
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.yaml")))
 # every override this file passes to --set or apply_override: YAML scalars,
 # .inf/.nan, null, nested lists and bare words
 OVERRIDES = [
@@ -140,6 +140,7 @@ def _load_or_refusal(path, overrides):
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_libyaml_loader_matches_the_pure_python_fallback(monkeypatch):
     assert config_module.YAML_LOADER is yaml.CSafeLoader
+    assert CONFIGS
     for item in OVERRIDES:
         raw = item.split("=", 1)[1]
         parsed = []
