@@ -18,7 +18,6 @@ import numpy as np
 from .bath import SpectralDensity, asymptotic_gamma, counterterm, j_omega
 from .errors import NumericalError
 from .gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation, squeezing_of
-from .special import harmonic_number
 
 _TINY = 1e-14
 
@@ -292,23 +291,6 @@ def r_crit_from_coefficients(coeffs: PositionCoefficients, m: float) -> float:
     if arg <= 0:
         raise NumericalError("coefficients give no real equilibrium squeezing")
     return 0.25 * math.log(arg)
-
-
-def ohmic_position_variance(
-    temperature: float, gamma: float, omega: float, m: float = 1.0
-) -> float:
-    """Equilibrium <x+^2> for an ohmic bath at temperature T (harmonic-number
-    form); reduces to the exact arccos expression at T = 0."""
-    g = gamma / omega
-    if not 0 < g < 1:
-        raise ValueError("requires 0 < gamma < omega")
-    tilde = math.sqrt(omega**2 - gamma**2)
-    if temperature == 0.0:
-        return math.acos(g) / (math.pi * m * tilde)
-    z = complex(gamma, tilde) / (2.0 * math.pi * temperature)
-    return temperature / (omega**2 * m) + harmonic_number(z).imag / (
-        math.pi * m * tilde
-    )
 
 
 # ---------------------------------------------------------------------------

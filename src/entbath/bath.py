@@ -105,6 +105,8 @@ class DiscreteBath:
         w = self.frequencies
         if len(w) == 0 or np.any(np.diff(w) <= 0) or w[0] <= 0:
             raise ValueError("bath frequencies must be positive and increasing")
+        if not np.all(self.masses > 0):
+            raise ValueError("bath masses must be positive")
 
     @property
     def n_modes(self) -> int:

@@ -57,7 +57,7 @@ class InitialStateSection:
     kind: str = "separable_squeezed"
     r: float = 2.0
     purity_product: float = 0.5  # minus-mode dx * dp; 1/2 is pure
-    covariance: list | None = None  # 4x4, kind = custom_covariance only
+    covariance: list | None = None  # 4x4, used by kind = custom_covariance only
 
 
 @dataclass
@@ -195,7 +195,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require_number(ini.purity_product, "initial_state.purity_product")
     if ini.purity_product < 0.5:
         raise ConfigError("initial_state.purity_product: must be >= 1/2")
-    if ini.kind == "custom_covariance":
+    if ini.kind == "custom_covariance" or ini.covariance is not None:
         mat = ini.covariance
         if (
             not isinstance(mat, list)
@@ -236,6 +236,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         raise ConfigError(f"config file: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"config file: invalid YAML ({err})") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file: not UTF-8 text ({err})") from err
     cfg = from_dict(data)
     for item in overrides or []:
         apply_override(cfg, item)

@@ -3,28 +3,28 @@
 The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  A drift holds
-H and its bath; everything else about it follows from H.  Two integration
-paths are provided: a normal-mode propagator S(t) = exp(Kt) (exactly
-symplectic, arbitrary t) and, as an independent cross-check, the RK4 step
-matrix raised to the stride by squaring, the one place K is formed.  Both
-coupling models leave H without x-p cross terms, H = x^T K x / 2 + p^T B p
-/ 2, so their normal modes are real and second order, computed once per
-drift and cached on it.  The factor of the momentum block B costs O(N^2),
-because B is an arrowhead: two system rows beside a diagonal bath block.
-For position coupling the mass-weighted stiffness is an arrowhead too, and
-its modes solve a secular equation in O(N^2) time and memory.  So do the
-symmetric model's at c12 = c12_tilde, where the plus oscillator meets the
-bath through a beam splitter and its frequencies are the eigenvalues of a
+the nonzero blocks of H, in O(N): the 4x4 system block, the 4 x N
+system-bath couplings and the bath, whose own diagonal is the bath block.
+Two integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
+(exactly symplectic, arbitrary t) and, as an independent cross-check, the
+RK4 step matrix raised to the stride by squaring, the one place K is formed.
+A drift has no x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so its
+normal modes are real and second order, computed once per drift and cached
+on it.  The factor of the momentum block B costs O(N^2), because B is an
+arrowhead: two system rows beside a diagonal bath block.  For position
+coupling the mass-weighted stiffness is an arrowhead too, and its modes
+solve a secular equation in O(N^2) time and memory.  So do the symmetric
+model's at c12 = c12_tilde, where the plus oscillator meets the bath
+through a beam splitter and its frequencies are the eigenvalues of a
 first-order arrowhead; any other H takes one real symmetric eigensolve of
-size N+2.  The
-reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N
-do not depend on the system state; the drift keeps the channel of its
-latest sampling plan, so each further state costs one 4x4 congruence per
-sample.  The channel samples the rows of S(t) in the (x+, p+, x-, p-)
-basis.  When H is unchanged by exchanging the two oscillators (every
-resonant builder config), x- and p- decouple from the rest: only x+ and p+
-are sampled, and the minus rows are the closed-form free rotation, with no
-bath noise.
+size N+2.  The reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t)
+whose Z and N do not depend on the system state; the drift keeps the
+channel of its latest sampling plan, so each further state costs one 4x4
+congruence per sample.  The channel samples the rows of S(t) in the
+(x+, p+, x-, p-) basis.  When H is unchanged by exchanging the two
+oscillators (every resonant builder config), x- and p- decouple from the
+rest: only x+ and p+ are sampled, and the minus rows are the closed-form
+free rotation, with no bath noise.
 """
 
 from __future__ import annotations
@@ -93,28 +93,53 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """The total Hamiltonian H of the Lyapunov drift K = J H, and its bath.
+    """The total Hamiltonian H of the Lyapunov drift K = J H, as its blocks.
 
-    Everything else is derived from H: ``dim``; ``m_minus``/``omega_minus``,
-    ``mode_scales`` of the system block (the bath-free minus oscillator of
-    the bare model), computed once; and ``k``, formed on each read, which
-    only the RK4 oracle needs.  The normal modes are computed on first use
-    and kept, so a drift is factorized at most once however many states are
-    evolved with it.  ``hamiltonian`` is kept as given (a float array is not
-    copied) and made read-only.
+    ``system`` is the 4x4 PHYSICAL block and ``couplings`` the (4, N)
+    system-bath block: an x row couples to each q_k and a p row to each
+    pi_k, so x-p cross terms can sit only in ``system``, which refuses
+    them.  The bath block is the bath's own diagonal (``bath_diagonal``).
+    ``m_minus``/``omega_minus`` are ``mode_scales`` of the system block
+    (the bath-free minus oscillator of the bare model), computed once; the
+    dense ``hamiltonian`` and ``k`` are formed on each read, for the RK4
+    oracle and ``energy_of``.  The normal modes are
+    computed on first use and kept, so a drift is factorized at most once.
+    Both blocks are kept as given (a float array is not copied), read-only.
     """
 
-    hamiltonian: np.ndarray
+    system: np.ndarray
+    couplings: np.ndarray
     bath: DiscreteBath
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.hamiltonian, dtype=float)
-        h.flags.writeable = False
-        object.__setattr__(self, "hamiltonian", h)
+        for name in ("system", "couplings"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.system.shape != (4, 4) or self.couplings.shape != (4, self.bath.n_modes):
+            raise ValueError("a drift needs a 4x4 system block and 4 x N couplings")
+        if np.any(self.system[0::2, 1::2]):
+            raise ValueError("real second-order normal modes need H without x-p terms")
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return 4 + 2 * self.bath.n_modes
+
+    @property
+    def bath_diagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bath block: stiffnesses m_k w_k^2 (on q_k) and inverse masses 1/m_k (on pi_k)."""
+        return self.bath.masses * self.bath.frequencies**2, 1.0 / self.bath.masses
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The dense H in FULL ordering, not kept."""
+        h = np.zeros((self.dim, self.dim))
+        h[:4, :4] = self.system
+        h[0:4:2, 4::2], h[1:4:2, 5::2] = self.couplings[0::2], self.couplings[1::2]
+        h[4:, :4] = h[:4, 4:].T
+        iq = 4 + 2 * np.arange(self.bath.n_modes)
+        h[iq, iq], h[iq + 1, iq + 1] = self.bath_diagonal
+        return h
 
     @property
     def k(self) -> np.ndarray:
@@ -126,7 +151,7 @@ class DriftMatrix:
 
     @cached_property
     def _minus_scales(self) -> tuple[float, float]:
-        return mode_scales(self.hamiltonian[:4, :4])
+        return mode_scales(self.system)
 
     m_minus = property(lambda self: self._minus_scales[0])
     omega_minus = property(lambda self: self._minus_scales[1])
@@ -145,22 +170,21 @@ class DriftMatrix:
         return held
 
 
-def _check_stable(h: np.ndarray) -> None:
+def _check_stable(drift: DriftMatrix) -> None:
     """Refuse a total Hamiltonian that is not positive semidefinite.
 
-    The bath block is diagonal in both models, so by the Schur complement
-    H >= 0 exactly when every bath diagonal entry is positive and the 4x4
-    system block H_ss - C D^-1 C^T is >= 0.  O(N) instead of a dense
-    eigensolve; the tolerance is relative to max |H| as before.
+    The bath block D is diagonal and positive (a bath refuses masses and
+    frequencies <= 0), so by the Schur complement H >= 0 exactly when the
+    4x4 H_ss - C D^-1 C^T is; the tolerance is relative to max |H|.
     """
-    h_ss, c, d = h[:4, :4], h[:4, 4:], np.diag(h)[4:]
-    if d.min() <= 0.0:
-        raise UnstableHamiltonianError(
-            f"total Hamiltonian has bath diagonal entry {d.min():.3e} <= 0"
-        )
-    lo = float(np.linalg.eigvalsh(h_ss - (c / d) @ c.T)[0])
+    h_ss, c = drift.system, drift.couplings
+    k_bath, b_bath = drift.bath_diagonal
+    schur = np.array(h_ss)
+    schur[0::2, 0::2] -= (c[0::2] / k_bath) @ c[0::2].T
+    schur[1::2, 1::2] -= (c[1::2] / b_bath) @ c[1::2].T
+    lo = float(np.linalg.eigvalsh(schur)[0])
     scale = max(1.0, float(np.abs(h_ss).max()), float(np.abs(c).max()),
-                float(d.max()))
+                float(k_bath.max()), float(b_bath.max()))
     if lo < -_PSD_TOL * scale:
         raise UnstableHamiltonianError(
             f"total Hamiltonian has negative Schur-complement eigenvalue {lo:.3e}"
@@ -230,19 +254,11 @@ def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize
     the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / m_k w_k) pi_k."""
     s = -bath.counterterm_sum(osc.m) if renormalize else 0.0
     h_sys, w_bare_sq = system_hamiltonian(osc, model, s)
-    dim = 4 + 2 * bath.n_modes
-    h = np.zeros((dim, dim))
-    h[:4, :4] = h_sys
-    iq = 4 + 2 * np.arange(bath.n_modes)
-    h[iq, iq] = bath.masses * bath.frequencies**2
-    h[iq + 1, iq + 1] = 1.0 / bath.masses
     c = bath.couplings
-    h[0, iq] = h[iq, 0] = h[2, iq] = h[iq, 2] = c
-    if model == "symmetric":
-        cp = c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
-        h[1, iq + 1] = h[iq + 1, 1] = h[3, iq + 1] = h[iq + 1, 3] = cp
-    _check_stable(h)
-    drift = DriftMatrix(h, bath)
+    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+          if model == "symmetric" else np.zeros_like(c))
+    drift = DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
+    _check_stable(drift)
     try:  # an unstable minus mode is refused at build time
         drift._minus_scales
     except ValueError as err:
@@ -405,12 +421,12 @@ def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:
 
     x- and p- are odd under exchanging the oscillators and every other
     coordinate is even, so their rows of H touch nothing but themselves
-    exactly when the exchange leaves the x1/x2 and p1/p2 rows unchanged.
+    exactly when the exchange leaves the system block and couplings unchanged.
     """
-    rows = drift.hamiltonian[:4]
-    swapped = rows[[2, 3, 0, 1]]
-    swapped[:, :4] = swapped[:, [2, 3, 0, 1]]
-    return drift._minus_scales if np.array_equal(swapped, rows) else None
+    swap = [2, 3, 0, 1]
+    free = (np.array_equal(drift.system[swap][:, swap], drift.system)
+            and np.array_equal(drift.couplings[swap], drift.couplings))
+    return drift._minus_scales if free else None
 
 
 def normal_modes(drift: DriftMatrix) -> NormalModes:
@@ -422,56 +438,40 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     diagonal, so with the 2x2 Schur complement S = B_ss - C D^-1 C^T the
     factor L = [[chol(S), C D^-1/2], [0, D^1/2]] has L L^T = B.
 
-    Position coupling (decided here from H, once per drift) has B diagonal,
-    K's bath block diagonal and both system rows coupled to the bath
-    through the same mass-weighted vector.  In the mass-weighted
-    (x+, x-, bath) coordinates only x+ touches the bath, and x- touches
-    x+ alone, so L^T K L is an arrowhead with tip x+: its modes solve a
-    secular equation (``_arrowhead_eigh``).  The symmetric model at
-    c12 = c12_tilde (decided from H too, ``_beam_scales``) couples its
-    plus oscillator to each bath mode through a beam splitter, so its
-    frequencies are the eigenvalues of a first-order arrowhead solved the
-    same way (``_beam_splitter_modes``).  Any other H (the symmetric model
-    at c12 != c12_tilde, hand-built ones) forms L^T K L, A = L U and
+    Position coupling (decided here from the blocks, once per drift) has B
+    diagonal and both system rows coupled to the bath through the same
+    mass-weighted vector.  In the mass-weighted (x+, x-, bath) coordinates
+    only x+ touches the bath, and x- touches x+ alone, so L^T K L is an
+    arrowhead with tip x+: its modes solve a secular equation
+    (``_arrowhead_eigh``).  The symmetric model at c12 = c12_tilde (decided
+    from the blocks too, ``_beam_scales``) couples its plus oscillator to
+    each bath mode through a beam splitter, so its frequencies are the
+    eigenvalues of a first-order arrowhead solved the same way
+    (``_beam_splitter_modes``).  Any other H (the symmetric model at
+    c12 != c12_tilde, hand-built ones) forms L^T K L, A = L U and
     W = U^T L^-1 with row and column scalings plus n x 2 by 2 x n products,
-    around one ``eigh``.
-
-    Whether the minus pair is free is decided here too (``_free_minus``).
-    Refuses a Hamiltonian with x-p cross terms or a non-diagonal bath
-    momentum block (``ValueError``; neither coupling model has them) and a
-    momentum block or stiffness that is not positive definite
-    (``UnstableHamiltonianError``).
+    around one ``eigh``.  Whether the minus pair is free is decided here
+    too (``_free_minus``).  Refuses a momentum block or stiffness that is
+    not positive definite (``UnstableHamiltonianError``).
     """
-    h = drift.hamiltonian
-    if np.any(h[0::2, 1::2]):
-        raise ValueError("real second-order normal modes need H without x-p terms")
-    k, b = h[0::2, 0::2], h[1::2, 1::2]
-    d = np.diagonal(b)[2:]
-    if np.count_nonzero(b[2:, 2:]) != np.count_nonzero(d):
-        raise ValueError("real normal modes need a diagonal bath momentum block")
-    if d.min() <= 0.0:
-        raise UnstableHamiltonianError(
-            f"momentum block of H not positive definite (bath entry {d.min():.3e}); "
-            "no normal-mode form"
-        )
-    c = b[:2, 2:]
+    h_sys, cx, c = drift.system, drift.couplings[0::2], drift.couplings[1::2]
+    k_bath, d = drift.bath_diagonal
     try:
-        low = np.linalg.cholesky(b[:2, :2] - (c / d) @ c.T)
+        low = np.linalg.cholesky(h_sys[1::2, 1::2] - (c / d) @ c.T)
     except np.linalg.LinAlgError as err:
         raise UnstableHamiltonianError(
             "momentum block of H not positive definite; no normal-mode form"
         ) from err
     root = np.sqrt(d)
     l_sys = np.diagonal(low)
-    bath_diagonal = np.count_nonzero(k[2:, 2:]) == np.count_nonzero(np.diagonal(k)[2:])
-    if (
-        not np.any(c) and low[1, 0] == 0.0 and bath_diagonal
-        and np.array_equal(l_sys[0] * k[0, 2:], l_sys[1] * k[1, 2:])
-    ):
-        w_sq, a, w = _position_modes(k, np.concatenate([l_sys, root]), d)
-    elif bath_diagonal and (scales := _beam_scales(drift)) is not None:
-        return NormalModes(*_beam_splitter_modes(k, b, *scales), scales[1])
-    else:
+    if not np.any(c) and low[1, 0] == 0.0 and np.array_equal(l_sys[0] * cx[0], l_sys[1] * cx[1]):
+        w_sq, a, w = _position_modes(h_sys[0::2, 0::2], cx[0], k_bath,
+                                     np.concatenate([l_sys, root]), d)
+    elif (scales := _beam_scales(drift)) is not None:
+        return NormalModes(*_beam_splitter_modes(cx[0], k_bath, d, *scales), scales[1])
+    else:  # the (N+2)^2 position block K of H
+        k = np.diag(np.concatenate([np.zeros(2), k_bath]))
+        k[:2, :2], k[:2, 2:], k[2:, :2] = h_sys[0::2, 0::2], cx, cx.T
         w_sq, a, w = _factored_modes(k, low, c, root)
     return NormalModes(np.sqrt(w_sq), a, w, _free_minus(drift))
 
@@ -484,23 +484,22 @@ def _beam_scales(drift: DriftMatrix):
     The plus-bath terms sqrt(2) (c_k x+ q_k + cp_k p+ pi_k) conserve quanta
     when cp_k m+ omega+ m_k omega_k = c_k (no a+ b_k or a+^dag b_k^dag
     terms), which is checked to 8 eps relative, with m_k omega_k =
-    sqrt(K_kk / B_kk).  An x+, x- or bath mode without stiffness is left
-    to the eigh route, which refuses it.
+    sqrt(K_kk / B_kk).  An x+ or x- without stiffness is left to the eigh
+    route, which refuses it.
     """
-    h = drift.hamiltonian
-    k_bath, b_bath = np.diagonal(h)[4::2], np.diagonal(h)[5::2]
+    h_sys, k_bath, b_bath = drift.system, *drift.bath_diagonal
     # x+ and x- have stiffness K11 +- K12 once K11 = K22 (a free pair)
-    if h[0, 0] <= abs(h[0, 2]) or k_bath.min() <= 0.0 or (minus := _free_minus(drift)) is None:
+    if h_sys[0, 0] <= abs(h_sys[0, 2]) or (minus := _free_minus(drift)) is None:
         return None
-    plus = mode_scales(h[:4, :4], +1.0)
-    c, cp = h[0, 4::2], h[1, 5::2]
+    plus = mode_scales(h_sys, +1.0)
+    c, cp = drift.couplings[0], drift.couplings[1]
     mw = plus[0] * plus[1] * np.sqrt(k_bath / b_bath)
     if not np.all(np.abs(cp * mw - c) <= 8.0 * _EPS * np.abs(c)):
         return None
     return plus, minus
 
 
-def _beam_splitter_modes(k, b, plus, minus):
+def _beam_splitter_modes(c, k_bath, b_bath, plus, minus):
     """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
 
     In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
@@ -513,14 +512,13 @@ def _beam_splitter_modes(k, b, plus, minus):
     the column (1/sqrt(m-), sqrt(m-)) on x- = (x1 - x2)/sqrt(2).
     """
     m_minus, omega_minus = minus
-    k_bath, b_bath = np.diagonal(k)[2:], np.diagonal(b)[2:]
     root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], np.sqrt(k_bath / b_bath)]))
-    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * k[0, 2:] / (root_mw[0] * root_mw[1:]),
+    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]),
                              np.sqrt(k_bath * b_bath))
     u[0] *= math.sqrt(0.5)
     at = int(np.searchsorted(lam, omega_minus))
     root_lam = np.sqrt(lam)
-    a, wt = np.empty((len(k), len(k))), np.empty((len(k), len(k)))
+    a, wt = np.empty((len(c) + 2, len(c) + 2)), np.empty((len(c) + 2, len(c) + 2))
     for dst, src in ((slice(None, at), slice(None, at)), (slice(at + 1, None), slice(at, None))):
         np.multiply(u[:, src], root_lam[src], out=a[1:, dst])
         np.divide(u[:, src], root_lam[src], out=wt[1:, dst])
@@ -557,7 +555,7 @@ def _factored_modes(k, low, c, root):
     return w_sq, a, w
 
 
-def _position_modes(k, lw, d):
+def _position_modes(k_ss, c, k_bath, lw, d):
     """(omega^2, A, W) of a position-coupled H with diagonal L = diag(lw).
 
     With y = x / lw, M = L K L has equal system-bath rows v, so in the
@@ -565,14 +563,14 @@ def _position_modes(k, lw, d):
     with tip y+ (stiffness a++), border (a+-, sqrt(2) v) and poles
     (a--, d_k K_kk).  A = L R U and W = U^T R^T L^-1, R the ± rotation.
     """
-    m_ss = lw[:2, None] * k[:2, :2] * lw[:2]
+    m_ss = lw[:2, None] * k_ss * lw[:2]
     mean, half = (m_ss[0, 0] + m_ss[1, 1]) / 2.0, (m_ss[0, 0] - m_ss[1, 1]) / 2.0
-    border = np.empty(len(k) - 1)
+    border = np.empty(len(c) + 1)
     border[0] = half
-    border[1:] = math.sqrt(2.0) * lw[0] * k[0, 2:] * lw[2:]
+    border[1:] = math.sqrt(2.0) * lw[0] * c * lw[2:]
     poles = np.empty_like(border)
     poles[0] = mean - m_ss[0, 1]
-    poles[1:] = d * np.diagonal(k)[2:]
+    poles[1:] = d * k_bath
     w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
     plus, minus = u[0] / math.sqrt(2.0), u[1] / math.sqrt(2.0)
     u[0], u[1] = plus + minus, plus - minus

@@ -248,20 +248,6 @@ def separable_squeezed(r: float, m: float = 1.0, omega: float = 1.0) -> Covarian
     return CovarianceMatrix(np.diag([dx2, dp2, dx2, dp2]), Ordering.PHYSICAL)
 
 
-def von_neumann_entropy(sigma_plus: float, sigma_minus: float) -> float:
-    """Entropy of a two-mode Gaussian state from its symplectic eigenvalues."""
-    return _entropy_term(sigma_plus) + _entropy_term(sigma_minus)
-
-
-def _entropy_term(sigma: float) -> float:
-    if sigma < 0.5 - PHYSICALITY_ATOL:
-        raise UnphysicalStateError(f"symplectic eigenvalue {sigma} < 1/2")
-    sigma = max(sigma, 0.5)
-    up = (sigma + 0.5) * math.log(sigma + 0.5)
-    lo = sigma - 0.5
-    return up - (lo * math.log(lo) if lo > 0.0 else 0.0)
-
-
 def squeezing_of(dx: float, dp: float, m: float, omega: float) -> float:
     """Squeezing factor r = (1/2) ln[m omega dx/dp] of a diagonal mode."""
     if min(dx, dp, m, omega) <= 0:

@@ -73,6 +73,25 @@ def test_negative_temperature_refused():
 # Ohmic closed forms and the harmonic-number variance
 # ---------------------------------------------------------------------------
 
+def ohmic_position_variance(
+    temperature: float, gamma: float, omega: float, m: float = 1.0
+) -> float:
+    """Equilibrium <x+^2> for an ohmic bath at temperature T, the oracle of
+    the FDT route: T / (m omega^2) + Im H(z) / (pi m omega~) with the
+    harmonic number H(z) = psi(z + 1) + Euler's gamma at z = (gamma + i
+    omega~) / (2 pi T), omega~ = sqrt(omega^2 - gamma^2); at T = 0 the
+    arccos expression."""
+    from scipy.special import digamma
+
+    g = gamma / omega
+    assert 0 < g < 1
+    tilde = math.sqrt(omega**2 - gamma**2)
+    if temperature == 0.0:
+        return math.acos(g) / (math.pi * m * tilde)
+    z = complex(gamma, tilde) / (2.0 * math.pi * temperature)
+    return temperature / (omega**2 * m) + digamma(z + 1.0).imag / (math.pi * m * tilde)
+
+
 def test_ohmic_exact_zero_t_frozen():
     dx, dp = asy.ohmic_exact_zero_t_dispersions(0.2, 1.0, 20.0)
     assert dx * dx == pytest.approx(0.44489, rel=1e-4)
@@ -81,11 +100,11 @@ def test_ohmic_exact_zero_t_frozen():
 
 def test_position_variance_limits():
     # T -> 0 reduces to the arccos form; high T reaches equipartition
-    v0 = asy.ohmic_position_variance(0.0, 0.2, 1.0)
+    v0 = ohmic_position_variance(0.0, 0.2, 1.0)
     assert v0 == pytest.approx(math.acos(0.2) / (math.pi * math.sqrt(1.0 - 0.04)))
-    tiny = asy.ohmic_position_variance(1e-4, 0.2, 1.0)
+    tiny = ohmic_position_variance(1e-4, 0.2, 1.0)
     assert tiny == pytest.approx(v0, rel=1e-4)
-    hot = asy.ohmic_position_variance(50.0, 0.2, 1.0)
+    hot = ohmic_position_variance(50.0, 0.2, 1.0)
     assert hot == pytest.approx(50.0, rel=1e-3)
 
 
@@ -125,7 +144,7 @@ def test_fdt_converges_to_ohmic_closed_form_with_cutoff():
 def test_fdt_matches_harmonic_number_variance_at_finite_t():
     for t in (0.1, 0.3, 1.0):
         dx, _ = asy.fdt_dispersions(OHMIC, 1.0, t)
-        hn = asy.ohmic_position_variance(t, 0.2, 1.0)
+        hn = ohmic_position_variance(t, 0.2, 1.0)
         assert dx * dx == pytest.approx(hn, rel=1e-2)
 
 
@@ -268,7 +287,7 @@ def test_critical_temperature_frozen():
     )
     assert t0 == pytest.approx(0.27148244, abs=1e-5)
     t0_hn = asy.critical_temperature(
-        lambda t: asy.ohmic_position_variance(t, 0.2, 1.0), 1.0, 1.0
+        lambda t: ohmic_position_variance(t, 0.2, 1.0), 1.0, 1.0
     )
     assert t0_hn == pytest.approx(0.27582468, abs=1e-5)
     # both routes agree at the few-percent level (finite-cutoff effect)

@@ -120,6 +120,7 @@ OVERRIDES = [
     "initial_state.covariance=[[0.1,0,0,0],[0,0.1,0,0],[0,0,0.5,0],[0,0,0,0.5]]",
     "initial_state.covariance=[[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], "
     "[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]",
+    "initial_state.covariance=2020-01-01", "initial_state.covariance=[[1,2]]",
     "initial_state.kind=custom_covariance", "initial_state.r=.nan", "initial_state.r=1.0",
     "model=symmetric", "spectral.gamma0=.nan", "spectral.n=3", "sweep.parallelism=1",
     "sweep.parallelism=2", "sweep.parallelism=true", "sweep.r_grid=null",
@@ -273,6 +274,15 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "spectral.n" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"model: position  # \xff\xfe\nspectral:\n  n: 1\n")
+    assert main(["asymptotics", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file:") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("overrides, field", [
     (["evolution.t_max=.inf"], "evolution.t_max"),
     (["spectral.gamma0=.nan"], "spectral.gamma0"),
@@ -280,7 +290,11 @@ def test_exit_code_config_error(tmp_path, capsys):
     (["initial_state.kind=custom_covariance",
       "initial_state.covariance=[[a,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"],
      "initial_state.covariance"),
-], ids=["inf-t_max", "nan-gamma0", "nan-r", "text-covariance"])
+    # a covariance is checked whenever it is given, not only for custom_covariance
+    (["initial_state.covariance=2020-01-01"], "initial_state.covariance"),
+    (["initial_state.covariance=[[1,2]]"], "initial_state.covariance"),
+], ids=["inf-t_max", "nan-gamma0", "nan-r", "text-covariance", "date-covariance",
+        "short-covariance"])
 def test_non_finite_or_non_numeric_is_config_error(overrides, field, cfg_file, tmp_path, capsys):
     argv = ["negativity-trace", cfg_file, "--out", str(tmp_path / "t.csv")]
     for item in overrides:

@@ -465,20 +465,32 @@ def test_reduced_channel_matches_propagator(build, osc, temperature):
 
 
 def test_drift_is_its_hamiltonian_and_bath(monkeypatch):
-    from dataclasses import fields
+    from dataclasses import fields, replace
 
     from entbath.gaussian import symplectic_form
 
-    assert [f.name for f in fields(ex.DriftMatrix)] == ["hamiltonian", "bath"]
+    assert [f.name for f in fields(ex.DriftMatrix)] == ["system", "couplings", "bath"]
     bath = discretize(OHMIC, 8)
-    h = np.array(ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
-                 .hamiltonian)
-    h[0, 0] += 0.3  # an unequal, hand-made block: the minus pair is not free
-    drift = ex.DriftMatrix(h, bath)
-    assert (drift.m_minus, drift.omega_minus) == ex.mode_scales(h[:4, :4])
+    built = ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
+    system = np.array(built.system)
+    system[0, 0] += 0.3  # an unequal, hand-made block: the minus pair is not free
+    drift = replace(built, system=system)
+    assert (drift.m_minus, drift.omega_minus) == ex.mode_scales(system)
     assert drift.dim == 20
+    # the dense H: x rows couple to q_k, p rows to pi_k, and the bath block
+    # is the bath's diagonal (m_k w_k^2, 1/m_k)
+    h = drift.hamiltonian
+    assert np.array_equal(h, h.T)
+    assert np.array_equal(h[:4, :4], system)
+    assert np.array_equal(h[0:4:2, 4::2], drift.couplings[0::2])
+    assert np.array_equal(h[1:4:2, 5::2], drift.couplings[1::2])
+    assert not np.any(h[0:4:2, 5::2]) and not np.any(h[1:4:2, 4::2])
+    bath_block = np.diag(np.ravel([bath.masses * bath.frequencies**2, 1.0 / bath.masses], "F"))
+    assert np.array_equal(h[4:, 4:], bath_block)
     assert np.array_equal(drift.k, symplectic_form(20) @ h)
-    assert not drift.hamiltonian.flags.writeable
+    assert not drift.system.flags.writeable and not drift.couplings.flags.writeable
+    with pytest.raises(ValueError, match="4 x N"):
+        replace(drift, couplings=drift.couplings[:, 1:])
     # a built drift works its minus scales out once, for itself and its modes
     calls = []
     original = ex.mode_scales
@@ -488,31 +500,46 @@ def test_drift_is_its_hamiltonian_and_bath(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
+def test_drift_build_holds_only_its_blocks(build):
+    # at N = 1194 a dense (4+2N)^2 H would take 45.8 MB; the blocks take
+    # O(N), and no array the drift holds has more than 4N elements
+    import tracemalloc
+
+    n_modes = 1194
+    bath = discretize(OHMIC, n_modes)
+    tracemalloc.start()
+    try:
+        drift = build(OSC, bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    held = [v for obj in (drift, drift.bath) for v in vars(obj).values()
+            if isinstance(v, np.ndarray)]
+    assert len(held) == 5 and max(a.size for a in held) <= 4 * n_modes
+
+
 def test_real_modes_refuse_xp_coupling():
-    bath = discretize(OHMIC, 8)
-    h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
-    h[0, 5] = h[5, 0] = 0.05  # x1 coupled to the first bath momentum
-    drift = ex.DriftMatrix(h, bath)
+    # an x row couples to q_k and a p row to pi_k, so an x-p term can sit
+    # only in the system block, which the drift refuses when it is made
+    from dataclasses import replace
+
+    drift = ex.build_symmetric_model(OSC, discretize(OHMIC, 8))
+    system = np.array(drift.system)
+    system[0, 3] = system[3, 0] = 0.05  # x1 coupled to p2
     with pytest.raises(ValueError, match="x-p"):
-        ex.normal_modes(drift)
-    with pytest.raises(ValueError, match="x-p"):
-        ex.negativity_trace(separable_squeezed(0.5), drift, ex.EvolutionConfig(1.0, 0.1))
+        replace(drift, system=system)
 
 
 def test_real_modes_refuse_indefinite_momentum_block():
-    bath = discretize(OHMIC, 8)
-    h = np.array(ex.build_position_model(OSC, bath).hamiltonian)
-    h[1, 3] = h[3, 1] = 2.0  # p1 p2 coupling beyond 1/m: B is indefinite
+    from dataclasses import replace
+
+    drift = ex.build_position_model(OSC, discretize(OHMIC, 8))
+    system = np.array(drift.system)
+    system[1, 3] = system[3, 1] = 2.0  # p1 p2 coupling beyond 1/m: B is indefinite
     with pytest.raises(UnstableHamiltonianError, match="momentum block"):
-        ex.normal_modes(ex.DriftMatrix(h, bath))
-
-
-def test_real_modes_refuse_non_diagonal_bath_momentum_block():
-    bath = discretize(OHMIC, 8)
-    h = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
-    h[5, 7] = h[7, 5] = 0.01  # pi1 pi2 coupling: the arrowhead factor does not apply
-    with pytest.raises(ValueError, match="diagonal bath momentum block"):
-        ex.normal_modes(ex.DriftMatrix(h, bath))
+        ex.normal_modes(replace(drift, system=system))
 
 
 def _dense_normal_modes(drift):
@@ -767,16 +794,16 @@ def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
     # c12_tilde, a hand-built H whose x2 couples at half strength and one
     # whose momentum couplings miss the beam splitter by 1e-9 keep the eigh
     # route, and all of them match exp(Kt)
+    from dataclasses import replace
+
     from scipy.linalg import expm
 
     bath = discretize(OHMIC, 24, 0.5)
-    unequal = np.array(ex.build_position_model(OSC, bath).hamiltonian)
-    unequal[2, 4::2] *= 0.5
-    unequal[4::2, 2] *= 0.5
-    off_beam = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
-    for row in (1, 3):
-        off_beam[row, 5::2] *= 1.0 + 1e-9
-        off_beam[5::2, row] *= 1.0 + 1e-9
+    position, symmetric = ex.build_position_model(OSC, bath), ex.build_symmetric_model(OSC, bath)
+    unequal = np.array(position.couplings)
+    unequal[2] *= 0.5
+    off_beam = np.array(symmetric.couplings)
+    off_beam[1::2] *= 1.0 + 1e-9
     cases = [
         (ex.build_position_model(OSC, bath), 1),
         (ex.build_position_model(OscillatorParams(1.0, 1.05, 0.95, 0.1), bath), 1),
@@ -784,8 +811,8 @@ def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
                                  renormalize=False), 1),
         (ex.build_symmetric_model(OSC, bath), 1),
         (ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.1), bath), 0),
-        (ex.DriftMatrix(unequal, bath), 0),
-        (ex.DriftMatrix(off_beam, bath), 0),
+        (replace(position, couplings=unequal), 0),
+        (replace(symmetric, couplings=off_beam), 0),
     ]
     t = 0.7 * bath.recurrence_time
     for drift, solves in cases:
@@ -799,29 +826,36 @@ def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
 def test_secular_modes_refuse_an_indefinite_stiffness():
     # what the eigh route refused as omega^2 <= 0, the secular route
     # refuses from the Schur complement or a pole
+    from dataclasses import replace
+
     bath = discretize(OHMIC, 16)
-    base = np.array(ex.build_position_model(OSC, bath).hamiltonian)
-    plus = base.copy()
+    base = ex.build_position_model(OSC, bath)
+    plus = np.array(base.system)
     plus[0, 0] = plus[2, 2] = 0.2  # x+ below the counterterm
-    minus = base.copy()
-    minus[0, 2] = minus[2, 0] = base[0, 0] + 0.5  # x- stiffness < 0
-    pole = base.copy()
-    pole[4, 4] = 0.0  # a bath oscillator without stiffness
-    for h in (plus, minus, pole):
+    minus = np.array(base.system)
+    minus[0, 2] = minus[2, 0] = base.system[0, 0] + 0.5  # x- stiffness < 0
+    for system in (plus, minus):
         with pytest.raises(UnstableHamiltonianError, match="frequency"):
-            ex.normal_modes(ex.DriftMatrix(h, bath))
+            ex.normal_modes(replace(base, system=system))
+    # a bath oscillator without stiffness m_k w_k^2 is refused by the bath
+    for masses, frequencies, match in ((0.0, 1.0, "masses"), (-1.0, 1.0, "masses"),
+                                       (1.0, 0.0, "frequencies")):
+        w = np.concatenate([[frequencies], bath.frequencies[1:]])
+        m = np.concatenate([[masses], bath.masses[1:]])
+        with pytest.raises(ValueError, match=match):
+            DiscreteBath(w, m, bath.couplings, 0.0)
     # a beam-form H whose x+ stiffness k+ lies below its counterterm s+:
     # the momentum couplings are rescaled so that it keeps the beam form,
     # which makes the plus Schur complement of B b+ (1 - s+ / k+) < 0, so
     # the momentum block refuses it before the arrowhead is formed
-    beam = np.array(ex.build_symmetric_model(OSC, bath).hamiltonian)
-    c, k_bath, b_bath = beam[0, 4::2], np.diagonal(beam)[4::2], np.diagonal(beam)[5::2]
-    beam[0, 2] = beam[2, 0] = 0.0
-    beam[0, 0] = beam[2, 2] = 0.5 * np.sum(2.0 * c**2 / k_bath)
-    m_plus, omega_plus = ex.mode_scales(beam[:4, :4], +1.0)
+    beam = ex.build_symmetric_model(OSC, bath)
+    c, (k_bath, b_bath) = beam.couplings[0], beam.bath_diagonal
+    system = np.array(beam.system)
+    system[0, 2] = system[2, 0] = 0.0
+    system[0, 0] = system[2, 2] = 0.5 * np.sum(2.0 * c**2 / k_bath)
+    m_plus, omega_plus = ex.mode_scales(system, +1.0)
     cp = c / (m_plus * omega_plus * np.sqrt(k_bath / b_bath))
-    beam[1, 5::2] = beam[5::2, 1] = beam[3, 5::2] = beam[5::2, 3] = cp
-    drift = ex.DriftMatrix(beam, bath)
+    drift = replace(beam, system=system, couplings=np.array([c, cp, c, cp]))
     assert ex._beam_scales(drift) is not None
     with pytest.raises(UnstableHamiltonianError, match="momentum block"):
         ex.normal_modes(drift)
@@ -857,6 +891,8 @@ def test_trace_minus_columns_are_the_free_rotation(build, state):
 
 
 def test_free_minus_pair_is_decided_from_the_hamiltonian():
+    from dataclasses import replace
+
     from scipy.linalg import expm
 
     bath = discretize(OHMIC, 48, 0.5)
@@ -864,10 +900,10 @@ def test_free_minus_pair_is_decided_from_the_hamiltonian():
     times = cfg.sample_times()
     states = (separable_squeezed(1.0), _correlated_state())
     base = ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.2), bath)
-    scales = ex.mode_scales(base.hamiltonian[:4, :4])
+    scales = ex.mode_scales(base.system)
     assert scales[0] > 2.0  # the renormalized block: far from the 1.0 passed below
     # a resonant block, hand-built, rotates its minus pair at the block's scales
-    drift = ex.DriftMatrix(np.array(base.hamiltonian), bath)
+    drift = ex.DriftMatrix(np.array(base.system), np.array(base.couplings), bath)
     assert drift.normal_modes.minus == scales
     for v in states:
         tr = ex.negativity_trace(v, drift, cfg)
@@ -876,10 +912,9 @@ def test_free_minus_pair_is_decided_from_the_hamiltonian():
         assert np.abs(tr.dp_minus_sq - rot[:, 1, 1]).max() <= 1e-12
     # the same block with x2 coupled at half strength: the pair is not
     # free, and the four-row channel matches exp(Kt)
-    h = np.array(base.hamiltonian)
-    h[2, 4::2] *= 0.5
-    h[4::2, 2] *= 0.5
-    drift = ex.DriftMatrix(h, bath)
+    couplings = np.array(base.couplings)
+    couplings[2] *= 0.5
+    drift = replace(base, couplings=couplings)
     assert drift.normal_modes.minus is None
     blocks = [drift.reduced_channel(times).blocks(v) for v in states]
     v0s = [ex.initial_covariance(v, bath).matrix for v in states]
@@ -1005,10 +1040,10 @@ def test_schur_stability_matches_dense_eigvalsh(model, monkeypatch):
             except UnstableHamiltonianError:
                 pass  # the bath-free minus mode; the total H is captured
     refused = []
-    for h in captured:
-        dense_negative = np.linalg.eigvalsh(h)[0] < 0.0
+    for drift in captured:
+        dense_negative = np.linalg.eigvalsh(drift.hamiltonian)[0] < 0.0
         try:
-            check(h)
+            check(drift)
             refused.append(False)
         except UnstableHamiltonianError:
             refused.append(True)

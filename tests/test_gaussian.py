@@ -23,7 +23,6 @@ from entbath.gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezed,
-    von_neumann_entropy,
 )
 
 
@@ -211,14 +210,6 @@ def test_thermal_scaling_kills_entanglement():
     pure = basis_change(two_mode_squeezed(0.5), Ordering.PHYSICAL)
     hot = CovarianceMatrix(10.0 * pure.matrix, Ordering.PHYSICAL)
     assert log_negativity(hot) == 0.0
-
-
-def test_entropy_pure_and_monotone():
-    assert von_neumann_entropy(0.5, 0.5) == 0.0
-    assert von_neumann_entropy(1.0, 0.5) > 0.0
-    assert von_neumann_entropy(2.0, 2.0) > von_neumann_entropy(1.0, 1.0)
-    with pytest.raises(UnphysicalStateError):
-        von_neumann_entropy(0.4, 0.5)
 
 
 def test_squeezing_of_inverts_preparation():
