@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import SpectralDensity, asymptotic_gamma, counterterm, j_omega
 from .errors import NumericalError
-from .gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation, squeezing_of
+from .gaussian import squeezing_of
 
 _TINY = 1e-14
 
@@ -62,17 +62,6 @@ def equilibrium_dispersions_position(
             "coefficients outside the validity of the perturbative forms"
         )
     return math.sqrt(dx2), math.sqrt(dp2)
-
-
-def equilibrium_dispersions_symmetric(
-    coeffs: SymmetricCoefficients, m: float, omega: float
-) -> tuple[float, float]:
-    """Asymptotic (dx+, dp+) for symmetric coupling: dp+ = M omega dx+."""
-    g, d = coeffs.gamma, coeffs.diffusion
-    if g <= 0 or d <= 0:
-        raise ValueError("equilibrium requires positive gamma~ and D~")
-    dp = math.sqrt(d / (2.0 * g))
-    return dp / (m * omega), dp
 
 
 def coefficient_limits(
@@ -192,20 +181,6 @@ def _amplitude_times_g(r: float, r_crit: float, phase: np.ndarray) -> np.ndarray
     return 0.5 * np.arccosh(b) - max(abs(r), abs(r_crit))
 
 
-def g_of_t(r: float, r_crit: float, omega_minus: float, t):
-    """Oscillatory factor G(t) in [-1, 1] with period pi/omega_minus.
-
-    Defined as 0 when the amplitude vanishes, keeping E(t) continuous.
-    """
-    amp = min(abs(r), abs(r_crit))
-    phase = omega_minus * np.asarray(t, dtype=float)
-    if amp < _TINY:
-        out = np.zeros_like(phase)
-        return float(out) if np.isscalar(t) else out
-    g = _amplitude_times_g(r, r_crit, phase) / amp
-    return float(g) if np.isscalar(t) else g
-
-
 def entanglement_oscillation(
     r: float, r_crit: float, s_crit: float, omega_minus: float, t
 ):
@@ -228,28 +203,6 @@ def classify(r: float, r_crit: float, s_crit: float) -> Phase:
     if mean + amp < 0.0:
         return Phase.SD
     return Phase.SDR
-
-
-def asymptotic_covariance(
-    t: float,
-    dx_plus: float,
-    dp_plus: float,
-    minus_block: np.ndarray,
-    m_minus: float,
-    omega_minus: float,
-) -> CovarianceMatrix:
-    """Beam-splitter construction of the asymptotic two-mode state.
-
-    The plus mode sits at its equilibrium dispersions while the initial
-    minus block rotates freely; the off-diagonal (+,-) block vanishes.
-    """
-    minus = free_rotation(np.asarray(minus_block, dtype=float), m_minus, omega_minus, t)
-    v = np.zeros((4, 4))
-    v[0, 0] = dx_plus**2
-    v[1, 1] = dp_plus**2
-    v[2:, 2:] = minus
-    normal = CovarianceMatrix(v, Ordering.NORMAL)
-    return basis_change(normal, Ordering.PHYSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +236,6 @@ def ohmic_weak_zero_t(gamma: float, omega: float, cutoff: float) -> dict[str, fl
         "r_crit": -0.25 * math.log(1.0 + (4.0 / math.pi) * log_lam * g),
         "s_crit": 0.25 * math.log(1.0 + (log_lam - 1.0) * 4.0 * g / math.pi),
     }
-
-
-def r_crit_from_coefficients(coeffs: PositionCoefficients, m: float) -> float:
-    """Signed r_crit = (1/4) ln[1 - 2 m gamma f / D] (resonant, C12 = 0)."""
-    arg = 1.0 - 2.0 * m * coeffs.gamma * coeffs.anomalous / coeffs.diffusion
-    if arg <= 0:
-        raise NumericalError("coefficients give no real equilibrium squeezing")
-    return 0.25 * math.log(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +313,6 @@ def _self_energy_shift(sd: SpectralDensity, omega, gap=None):
     return (8.0 * sd.mass * sd.gamma0 / math.pi) * sd.cutoff ** (
         1.0 - sd.exponent
     ) * _principal_value_shift(sd.exponent, omega, sd.cutoff, gap)
-
-
-def bath_self_energy(sd: SpectralDensity, omega: float) -> complex:
-    """Retarded self-energy of the x+ oscillator (sqrt(2)-enhanced coupling)."""
-    if not 0 < omega < sd.cutoff:
-        raise ValueError("omega must lie below the cutoff")
-    re = _self_energy_shift(sd, omega) - sd.mass * counterterm(sd)
-    return complex(re, math.pi * 2.0 * j_omega(sd, omega))
 
 
 def _resonance(sd: SpectralDensity, m: float, omega: float, static: float):
@@ -489,9 +426,3 @@ class FdtRule:
         if x2 <= 0 or p2 <= 0 or x_err > 1e-6 * abs(x2) + 1e-12 or p_err > 1e-6 * abs(p2) + 1e-12:
             raise NumericalError("fluctuation-dissipation quadrature failed")
         return math.sqrt(x2), math.sqrt(p2)
-
-
-def fdt_dispersions(sd: SpectralDensity, omega: float, temperature: float,
-                    m: float | None = None) -> tuple[float, float]:
-    """One temperature of an ``FdtRule``; keep the rule for several."""
-    return FdtRule(sd, omega, m).dispersions(temperature)

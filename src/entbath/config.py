@@ -258,7 +258,3 @@ def canonical_json(cfg: RunConfig) -> str:
 def json_hash(canonical: str) -> str:
     """sha256 of a ``canonical_json`` text."""
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def config_hash(cfg: RunConfig) -> str:
-    return json_hash(canonical_json(cfg))

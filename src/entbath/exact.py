@@ -98,7 +98,8 @@ class DriftMatrix:
     ``system`` is the 4x4 PHYSICAL block and ``couplings`` the (4, N)
     system-bath block: an x row couples to each q_k and a p row to each
     pi_k, so x-p cross terms can sit only in ``system``, which refuses
-    them.  The bath block is the bath's own diagonal (``bath_diagonal``).
+    them, as a made drift (``replace`` too) refuses an H that is not positive
+    semidefinite.  The bath block is the bath's own diagonal (``bath_diagonal``).
     ``m_minus``/``omega_minus`` are ``mode_scales`` of the system block
     (the bath-free minus oscillator of the bare model), computed once; the
     dense ``hamiltonian`` and ``k`` are formed on each read, for the RK4
@@ -120,6 +121,7 @@ class DriftMatrix:
             raise ValueError("a drift needs a 4x4 system block and 4 x N couplings")
         if np.any(self.system[0::2, 1::2]):
             raise ValueError("real second-order normal modes need H without x-p terms")
+        _check_stable(self)
 
     @property
     def dim(self) -> int:
@@ -171,24 +173,24 @@ class DriftMatrix:
 
 
 def _check_stable(drift: DriftMatrix) -> None:
-    """Refuse a total Hamiltonian that is not positive semidefinite.
-
-    The bath block D is diagonal and positive (a bath refuses masses and
-    frequencies <= 0), so by the Schur complement H >= 0 exactly when the
-    4x4 H_ss - C D^-1 C^T is; the tolerance is relative to max |H|.
+    """Refuse a total Hamiltonian that is not positive semidefinite, naming
+    the block that is not: the stiffness (x, q), checked first, or the
+    momentum block (p, pi).  The bath part D of each is diagonal and positive
+    (a bath refuses masses and frequencies <= 0), so by the Schur complement
+    a block is >= 0 exactly when its 2x2 H_ss - C D^-1 C^T is; the tolerance
+    is relative to max |H|.
     """
     h_ss, c = drift.system, drift.couplings
     k_bath, b_bath = drift.bath_diagonal
-    schur = np.array(h_ss)
-    schur[0::2, 0::2] -= (c[0::2] / k_bath) @ c[0::2].T
-    schur[1::2, 1::2] -= (c[1::2] / b_bath) @ c[1::2].T
-    lo = float(np.linalg.eigvalsh(schur)[0])
     scale = max(1.0, float(np.abs(h_ss).max()), float(np.abs(c).max()),
                 float(k_bath.max()), float(b_bath.max()))
-    if lo < -_PSD_TOL * scale:
-        raise UnstableHamiltonianError(
-            f"total Hamiltonian has negative Schur-complement eigenvalue {lo:.3e}"
-        )
+    for name, rows, d in (("stiffness", slice(0, 4, 2), k_bath),
+                          ("momentum block", slice(1, 4, 2), b_bath)):
+        lo = float(np.linalg.eigvalsh(h_ss[rows, rows] - (c[rows] / d) @ c[rows].T)[0])
+        if lo < -_PSD_TOL * scale:
+            raise UnstableHamiltonianError(
+                f"{name} of H has negative Schur-complement eigenvalue {lo:.3e}"
+            )
 
 
 def system_hamiltonian(
@@ -258,7 +260,6 @@ def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize
     cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
           if model == "symmetric" else np.zeros_like(c))
     drift = DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
-    _check_stable(drift)
     try:  # an unstable minus mode is refused at build time
         drift._minus_scales
     except ValueError as err:
@@ -451,8 +452,8 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     c12 != c12_tilde, hand-built ones) forms L^T K L, A = L U and
     W = U^T L^-1 with row and column scalings plus n x 2 by 2 x n products,
     around one ``eigh``.  Whether the minus pair is free is decided here
-    too (``_free_minus``).  Refuses a momentum block or stiffness that is
-    not positive definite (``UnstableHamiltonianError``).
+    too (``_free_minus``).  A drift is stable when made; the refusals here
+    (``UnstableHamiltonianError``) guard the boundary against rounding.
     """
     h_sys, cx, c = drift.system, drift.couplings[0::2], drift.couplings[1::2]
     k_bath, d = drift.bath_diagonal

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderingError, UnphysicalStateError
+from .errors import NumericalError, OrderingError, UnphysicalStateError
 
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_ATOL = 1e-10
@@ -72,26 +72,15 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_modes(self) -> int:
-        return self.dim // 2
-
     def require(self, ordering: Ordering) -> None:
         if self.ordering is not ordering:
             raise OrderingError(
                 f"expected {ordering.value} ordering, got {self.ordering.value}"
             )
 
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self)
-
-    def is_physical(self, atol: float = PHYSICALITY_ATOL) -> bool:
+    def validate_physical(self) -> None:
         nu = symplectic_eigenvalues(self)
-        return bool(nu[0] >= 0.5 - atol)
-
-    def validate_physical(self, atol: float = PHYSICALITY_ATOL) -> None:
-        nu = symplectic_eigenvalues(self)
-        if nu[0] < 0.5 - atol:
+        if nu[0] < 0.5 - PHYSICALITY_ATOL:
             raise UnphysicalStateError(
                 f"smallest symplectic eigenvalue {nu[0]:.3e} < 1/2"
             )
@@ -142,18 +131,15 @@ def _real_refinement(m: np.ndarray) -> np.ndarray:
     return np.sqrt(nu_sq[..., ::2])
 
 
-def symplectic_eigenvalues(
-    v: CovarianceMatrix | np.ndarray, *, general: bool = False
-) -> np.ndarray:
+def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric matrix, ascending, one per mode.
 
     They are the moduli of the eigenvalues of ``i J V``.  A (k, d, d) stack
-    gives one row per matrix.  For 4x4 input the two-mode closed form is
-    the default fast path; ``general=True`` forces the eigensolver route
-    (used as an independent oracle in tests).
+    gives one row per matrix.  4x4 input takes the two-mode closed form,
+    any other size the eigensolver.
     """
     m = _as_matrix(v)
-    if m.shape[-1] != 4 or general:
+    if m.shape[-1] != 4:
         return _eigensolver(m)
     stack = m.reshape(-1, 4, 4)
     nu = _two_mode_closed_form(stack)
@@ -228,10 +214,10 @@ def two_mode_squeezed(r: float, m: float = 1.0, omega: float = 1.0) -> Covarianc
     """
     if m <= 0 or omega <= 0:
         raise ValueError("mass and frequency must be positive")
-    dx_p2 = math.exp(2.0 * r) / (2.0 * m * omega)
-    dp_p2 = m * omega * math.exp(-2.0 * r) / 2.0
-    dx_m2 = math.exp(-2.0 * r) / (2.0 * m * omega)
-    dp_m2 = m * omega * math.exp(2.0 * r) / 2.0
+    dx_p2 = squeezing_exp(2.0 * r, r) / (2.0 * m * omega)
+    dp_p2 = m * omega * squeezing_exp(-2.0 * r, r) / 2.0
+    dx_m2 = squeezing_exp(-2.0 * r, r) / (2.0 * m * omega)
+    dp_m2 = m * omega * squeezing_exp(2.0 * r, r) / 2.0
     return CovarianceMatrix(np.diag([dx_p2, dp_p2, dx_m2, dp_m2]), Ordering.NORMAL)
 
 
@@ -243,9 +229,20 @@ def separable_squeezed(r: float, m: float = 1.0, omega: float = 1.0) -> Covarian
     """
     if m <= 0 or omega <= 0:
         raise ValueError("mass and frequency must be positive")
-    dx2 = math.exp(2.0 * r) / (2.0 * m * omega)
-    dp2 = m * omega * math.exp(-2.0 * r) / 2.0
+    dx2 = squeezing_exp(2.0 * r, r) / (2.0 * m * omega)
+    dp2 = m * omega * squeezing_exp(-2.0 * r, r) / 2.0
     return CovarianceMatrix(np.diag([dx2, dp2, dx2, dp2]), Ordering.PHYSICAL)
+
+
+def squeezing_exp(x: float, r: float) -> float:
+    """exp(x) for an exponent x of the squeezing r; an r whose exponential
+    overflows a float is refused with a ``NumericalError`` naming it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NumericalError(
+            f"squeezing r={r!r} is beyond float range: exp({x!r}) overflows"
+        ) from None
 
 
 def squeezing_of(dx: float, dp: float, m: float, omega: float) -> float:

@@ -38,8 +38,8 @@ class MomentState:
     master equation is not of Lindblad form: its anomalous-diffusion term is
     first order in the damping rate and drives transient dips of the plus
     block a few percent below the uncertainty bound (measured down to
-    det ~ 0.20 at gamma = 0.2 from a vacuum start), so full physicality is an
-    explicit check via ``is_physical`` rather than an invariant.
+    det ~ 0.20 at gamma = 0.2 from a vacuum start), so the uncertainty bound
+    is not an invariant of the route.
     """
 
     x2_plus: float
@@ -54,10 +54,6 @@ class MomentState:
         _require_positive("plus", [self.plus_block_moments()], self.time)
         _require_positive("minus", [self.minus_block_moments()], self.time)
 
-    def is_physical(self, atol: float = UNCERTAINTY_ATOL) -> bool:
-        blocks = (self.plus_block_moments(), self.minus_block_moments())
-        return all(x2 * p2 - (xp / 2.0) ** 2 >= 0.25 - atol for x2, p2, xp in blocks)
-
     def plus_block_moments(self) -> tuple[float, float, float]:
         return self.x2_plus, self.p2_plus, self.xp_plus
 
@@ -69,7 +65,7 @@ class MomentState:
         return np.array([[self.x2_minus, xp], [xp, self.p2_minus]])
 
     def minus_rows(self, m: float, omega: float, times: np.ndarray) -> np.ndarray:
-        """(k, 3) minus-block rows as in ``Trajectory``, rotated exactly from
+        """(k, 3) minus-block rows (<x^2>, <p^2>, <{x,p}>), rotated exactly from
         this state's time to each of ``times``; each must stay positive."""
         rot = free_rotation(self.minus_block(), m, omega, times - self.time)
         rows = np.stack([rot[:, 0, 0], rot[:, 1, 1], 2.0 * rot[:, 0, 1]], axis=1)
@@ -79,13 +75,12 @@ class MomentState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The samples of ``integrate``: ``times`` (k,), the (k, 3) rows
-    (<x^2>, <p^2>, <{x,p}>) of the ``plus`` and ``minus`` blocks, and the
-    smallest plus-block x2 p2 - (xp/2)^2 over every step."""
+    """The samples of ``integrate``: ``times`` (k,), the (k, 3) plus-block rows
+    (<x^2>, <p^2>, <{x,p}>), and the smallest plus-block x2 p2 - (xp/2)^2
+    over every step.  The minus rows are ``MomentState.minus_rows``."""
 
     times: np.ndarray
     plus: np.ndarray
-    minus: np.ndarray
     min_plus_det: float
 
 
@@ -101,14 +96,6 @@ def _require_positive(tag: str, blocks, times) -> np.ndarray:
             f"({det[bad[0]]:.6e}) at t={np.broadcast_to(times, det.shape)[bad[0]]}"
         )
     return det
-
-
-def vacuum_state(m: float, omega: float) -> MomentState:
-    """Ground state of both modes for mass m and frequency omega."""
-    return MomentState(
-        1.0 / (2.0 * m * omega), m * omega / 2.0, 0.0,
-        1.0 / (2.0 * m * omega), m * omega / 2.0, 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,38 +287,34 @@ def integrate(
     t_final: float,
     dt: float | None = None,
     model: str = "position",
-    m_minus: float | None = None,
-    omega_minus: float | None = None,
     sample_every: int = 1,
 ) -> Trajectory:
     """March the plus-mode ODEs from ``state`` to t_final; samples every
-    ``sample_every``-th step and the final one.
+    ``sample_every``-th step and the final one.  A t_final at the state's
+    time gives its one row.
 
-    The minus block is rotated analytically to each sample time, so its
-    evolution is exact regardless of dt.  ``coeffs``, ``m`` and ``omega``
-    may be callables of time.  Without ``dt`` the step is ``default_step``
-    of the rates: computed once for constant inputs, and at each step's
-    start when an input is a callable of time, so a schedule whose rates
-    grow is stepped finer.  An explicit ``dt`` is a fixed step, refused
-    where it exceeds the bound.  The plus block must stay positive at every
-    step, and the minus block at every sample.
+    Only the plus block is marched: the minus block never sees the bath, and
+    ``MomentState.minus_rows`` rotates it exactly to any times.  ``coeffs``,
+    ``m`` and ``omega`` may be callables of time.  Without ``dt`` the step
+    is ``default_step`` of the rates: computed once for constant inputs, and
+    at each step's start when an input is a callable of time, so a schedule
+    whose rates grow is stepped finer.  An explicit ``dt`` is a fixed step,
+    refused where it exceeds the bound.  The plus block must stay positive
+    at every step.
     """
     if model not in _FORMS:
         raise ValueError(f"unknown coupling model {model!r}")
     t0 = float(state.time)
-    if not t_final > t0:
-        raise ValueError(f"t_final={t_final} does not follow the state's time {t0}")
+    if not t_final >= t0:
+        raise ValueError(f"t_final={t_final} precedes the state's time {t0}")
     env = _environment(model, coeffs, m, omega)
     y0 = np.array([*state.plus_block_moments(), 1.0])
-    scheduled = any(callable(v) for v in (coeffs, m, omega))
-    ends, y = (_scheduled_march if scheduled else _constant_march)(env, y0, t0, t_final, dt)
+    march = _scheduled_march if any(callable(v) for v in (coeffs, m, omega)) else _constant_march
+    ends, y = march(env, y0, t0, t_final, dt) if t_final > t0 else (np.array([t0]), y0[None])
     det = _require_positive("plus", y[:, :3], ends)
     n = len(ends) - 1
     sampled = np.r_[0:n:sample_every, n]
-    times = ends[sampled]
-    mm, wm = (given if given is not None else (v(0.0) if callable(v) else v)
-              for given, v in ((m_minus, m), (omega_minus, omega)))
-    return Trajectory(times, y[sampled, :3], state.minus_rows(mm, wm, times), float(det.min()))
+    return Trajectory(ends[sampled], y[sampled, :3], float(det.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +322,9 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 def negativities(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """E_N of the states assembled from (k, 3) plus and minus block moments
-    as in ``Trajectory``; valid where the (+,-) cross block vanishes."""
+    """E_N of the states assembled from (k, 3) plus and minus block moment
+    rows (``Trajectory.plus``, ``MomentState.minus_rows``); valid where the
+    (+,-) cross block vanishes."""
     v = np.zeros((len(plus), 4, 4))  # NORMAL ordering, no (+,-) cross block
     for i, rows in ((0, plus), (2, minus)):
         x2, p2, xp = np.asarray(rows, dtype=float).T

@@ -34,6 +34,7 @@ from .gaussian import (
     OscillatorParams,
     basis_change,
     separable_squeezed,
+    squeezing_exp,
     squeezing_of,
     symplectic_eigenvalues,
     two_mode_squeezed,
@@ -218,8 +219,8 @@ class Scenario:
 
     def _criticals(self, plus, r_minus: float, product: float) -> asy.CriticalParams:
         _, m_minus, omega_minus = self.route_scales()
-        dx_m = math.sqrt(product / (m_minus * omega_minus)) * math.exp(r_minus)
-        dp_m = math.sqrt(product * m_minus * omega_minus) * math.exp(-r_minus)
+        dx_m = math.sqrt(product / (m_minus * omega_minus)) * squeezing_exp(r_minus, r_minus)
+        dp_m = math.sqrt(product * m_minus * omega_minus) * squeezing_exp(-r_minus, r_minus)
         return asy.critical_params(*plus, dx_m, dp_m, m_minus, omega_minus)
 
     # -- routes -----------------------------------------------------------
@@ -241,8 +242,7 @@ class Scenario:
         per_sample = math.ceil(spacing / step - 1e-9)  # a ratio whole up to rounding
         traj = mo.integrate(
             state, coeffs, m_plus, omega_plus, float(times[-1]), spacing / per_sample,
-            model=self.model, m_minus=m_minus, omega_minus=omega_minus,
-            sample_every=per_sample,
+            model=self.model, sample_every=per_sample,
         )
         plus = np.stack([np.interp(times, traj.times, col) for col in traj.plus.T], axis=1)
         minus = state.minus_rows(m_minus, omega_minus, times)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import asymptotic_covariance, r_crit_from_coefficients
 
 from entbath import asymptotics as asy
 from entbath import exact as ex
@@ -28,6 +29,7 @@ from entbath.gaussian import (
 OHMIC = SpectralDensity.ohmic(0.1, 20.0)
 OSC = OscillatorParams(1.0, 1.0, 1.0)
 EN_FLOOR = 1e-10
+VACUUM = mo.MomentState(0.5, 0.5, 0.0, 0.5, 0.5, 0.0)  # both modes, m = omega = 1
 
 
 @pytest.fixture
@@ -127,7 +129,7 @@ def test_criterion_2_fixed_points(announce):
         c = asy.coefficient_limits(OHMIC, 1.0, t_bath, "position")
         dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
         traj = mo.integrate(
-            mo.vacuum_state(1.0, 1.0), c, 1.0, 1.0, 50.0 / c.gamma, sample_every=1000
+            VACUUM, c, 1.0, 1.0, 50.0 / c.gamma, sample_every=1000
         )
         x2, p2, xp = traj.plus[-1]
         scale = max(dx * dx, dp * dp)
@@ -135,14 +137,14 @@ def test_criterion_2_fixed_points(announce):
         assert abs(p2 - dp * dp) < 1e-8 * scale
         assert abs(xp) < 1e-8 * scale
         cases.append(f"position T={t_bath:g}")
+    # the symmetric fixed point is the thermal state at omega = m = 1
     cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
-    dxs, dps = asy.equilibrium_dispersions_symmetric(cs, 1.0, 1.0)
+    coth = 1.0 / math.tanh(1.0 / (2.0 * 0.3))
     traj = mo.integrate(
-        mo.vacuum_state(1.0, 1.0), cs, 1.0, 1.0, 50.0 / cs.gamma,
-        model="symmetric", sample_every=1000,
+        VACUUM, cs, 1.0, 1.0, 50.0 / cs.gamma, model="symmetric", sample_every=1000,
     )
-    assert abs(traj.plus[-1, 0] - dxs * dxs) < 1e-8
-    assert abs(traj.plus[-1, 1] - dps * dps) < 1e-8
+    assert abs(traj.plus[-1, 0] - coth / 2.0) < 1e-8
+    assert abs(traj.plus[-1, 1] - coth / 2.0) < 1e-8
     cases.append("symmetric T=0.3")
     announce(f"PASS: criterion 2 — moment fixed points within 1e-8 ({', '.join(cases)})")
 
@@ -174,9 +176,7 @@ def test_criterion_3_oscillation_law(announce):
         for t in rng.uniform(0.0, 2.0 * math.pi / omega, size=3):
             law = asy.entanglement_oscillation(r, r_crit, s_crit, omega, float(t))
             if law > 1e-6:
-                v = asy.asymptotic_covariance(
-                    float(t), dx_p, dp_p, minus, 1.0 / omega, omega
-                )
+                v = asymptotic_covariance(float(t), dx_p, dp_p, minus, 1.0 / omega, omega)
                 assert log_negativity(v) == pytest.approx(law, abs=1e-8)
     announce("PASS: criterion 3 — oscillation law, 100 random tuples "
              "(extrema 1e-6, pointwise 1e-8)")
@@ -230,7 +230,7 @@ def test_criterion_5_sign_flip_phase_shift(fig3, announce):
     e_plus = plus.e_n[sel]
     e_minus_shifted = np.interp(t + shift, minus.times, minus.e_n)
     c = asy.coefficient_limits(OHMIC, 1.0, 0.0, "position")
-    amp = abs(asy.r_crit_from_coefficients(c, 1.0))
+    amp = abs(r_crit_from_coefficients(c, 1.0))
     residual = float(np.abs(e_plus - e_minus_shifted).max())
     assert residual < 0.05 * amp
     announce(
@@ -283,7 +283,7 @@ def test_criterion_7_phase_grid(announce):
     for t_bath in temps:
         bath = discretize(OHMIC, n, t_bath)
         drift = ex.build_position_model(OSC, bath)
-        dx_p, dp_p = asy.fdt_dispersions(OHMIC, 1.0, t_bath)
+        dx_p, dp_p = asy.FdtRule(OHMIC, 1.0).dispersions(t_bath)
         for r in rs:
             dx_m = math.exp(r) / math.sqrt(2.0)
             dp_m = math.exp(-r) / math.sqrt(2.0)
@@ -305,7 +305,7 @@ def test_criterion_7_phase_grid(announce):
 def test_criterion_8_super_ohmic_slow_decay(super_run, announce):
     sd, _, drift, tr = super_run
     gamma_sup = 2.0 * sd.gamma0 * (1.0 / sd.cutoff) ** 2
-    dx2, dp2 = asy.fdt_dispersions(sd, 1.0, 0.0)
+    dx2, dp2 = asy.FdtRule(sd, 1.0).dispersions(0.0)
     r_crit = 0.5 * math.log(dx2 / dp2)
     # squeezing of the plus block relative to its equilibrium value
     r_c = 0.25 * np.log(tr.dx_plus_sq / tr.dp_plus_sq)

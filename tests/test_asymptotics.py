@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import asymptotic_covariance, bath_self_energy, r_crit_from_coefficients
 
 from entbath import asymptotics as asy
 from entbath.bath import SpectralDensity, asymptotic_gamma, counterterm
@@ -33,7 +34,7 @@ def test_ohmic_zero_t_equilibrium_frozen():
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     assert dx * dx == pytest.approx(0.43633802276324, rel=1e-10)
     assert dp * dp == pytest.approx(0.81776650237607, rel=1e-10)
-    assert asy.r_crit_from_coefficients(c, 1.0) == pytest.approx(
+    assert r_crit_from_coefficients(c, 1.0) == pytest.approx(
         -0.15703990547393, rel=1e-9
     )
 
@@ -51,10 +52,10 @@ def test_symmetric_coefficients_any_temperature():
         c = asy.coefficient_limits(OHMIC, 1.0, t, "symmetric")
         coth = 1.0 if t == 0 else 1.0 / math.tanh(1.0 / (2.0 * t))
         assert c.diffusion / c.gamma == pytest.approx(coth, rel=1e-12)
-        dx, dp = asy.equilibrium_dispersions_symmetric(c, 1.0, 1.0)
-        # equipartition at the mass-frequency scale, dx dp = coth/2
-        assert dp == pytest.approx(dx, rel=1e-12)
-        assert dx * dp == pytest.approx(coth / 2.0, rel=1e-12)
+        # the fixed point dp^2 = D/(2 gamma), dx = dp/(m omega) is the thermal
+        # state at omega = m = 1: dx^2 = coth/(2 m omega), dp^2 = m omega coth/2
+        dp = math.sqrt(c.diffusion / (2.0 * c.gamma))
+        assert dp * dp == pytest.approx(coth / 2.0, rel=1e-12)
 
 
 def test_untabulated_exponent_refused():
@@ -110,7 +111,7 @@ def test_position_variance_limits():
 
 def test_weak_coupling_criticals_close_to_exact():
     weak = asy.ohmic_weak_zero_t(0.2, 1.0, 20.0)
-    dx0, dp0 = asy.fdt_dispersions(OHMIC, 1.0, 0.0)
+    dx0, dp0 = asy.FdtRule(OHMIC, 1.0).dispersions(0.0)
     r1, r2 = asy.r1_r2(dx0, dp0, 1.0, 1.0)
     assert weak["r1"] == pytest.approx(r1, abs=0.02)
     assert weak["r2"] == pytest.approx(r2, abs=0.02)
@@ -121,12 +122,12 @@ def test_weak_coupling_criticals_close_to_exact():
 # ---------------------------------------------------------------------------
 
 def test_fdt_frozen_values():
-    dx, dp = asy.fdt_dispersions(OHMIC, 1.0, 0.0)
+    dx, dp = asy.FdtRule(OHMIC, 1.0).dispersions(0.0)
     assert dx * dx == pytest.approx(0.44729727582354, rel=1e-6)
     assert dp * dp == pytest.approx(0.80775983228627, rel=1e-6)
-    sx, sp = asy.fdt_dispersions(SUB, 1.0, 0.0)
+    sx, sp = asy.FdtRule(SUB, 1.0).dispersions(0.0)
     assert 0.5 * math.log(sx / sp) == pytest.approx(-0.38197435, rel=1e-5)
-    ux, up = asy.fdt_dispersions(SUPER, 1.0, 0.0)
+    ux, up = asy.FdtRule(SUPER, 1.0).dispersions(0.0)
     assert 0.5 * math.log(ux / up) == pytest.approx(-0.04030212, rel=1e-4)
 
 
@@ -134,7 +135,7 @@ def test_fdt_converges_to_ohmic_closed_form_with_cutoff():
     errs = []
     for lam in (20.0, 200.0):
         sd = SpectralDensity.ohmic(0.1, lam)
-        dx, _ = asy.fdt_dispersions(sd, 1.0, 0.0)
+        dx, _ = asy.FdtRule(sd, 1.0).dispersions(0.0)
         ex, _ = asy.ohmic_exact_zero_t_dispersions(0.2, 1.0, lam)
         errs.append(abs(dx * dx - ex * ex) / (ex * ex))
     assert errs[0] < 1e-2
@@ -143,13 +144,13 @@ def test_fdt_converges_to_ohmic_closed_form_with_cutoff():
 
 def test_fdt_matches_harmonic_number_variance_at_finite_t():
     for t in (0.1, 0.3, 1.0):
-        dx, _ = asy.fdt_dispersions(OHMIC, 1.0, t)
+        dx, _ = asy.FdtRule(OHMIC, 1.0).dispersions(t)
         hn = ohmic_position_variance(t, 0.2, 1.0)
         assert dx * dx == pytest.approx(hn, rel=1e-2)
 
 
 def test_fdt_high_t_equipartition():
-    dx, dp = asy.fdt_dispersions(OHMIC, 1.0, 10.0)
+    dx, dp = asy.FdtRule(OHMIC, 1.0).dispersions(10.0)
     assert dp * dp == pytest.approx(10.0, rel=1e-2)
     assert dx * dx == pytest.approx(10.0, rel=2e-2)
 
@@ -165,7 +166,7 @@ def _quad_reference(sd, omega, temperature):
     bare = omega**2 - counterterm(sd)
 
     def denom(w):
-        return m * (bare - w * w) - asy.bath_self_energy(sd, w)
+        return m * (bare - w * w) - bath_self_energy(sd, w)
 
     grid = np.geomspace(1e-3 * omega, sd.cutoff * (1.0 - 1e-9), 400)
     re = np.array([denom(w).real for w in grid])
@@ -174,7 +175,7 @@ def _quad_reference(sd, omega, temperature):
 
     def x_integrand(w):
         coth = 1.0 if temperature == 0.0 else 1.0 / math.tanh(w / (2.0 * temperature))
-        return coth * asy.bath_self_energy(sd, w).imag / abs(denom(w)) ** 2 / math.pi
+        return coth * bath_self_energy(sd, w).imag / abs(denom(w)) ** 2 / math.pi
 
     opts = dict(points=sorted({omega, peak}), limit=2000, epsabs=0.0, epsrel=1e-12)
     x2 = quad(x_integrand, 0.0, sd.cutoff, **opts)[0]
@@ -188,7 +189,7 @@ def test_fdt_matches_adaptive_reference(exponent):
         sd = SpectralDensity(exponent, gamma0, 20.0)
         for omega in (0.2, 1.0, 3.0):
             for t in (0.0, 0.1, 1.0, 10.0):
-                dx, dp = asy.fdt_dispersions(sd, omega, t)
+                dx, dp = asy.FdtRule(sd, omega).dispersions(t)
                 x2, p2 = _quad_reference(sd, omega, t)
                 assert dx * dx == pytest.approx(x2, rel=1e-10), (gamma0, omega, t)
                 assert dp * dp == pytest.approx(p2, rel=1e-10), (gamma0, omega, t)
@@ -234,7 +235,7 @@ def test_fdt_matches_high_precision_reference(exponent, gamma0, omega, t, cutoff
         cuts = [mp.mpf(c) for c in cuts]
         x2 = float(mp.quad(chi, cuts, maxdegree=10))
         p2 = float(mp.quad(lambda w: w * w * chi(w), cuts, maxdegree=10))
-    dx, dp = asy.fdt_dispersions(sd, omega, t)
+    dx, dp = asy.FdtRule(sd, omega).dispersions(t)
     assert dx * dx == pytest.approx(x2, rel=1e-12)
     assert dp * dp == pytest.approx(p2, rel=1e-12)
 
@@ -243,13 +244,13 @@ def test_fdt_refuses_unconverged_rule(monkeypatch):
     # two levels (9 and 17 nodes per side) leave the estimate far above 1e-6
     monkeypatch.setattr(asy, "_DE_MAX_LEVEL", 1)
     with pytest.raises(NumericalError, match="quadrature failed"):
-        asy.fdt_dispersions(OHMIC, 1.0, 0.0)
+        asy.FdtRule(OHMIC, 1.0).dispersions(0.0)
 
 
 def test_fdt_refuses_omega_at_or_above_cutoff():
     for omega in (20.0, 25.0, 0.0):
         with pytest.raises(ValueError, match="cutoff"):
-            asy.fdt_dispersions(OHMIC, omega, 0.0)
+            asy.FdtRule(OHMIC, omega)
 
 
 def test_fdt_rule_reuse_is_bit_identical():
@@ -260,7 +261,7 @@ def test_fdt_rule_reuse_is_bit_identical():
     for sd in (OHMIC, SUB, SUPER):
         rule = asy.FdtRule(sd, 1.0)
         reused = [rule.dispersions(t) for t in temps]
-        assert reused == [asy.fdt_dispersions(sd, 1.0, t) for t in temps], sd.exponent
+        assert reused == [asy.FdtRule(sd, 1.0).dispersions(t) for t in temps], sd.exponent
         assert len(set(reused)) == 5, sd.exponent
 
 
@@ -283,7 +284,7 @@ def test_principal_value_against_cauchy_quadrature(sd):
 
 def test_critical_temperature_frozen():
     t0 = asy.critical_temperature(
-        lambda t: asy.fdt_dispersions(OHMIC, 1.0, t)[0] ** 2, 1.0, 1.0
+        lambda t: asy.FdtRule(OHMIC, 1.0).dispersions(t)[0] ** 2, 1.0, 1.0
     )
     assert t0 == pytest.approx(0.27148244, abs=1e-5)
     t0_hn = asy.critical_temperature(
@@ -330,17 +331,17 @@ def test_mean_amplitude_and_classify():
 )
 @settings(max_examples=60, deadline=None)
 def test_g_of_t_bounded_and_periodic(r, r_crit, s_crit, omega):
-    # the normalized G divides by the amplitude min(|r|, |r_crit|); near the
-    # amplitude-zero boundary the quotient amplifies rounding noise while
-    # amp*G stays accurate, so keep the property test away from it
+    # E(t) = E~ + dE G(t) with G in [-1, 1] of period pi/omega, checked on
+    # E itself with G's tolerance 1e-9 scaled by the amplitude dE; near
+    # dE = 0 that bound falls below E's rounding, so keep away from it
     assume(min(abs(r), abs(r_crit)) > 1e-3)
+    mean, amp = asy.mean_and_amplitude(r, r_crit, s_crit)
     t = np.linspace(0.0, 3.0 * math.pi / omega, 301)
-    g = asy.g_of_t(r, r_crit, omega, t)
-    assert np.all(g <= 1.0 + 1e-9)
-    assert np.all(g >= -1.0 - 1e-9)
-    # period pi/omega
-    g2 = asy.g_of_t(r, r_crit, omega, t + math.pi / omega)
-    assert np.allclose(g, g2, atol=1e-9)
+    e = asy.entanglement_oscillation(r, r_crit, s_crit, omega, t)
+    assert np.all(e <= mean + amp * (1.0 + 1e-9))
+    assert np.all(e >= mean - amp * (1.0 + 1e-9))
+    e2 = asy.entanglement_oscillation(r, r_crit, s_crit, omega, t + math.pi / omega)
+    assert np.allclose(e, e2, rtol=0.0, atol=1e-9 * amp)
 
 
 def test_oscillation_extrema_at_quarter_periods():
@@ -369,7 +370,7 @@ def test_oscillation_matches_beam_splitter_negativity():
         # so rotate with m_minus = 1/omega
         for t in rng.uniform(0.0, 10.0, size=5):
             law = asy.entanglement_oscillation(r, r_crit, s_crit, omega, float(t))
-            v = asy.asymptotic_covariance(float(t), dx_p, dp_p, minus, 1.0 / omega, omega)
+            v = asymptotic_covariance(float(t), dx_p, dp_p, minus, 1.0 / omega, omega)
             assert log_negativity(v) == pytest.approx(max(0.0, law), abs=1e-8)
 
 
@@ -390,5 +391,5 @@ def test_self_energy_imaginary_part_is_spectral_density():
 
     for sd in (OHMIC, SUB, SUPER):
         for w in (0.3, 1.0, 5.0):
-            sig = asy.bath_self_energy(sd, w)
+            sig = bath_self_energy(sd, w)
             assert sig.imag == pytest.approx(2.0 * math.pi * j_omega(sd, w), rel=1e-12)

@@ -13,8 +13,8 @@ from entbath.cli import _parser, main, write_csv
 from entbath.config import (
     apply_override,
     canonical_json,
-    config_hash,
     from_dict,
+    json_hash,
     load_config,
     validate,
 )
@@ -83,9 +83,9 @@ def test_canonical_json_is_key_sorted_and_hash_stable():
     a = from_dict(dict(BASE))
     b = from_dict(dict(BASE))
     assert canonical_json(a) == canonical_json(b)
-    assert config_hash(a) == config_hash(b)
+    assert json_hash(canonical_json(a)) == json_hash(canonical_json(b))
     apply_override(b, "bath.temperature=1")
-    assert config_hash(a) != config_hash(b)
+    assert json_hash(canonical_json(a)) != json_hash(canonical_json(b))
 
 
 def test_load_config_missing_file():
@@ -115,6 +115,7 @@ OVERRIDES = [
     "bath.temperature=1", "bath.temperature=10", "bath.temperature=10.5", "bath.unknown=1",
     "evolution.dt=0.02", "evolution.dt=0.3", "evolution.integrator=rk4",
     "evolution.sample_stride=1", "evolution.sample_stride=true", "evolution.t_max=.inf",
+    "evolution.t_max=0.01", "evolution.t_max=0.1",
     "evolution.t_max=1.0", "evolution.t_max=100", "evolution.t_max=150", "evolution.t_max=50",
     "initial_state.covariance=[[a,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
     "initial_state.covariance=[[0.1,0,0,0],[0,0.1,0,0],[0,0,0.5,0],[0,0,0,0.5]]",
@@ -122,8 +123,10 @@ OVERRIDES = [
     "[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]",
     "initial_state.covariance=2020-01-01", "initial_state.covariance=[[1,2]]",
     "initial_state.kind=custom_covariance", "initial_state.r=.nan", "initial_state.r=1.0",
+    "initial_state.r=355", "initial_state.r=400", "initial_state.r=-400",
     "model=symmetric", "spectral.gamma0=.nan", "spectral.n=3", "sweep.parallelism=1",
     "sweep.parallelism=2", "sweep.parallelism=true", "sweep.r_grid=null",
+    "sweep.r_grid=[400]", "sweep.r_grid=[800]",
     "system.c12=0.1", "system.c12=0.2", "system.c12=1.5", "system.omega1=1.05",
     "system.omega1=25", "system.omega2=0.95", "system.omega2=25",
     *UNPARSABLE_OVERRIDES,
@@ -135,7 +138,8 @@ def _load_or_refusal(path, overrides):
         cfg = load_config(path, overrides)
     except ConfigError:
         return "refused"
-    return cfg, canonical_json(cfg), config_hash(cfg)
+    canonical = canonical_json(cfg)
+    return cfg, canonical, json_hash(canonical)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
@@ -233,11 +237,11 @@ def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
     t = cols["t"]
     fine = mo.integrate(state, scenario.moment_coefficients(), m_plus,
                         scenario.plus_frequency(), float(t[-1]), (t[1] - t[0]) / 100,
-                        m_minus=m_minus, omega_minus=omega_minus, sample_every=100)
+                        sample_every=100)
     np.testing.assert_allclose(fine.times, t, rtol=0, atol=1e-9)
     np.testing.assert_allclose(cols["dx_plus_sq"], fine.plus[:, 0], rtol=0, atol=1e-6)
     np.testing.assert_allclose(cols["dp_plus_sq"], fine.plus[:, 1], rtol=0, atol=1e-6)
-    e_n = mo.negativities(fine.plus, fine.minus)
+    e_n = mo.negativities(fine.plus, state.minus_rows(m_minus, omega_minus, fine.times))
     np.testing.assert_allclose(cols["E_N_moments"], e_n, rtol=0, atol=1e-6)
 
 
@@ -315,6 +319,49 @@ def test_exit_code_refusals(cfg_file, tmp_path, capsys):
         "--set", "evolution.integrator=rk4", "--set", "evolution.dt=0.02",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, item, code", [
+    ("negativity-trace", "initial_state.r=400", 4),
+    ("negativity-trace", "initial_state.r=-400", 4),
+    ("moments", "initial_state.r=400", 4),
+    ("moments", "initial_state.r=-400", 4),
+    ("phase-diagram", "sweep.r_grid=[800]", 4),
+    ("asymptotics", "initial_state.r=355", 0),
+    ("phase-diagram", "sweep.r_grid=[400]", 0),
+])
+def test_squeezing_beyond_float_range_is_numerical_error(command, item, code, cfg_file,
+                                                         tmp_path, capsys):
+    # exp(2r) of the prepared state, or exp(r) of the closed form's minus
+    # dispersions, overflows a float: refused by name, not a traceback
+    argv = [command, cfg_file, "--set", item, "--out", str(tmp_path / "out")]
+    if command == "phase-diagram":
+        argv += ["--summary", str(tmp_path / "summary.json")]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err.startswith("numerical failure: squeezing r=")
+
+
+@pytest.mark.parametrize("name", ["ohmic_trace", "symmetric_trace"])
+def test_one_sample_window_gives_the_prepared_state(name, tmp_path):
+    # a window shorter than one sample spacing: the moment route reads the
+    # prepared state at t = 0, as the exact route does
+    from entbath.gaussian import Ordering, basis_change
+    from entbath.scenario import DISPERSIONS, Scenario
+
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.yaml")
+    trace, moments = tmp_path / "t.csv", tmp_path / "m.csv"
+    assert main(["negativity-trace", yaml_path, "--with-moments",
+                 "--set", "evolution.t_max=0.1", "--out", str(trace)]) == 0
+    assert main(["moments", yaml_path, "--set", "evolution.t_max=0.01",
+                 "--out", str(moments)]) == 0
+    a, b = _read_csv(trace), _read_csv(moments)
+    assert list(a["t"]) == [0.0] and list(b["t"]) == [0.0]
+    assert abs(a["E_N_moments"][0] - a["E_N_exact"][0]) <= 1e-12
+    scenario = Scenario(load_config(yaml_path))
+    _, m_minus, omega_minus = scenario.route_scales()
+    nm = basis_change(scenario.initial_state(m_minus, omega_minus), Ordering.NORMAL).matrix
+    np.testing.assert_allclose([b[key][0] for key in DISPERSIONS], np.diag(nm), rtol=1e-15)
 
 
 def test_validate_passes(cfg_file, capsys):

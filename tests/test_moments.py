@@ -27,16 +27,11 @@ from entbath.scenario import Scenario
 
 OHMIC = SpectralDensity.ohmic(0.1, 20.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+VACUUM = mo.MomentState(0.5, 0.5, 0.0, 0.5, 0.5, 0.0)  # both modes, m = omega = 1
 
 
 def position_coeffs(t=0.0):
     return asy.coefficient_limits(OHMIC, 1.0, t, "position")
-
-
-def test_vacuum_state_physical():
-    s = mo.vacuum_state(1.3, 0.8)
-    assert s.is_physical()
-    assert s.x2_plus * s.p2_plus == pytest.approx(0.25)
 
 
 def test_nonpositive_determinant_rejected():
@@ -58,9 +53,10 @@ def test_position_fixed_point_is_stationary():
 
 
 def test_symmetric_fixed_point_is_stationary():
+    # the thermal state at omega = m = 1: dx^2 = dp^2 = coth(omega/2T)/2
     c = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
-    dx, dp = asy.equilibrium_dispersions_symmetric(c, 1.0, 1.0)
-    s = mo.MomentState(dx * dx, dp * dp, 0.0, 0.5, 0.5, 0.0)
+    coth = 1.0 / math.tanh(1.0 / (2.0 * 0.3))
+    s = mo.MomentState(coth / 2.0, coth / 2.0, 0.0, 0.5, 0.5, 0.0)
     x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, dt=0.005, model="symmetric").plus[-1]
     assert x2 == pytest.approx(s.x2_plus, rel=1e-13)
     assert p2 == pytest.approx(s.p2_plus, rel=1e-13)
@@ -71,7 +67,7 @@ def test_symmetric_fixed_point_is_stationary():
 def test_position_model_converges_to_fixed_point(t_bath):
     c = position_coeffs(t_bath)
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
-    start = mo.vacuum_state(1.0, 1.0)
+    start = VACUUM
     x2, p2, xp = mo.integrate(start, c, 1.0, 1.0, 60.0, sample_every=50).plus[-1]
     assert x2 == pytest.approx(dx * dx, rel=1e-6)
     assert p2 == pytest.approx(dp * dp, rel=1e-6)
@@ -89,19 +85,22 @@ def test_free_limit_preserves_determinant():
 
 
 def test_minus_block_rotation_is_exact():
-    c = position_coeffs()
+    # the one place the minus block is rotated: from the state's own time
     r = 0.7
-    start = mo.MomentState(0.5, 0.5, 0.0, math.exp(2 * r) / 2, math.exp(-2 * r) / 2, 0.0)
-    traj = mo.integrate(start, c, 1.0, 1.0, 5.0, m_minus=1.0, omega_minus=1.0,
-                        sample_every=100)
-    rot = free_rotation(start.minus_block(), 1.0, 1.0, traj.times[-1])
-    assert traj.minus[-1, 0] == pytest.approx(rot[0, 0], rel=1e-12)
-    assert traj.minus[-1, 1] == pytest.approx(rot[1, 1], rel=1e-12)
+    times = np.linspace(0.0, 5.0, 11)
+    for t0 in (0.0, 1.3):
+        start = mo.MomentState(0.5, 0.5, 0.0, 0.6 * math.exp(2 * r), 0.6 * math.exp(-2 * r),
+                               0.4, time=t0)
+        rows = start.minus_rows(1.2, 0.9, t0 + times)
+        rot = free_rotation(start.minus_block(), 1.2, 0.9, times)
+        np.testing.assert_allclose(rows[:, 0], rot[:, 0, 0], rtol=1e-12)
+        np.testing.assert_allclose(rows[:, 1], rot[:, 1, 1], rtol=1e-12)
+        np.testing.assert_allclose(rows[:, 2], 2.0 * rot[:, 0, 1], rtol=1e-12, atol=1e-12)
 
 
 def test_step_size_guard():
     c = position_coeffs()
-    s = mo.vacuum_state(1.0, 1.0)
+    s = VACUUM
     with pytest.raises(StepSizeError):
         mo.integrate(s, c, 1.0, 1.0, 0.5, dt=0.5)
     assert mo.default_step(1.0, 0.2) == pytest.approx(0.01)
@@ -212,7 +211,7 @@ def test_integrate_refuses_like_chained_steps():
     # negative diffusion drains <p^2> until the plus block loses positivity,
     # at step 49: long before the first of the samples every 1000 steps
     c = asy.PositionCoefficients(0.05, -0.5, 0.0)
-    start = mo.vacuum_state(1.0, 1.0)
+    start = VACUUM
     with pytest.raises(UnphysicalStateError) as by_integrate:
         mo.integrate(start, c, 1.0, 1.0, 50.0, sample_every=1000)
     with pytest.raises(UnphysicalStateError) as by_steps:
@@ -296,7 +295,7 @@ def test_schedule_reaches_time_dependent_fixed_point():
     c_end = position_coeffs()
     vals = [asy.PositionCoefficients(0.0, 1e-12, 0.0), c_end, c_end]
     sched = mo.TabulatedSchedule([0.0, 5.0, 10.0], vals)
-    start = mo.vacuum_state(1.0, 1.0)
+    start = VACUUM
     traj = mo.integrate(start, sched, 1.0, 1.0, 80.0, sample_every=100)
     dx, dp = asy.equilibrium_dispersions_position(c_end, 1.0, 1.0)
     assert traj.plus[-1, 0] == pytest.approx(dx * dx, rel=1e-5)
@@ -317,14 +316,12 @@ def test_transient_dips_below_lindblad_bound_but_stays_positive():
     # the anomalous-diffusion term is first order in gamma: transients from
     # the vacuum undershoot det = 1/4 (non-Lindblad) yet never reach zero
     c = position_coeffs()
-    traj = mo.integrate(mo.vacuum_state(1.0, 1.0), c, 1.0, 1.0, 30.0, sample_every=5)
+    traj = mo.integrate(VACUUM, c, 1.0, 1.0, 30.0, sample_every=5)
     x2, p2, xp = traj.plus.T
     dets = x2 * p2 - (xp / 2.0) ** 2
     assert min(dets) < 0.25 - 1e-3  # genuinely dips
     assert min(dets) > 0.15  # but stays well away from collapse
     # every step, not only the samples, stays away from collapse
     assert 0.15 < traj.min_plus_det <= min(dets)
-    end = mo.MomentState(*traj.plus[-1], *traj.minus[-1])
-    assert end.is_physical(atol=1e-3) or dets[-1] > 0.2
     # the late-time state is physical again
     assert dets[-1] > 0.25 - 1e-6

@@ -1,0 +1,40 @@
+"""Every module-level function and class of ``src/entbath`` earns its place:
+another part of the package, a benchmark workload or the exported API names
+it.  Code that only the tests call belongs in the tests."""
+
+import ast
+import pathlib
+from collections import Counter
+
+import entbath
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "entbath"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+# allowed without a caller: the coefficient schedule that time-dependent
+# master-equation coefficients for the moment route (an open ROADMAP item) need
+ALLOWED = {"TabulatedSchedule"}
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name and attribute is read under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_src_has_no_test_only_functions_or_classes():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    in_src = sum((_names(tree) for tree in trees.values()), Counter())
+    outside = set(_names(ast.parse(WORKLOADS.read_text(encoding="utf-8")))) | set(entbath.__all__)
+    unused = [
+        f"{fname}:{node.name}"
+        for fname, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in ALLOWED | outside
+        # named only inside its own definition (recursion, its own methods)
+        and in_src[node.name] == _names(node)[node.name]
+    ]
+    assert not unused, f"named only by the tests: {unused}"
