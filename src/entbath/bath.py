@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalStateError
 from .gaussian import CovarianceMatrix, Ordering
 
 OHMIC = 1.0

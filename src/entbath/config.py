@@ -24,7 +24,6 @@ STATE_KINDS = (
     "coherent",
     "custom_covariance",
 )
-INTEGRATORS = ("normal_mode", "rk4")
 # libyaml's parser where PyYAML was built with it: the same resolver and
 # constructor as SafeLoader, so the same values, at a fraction of the cost
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -65,7 +64,6 @@ class EvolutionSection:
     dt: float = 0.02
     t_max: float = 150.0
     sample_stride: int = 10
-    integrator: str = "normal_mode"
 
 
 @dataclass
@@ -210,8 +208,6 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require_number(ev.dt, "evolution.dt", positive=True)
     _require_number(ev.t_max, "evolution.t_max", positive=True)
     _require_count(ev.sample_stride, "evolution.sample_stride")
-    if ev.integrator not in INTEGRATORS:
-        raise ConfigError(f"evolution.integrator: must be one of {INTEGRATORS}")
     sw = cfg.sweep
     for name, grid in (("sweep.r_grid", sw.r_grid), ("sweep.t_grid", sw.t_grid)):
         if grid is None:

@@ -5,9 +5,11 @@ phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  A drift holds
 the nonzero blocks of H, in O(N): the 4x4 system block, the 4 x N
 system-bath couplings and the bath, whose own diagonal is the bath block.
-Two integration paths are provided: a normal-mode propagator S(t) = exp(Kt)
-(exactly symplectic, arbitrary t) and, as an independent cross-check, the
-RK4 step matrix raised to the stride by squaring, the one place K is formed.
+Traces read a normal-mode channel (below).  ``evolve`` gives the full
+covariance by the normal-mode propagator S(t) = exp(Kt) (exactly
+symplectic, arbitrary t) or, as the independent oracle that ``validate`` and
+the tests compare against, by the RK4 step matrix raised to the stride by
+squaring, the one place K is formed.
 A drift has no x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so its
 normal modes are real and second order, computed once per drift and cached
 on it.  The factor of the momentum block B costs O(N^2), because B is an
@@ -29,11 +31,9 @@ free rotation, with no bath noise.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -62,24 +62,19 @@ REDUCED_PHYSICALITY_ATOL = 1e-9
 _PSD_TOL = 1e-10
 
 
-class Integrator(enum.Enum):
-    RK4 = "rk4"
-    NORMAL_MODE = "normal_mode"
-
-
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Sampling plan for one evolution.
 
-    ``dt`` is the RK4 step (also the sample spacing before striding); the RK4
-    path raises its step matrix to the stride by squaring, and the
-    normal-mode path evaluates S(t) directly at the sample times.
+    Samples fall every ``sample_stride`` steps of ``dt`` up to ``t_max``.
+    The normal-mode channel and propagator are evaluated directly at the
+    sample times; ``evolve``'s RK4 oracle steps by ``dt`` and raises its
+    step matrix to the stride by squaring.
     """
 
     t_max: float
     dt: float
     sample_stride: int = 1
-    integrator: Integrator = Integrator.NORMAL_MODE
 
     def __post_init__(self) -> None:
         if self.t_max <= 0 or self.dt <= 0:
@@ -250,12 +245,11 @@ def mode_scales(h_sys: np.ndarray, sign: float = -1.0) -> tuple[float, float]:
     return 1.0 / b, math.sqrt(k * b)
 
 
-def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize: bool):
-    """Drift of either model: the system block, the diagonal bath block, the
-    position couplings (x1 + x2) sum c_k q_k and, for the symmetric model,
-    the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / m_k w_k) pi_k."""
-    s = -bath.counterterm_sum(osc.m) if renormalize else 0.0
-    h_sys, w_bare_sq = system_hamiltonian(osc, model, s)
+def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str):
+    """Drift of either model: the bare system block, the diagonal bath block,
+    the position couplings (x1 + x2) sum c_k q_k and, for the symmetric
+    model, the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / m_k w_k) pi_k."""
+    h_sys, w_bare_sq = system_hamiltonian(osc, model, -bath.counterterm_sum(osc.m))
     c = bath.couplings
     cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
           if model == "symmetric" else np.zeros_like(c))
@@ -267,20 +261,15 @@ def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str, renormalize
     return drift
 
 
-def build_position_model(
-    osc: OscillatorParams, bath: DiscreteBath, renormalize: bool = True
-) -> DriftMatrix:
-    """Drift matrix for bilinear position coupling (x1 + x2) sum c_k q_k;
-    ``renormalize=False`` takes the configured system as bare."""
-    return _assemble(osc, bath, "position", renormalize)
+def build_position_model(osc: OscillatorParams, bath: DiscreteBath) -> DriftMatrix:
+    """Drift matrix for bilinear position coupling (x1 + x2) sum c_k q_k."""
+    return _assemble(osc, bath, "position")
 
 
-def build_symmetric_model(
-    osc: OscillatorParams, bath: DiscreteBath, renormalize: bool = True
-) -> DriftMatrix:
+def build_symmetric_model(osc: OscillatorParams, bath: DiscreteBath) -> DriftMatrix:
     """Drift matrix for coupling symmetric in position and momentum, with
     equal strengths; requires resonance (see ``system_hamiltonian``)."""
-    return _assemble(osc, bath, "symmetric", renormalize)
+    return _assemble(osc, bath, "symmetric")
 
 
 def _require_two_mode(system_v: CovarianceMatrix) -> None:
@@ -365,7 +354,10 @@ class NormalModes:
         coefficients on the initial positions (through W) and momenta
         (through A^T).  With a free minus pair only x+ and p+ are sampled:
         x+ is cos g+ on Q and sin g+ / omega on P, p+ is -omega sin h+ on Q
-        and cos h+ on P; the minus rows are the free rotation at ``minus``.
+        and cos h+ on P; the minus rows are the free rotation at ``minus``,
+        which carries no bath noise.  Z is the rows' coefficients on the
+        initial (x1, p1, x2, p2), and N their bath coefficients weighted by
+        ``bath_variances``.
         """
         om = self.omega
         n = len(om)
@@ -374,47 +366,27 @@ class NormalModes:
         hs = frame[:, 1::2] @ self.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
         k = len(frame)
         times = np.array(times, dtype=float)
-
-        def chunks():
-            for lo in range(0, len(times), SAMPLE_CHUNK):
-                phase = np.multiply.outer(times[lo:lo + SAMPLE_CHUNK], om)[:, None, :]
-                cos, sin = np.cos(phase), np.sin(phase)
-                on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
-                on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
-                yield (on_q @ self.w).reshape(-1, k, n), (on_p @ self.a.T).reshape(-1, k, n)
-
-        return _channel_from_rows(times, chunks(), bath_variances, frame, self.minus)
-
-
-def _channel_from_rows(
-    times: np.ndarray, chunks, bath_variances: np.ndarray, frame: np.ndarray,
-    minus: tuple[float, float] | None = None,
-) -> ReducedChannel:
-    """The reduced channel from sampled system rows of S(t).  ``frame``
-    (k, 4) gives the rows as combinations of the PHYSICAL ones, and
-    ``chunks`` yields, in sample order, their coefficients on the initial
-    positions (x1, x2, q1, ...) and momenta (p1, p2, pi1, ...), (s, k, N+2)
-    each.  With ``minus`` = (mass, frequency) the rows outside a two-row
-    frame are the free minus pair, which carries no bath noise."""
-    var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
-    k = len(frame)
-    z = np.empty((len(times), k, 4))
-    noise = np.empty((len(times), k, k))
-    lo = 0
-    for sx, sp in chunks:
-        part = slice(lo, lo + len(sx))
-        lo += len(sx)
-        z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
-        bx, bp = sx[..., 2:], sp[..., 2:]
-        noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
-        noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
-    z, noise = frame.T @ z, frame.T @ noise @ frame
-    if minus is not None:
-        free = MIX[2:]
-        z += free.T @ free_propagator(*minus, times) @ free
-    for arr in (times, z, noise):
-        arr.flags.writeable = False
-    return ReducedChannel(times, z, noise)
+        var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
+        z = np.empty((len(times), k, 4))
+        noise = np.empty((len(times), k, k))
+        for lo in range(0, len(times), SAMPLE_CHUNK):
+            part = slice(lo, lo + SAMPLE_CHUNK)
+            phase = np.multiply.outer(times[part], om)[:, None, :]
+            cos, sin = np.cos(phase), np.sin(phase)
+            on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
+            on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
+            sx, sp = (on_q @ self.w).reshape(-1, k, n), (on_p @ self.a.T).reshape(-1, k, n)
+            z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
+            bx, bp = sx[..., 2:], sp[..., 2:]
+            noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
+            noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
+        z, noise = frame.T @ z, frame.T @ noise @ frame
+        if self.minus is not None:
+            free = MIX[2:]
+            z += free.T @ free_propagator(*self.minus, times) @ free
+        for arr in (times, z, noise):
+            arr.flags.writeable = False
+        return ReducedChannel(times, z, noise)
 
 
 def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:
@@ -790,29 +762,19 @@ def check_recurrence(
         )
 
 
-def check_rk4_step(
-    dt: float, fastest: float, *, label: str = "RK4 dt", note: str = ""
-) -> None:
-    """Refuse an RK4 step above RK4_STEP_FACTOR / (fastest frequency)."""
-    limit = RK4_STEP_FACTOR / fastest
-    if dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"{label}={dt:g} exceeds {RK4_STEP_FACTOR}/Lambda = {limit:g}{note}"
-        )
-
-
 def evolve(
-    v0: CovarianceMatrix, drift: DriftMatrix, cfg: EvolutionConfig
+    v0: CovarianceMatrix, drift: DriftMatrix, cfg: EvolutionConfig, rk4: bool = False
 ) -> tuple[np.ndarray, list[CovarianceMatrix]]:
-    """Full-covariance time series at the configured sample times.  The RK4
-    path takes V <- hop V hop^T per sample: RK4 on every phase-space
-    trajectory, with hop the step matrix raised to the stride."""
+    """Full-covariance time series at the configured sample times, by the
+    normal-mode propagator or, with ``rk4``, by the RK4 oracle: V <- hop V
+    hop^T per sample, RK4 on every phase-space trajectory, with hop the
+    step matrix raised to the stride."""
     v0.require(Ordering.FULL)
     if v0.dim != drift.dim:
         raise ValueError("state and drift dimensions differ")
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
-    if cfg.integrator is Integrator.NORMAL_MODE:
+    if not rk4:
         modes = drift.normal_modes
         out = []
         for t in times:
@@ -842,8 +804,11 @@ def _rk4_step(k: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
-    """The RK4 step matrix raised to the sample stride, after the step refusal."""
-    check_rk4_step(cfg.dt, float(drift.bath.frequencies[-1]))
+    """The RK4 step matrix raised to the sample stride, refusing a step above
+    RK4_STEP_FACTOR / (fastest bath frequency)."""
+    limit = RK4_STEP_FACTOR / float(drift.bath.frequencies[-1])
+    if cfg.dt > limit * (1.0 + 1e-12):
+        raise StepSizeError(f"RK4 dt={cfg.dt:g} exceeds {RK4_STEP_FACTOR}/Lambda = {limit:g}")
     return np.linalg.matrix_power(_rk4_step(drift.k, cfg.dt), cfg.sample_stride)
 
 
@@ -861,30 +826,19 @@ class NegativityTrace:
     dp_plus_sq: np.ndarray
     dx_minus_sq: np.ndarray
     dp_minus_sq: np.ndarray
-    xp_plus: np.ndarray
 
 
 def negativity_trace(
     system_v: CovarianceMatrix, drift: DriftMatrix, cfg: EvolutionConfig
 ) -> NegativityTrace:
-    """E_N(t) and plus/minus dispersions from the exact evolution.
-
-    The normal-mode path applies the drift's reduced channel, sampled once
-    per plan; the RK4 path builds its own from the system rows of hop^k, one
-    row product per sample.  Every recorded reduced state is checked for
-    physicality.
+    """E_N(t) and plus/minus dispersions from the exact evolution: the
+    drift's reduced channel, sampled once per plan, applied to ``system_v``.
+    Every recorded reduced state is checked for physicality.
     """
     _require_two_mode(system_v)
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
-    if cfg.integrator is Integrator.RK4:
-        hop = _rk4_hop(drift, cfg)
-        rows = accumulate(repeat(hop, len(times) - 1), np.matmul, initial=np.eye(4, drift.dim))
-        chunks = ((r[None, :, 0::2], r[None, :, 1::2]) for r in rows)
-        channel = _channel_from_rows(times, chunks, thermal_bath_variances(drift.bath), np.eye(4))
-    else:
-        channel = drift.reduced_channel(times)
-    return _trace_from_blocks(times, channel.blocks(system_v))
+    return _trace_from_blocks(times, drift.reduced_channel(times).blocks(system_v))
 
 
 def physicality_margins(blocks: np.ndarray) -> np.ndarray:
@@ -902,7 +856,7 @@ def _trace_from_blocks(times: np.ndarray, blocks: np.ndarray) -> NegativityTrace
     nm = mix_modes(v)
     return NegativityTrace(
         np.asarray(times, dtype=float), log_negativities(v),
-        nm[:, 0, 0], nm[:, 1, 1], nm[:, 2, 2], nm[:, 3, 3], 2.0 * nm[:, 0, 1],
+        nm[:, 0, 0], nm[:, 1, 1], nm[:, 2, 2], nm[:, 3, 3],
     )
 
 

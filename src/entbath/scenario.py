@@ -47,12 +47,12 @@ VALIDATE_MODES = 48  # bath size of validate's downsized copy
 
 def minus_mode_readout(
     v_sys: CovarianceMatrix, m_minus: float, omega_minus: float
-) -> tuple[float, float, np.ndarray]:
-    """(signed r, purity product, 2x2 block) of the minus mode of a state."""
+) -> tuple[float, float]:
+    """(signed r, purity product) of the minus mode of a state."""
     nm = basis_change(v_sys, Ordering.NORMAL).matrix
     dx = math.sqrt(nm[2, 2])
     dp = math.sqrt(nm[3, 3])
-    return squeezing_of(dx, dp, m_minus, omega_minus), dx * dp, nm[2:, 2:]
+    return squeezing_of(dx, dp, m_minus, omega_minus), dx * dp
 
 
 class Scenario:
@@ -252,7 +252,7 @@ class Scenario:
     def _asymptotic_column(self, v_sys, drift, times) -> np.ndarray:
         m_plus, m_minus, omega_minus = self.route_scales(drift)
         dx_p, dp_p = self.plus_equilibrium(self.temperature, m_plus)
-        r, product, _ = minus_mode_readout(v_sys, m_minus, omega_minus)
+        r, product = minus_mode_readout(v_sys, m_minus, omega_minus)
         r_crit = squeezing_of(dx_p, dp_p, m_minus, omega_minus)
         s_crit = 0.5 * math.log(4.0 * dx_p * dp_p * product)
         e = asy.entanglement_oscillation(r, r_crit, s_crit, omega_minus, times)
@@ -269,9 +269,8 @@ class Scenario:
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)
         ev = self.cfg.evolution
-        integrator = ex.Integrator.RK4 if ev.integrator == "rk4" else ex.Integrator.NORMAL_MODE
         tr = ex.negativity_trace(
-            v_sys, drift, ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride, integrator)
+            v_sys, drift, ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride)
         )
         names, cols = ["t", "E_N_exact"], [tr.times, tr.e_n]
         if with_moments:
@@ -347,7 +346,7 @@ class Scenario:
         ini = self.cfg.initial_state
         if ini.kind == "custom_covariance":
             v_sys = self.initial_state(m_minus, omega_minus)
-            r_minus, product, _ = minus_mode_readout(v_sys, m_minus, omega_minus)
+            r_minus, product = minus_mode_readout(v_sys, m_minus, omega_minus)
         else:
             r_minus, product = self.minus_squeezing(ini.r), ini.purity_product
         dx_p, dp_p = self.plus_equilibrium(self.temperature, m_plus)
@@ -386,9 +385,6 @@ class Scenario:
         of each invariant check on a downsized copy."""
         sd = self.spectral_density
         ev = self.cfg.evolution
-        if ev.integrator == "rk4":
-            ex.check_rk4_step(ev.dt, sd.cutoff, label="evolution.dt",
-                              note=" for the RK4 integrator")
         n_modes = self.cfg.bath.n_modes
         if n_modes is not None:
             ex.check_recurrence(ev.t_max, self.bath().recurrence_time, label="evolution.t_max",
@@ -408,10 +404,9 @@ class Scenario:
         # short, fine-stepped horizon for the RK4 cross-check
         dt_rk = 0.2 * ex.RK4_STEP_FACTOR / sd.cutoff
         n_rk = max(1, int(round(min(2.0, t_val) / dt_rk)))
-        cfg_nm = ex.EvolutionConfig(n_rk * dt_rk, dt_rk, n_rk, ex.Integrator.NORMAL_MODE)
-        cfg_rk = ex.EvolutionConfig(n_rk * dt_rk, dt_rk, n_rk, ex.Integrator.RK4)
-        _, series_nm = ex.evolve(v0, drift, cfg_nm)
-        _, series_rk = ex.evolve(v0, drift, cfg_rk)
+        short = ex.EvolutionConfig(n_rk * dt_rk, dt_rk, n_rk)
+        _, series_nm = ex.evolve(v0, drift, short)
+        _, series_rk = ex.evolve(v0, drift, short, rk4=True)
         diff = float(np.abs(series_nm[-1].matrix - series_rk[-1].matrix).max())
         checks.append(("rk4 vs normal-mode", diff <= 1e-5, f"max diff={diff:.3e}"))
 

@@ -1,4 +1,5 @@
-"""Closed-form oracles that more than one test compares the library against.
+"""Closed-form oracles and reference builds that more than one test
+compares the library against.
 
 Each restates a printed formula independently of the route it checks; the
 library does not call them.
@@ -8,9 +9,16 @@ import math
 
 import numpy as np
 
+from entbath import exact as ex
 from entbath.asymptotics import PositionCoefficients, _self_energy_shift
-from entbath.bath import SpectralDensity, counterterm, j_omega
-from entbath.gaussian import CovarianceMatrix, Ordering, basis_change, free_rotation
+from entbath.bath import DiscreteBath, SpectralDensity, counterterm, j_omega
+from entbath.gaussian import (
+    CovarianceMatrix,
+    Ordering,
+    OscillatorParams,
+    basis_change,
+    free_rotation,
+)
 
 
 def asymptotic_covariance(
@@ -45,3 +53,14 @@ def bath_self_energy(sd: SpectralDensity, omega: float) -> complex:
     assert 0 < omega < sd.cutoff, "omega must lie below the cutoff"
     re = _self_energy_shift(sd, omega) - sd.mass * counterterm(sd)
     return complex(re, math.pi * 2.0 * j_omega(sd, omega))
+
+
+def bare_drift(osc: OscillatorParams, bath: DiscreteBath, model: str) -> ex.DriftMatrix:
+    """A builder's drift with the configured system block taken as bare: no
+    counterterm shift, and the symmetric model's momentum couplings
+    (c_k / m_k w_k) / (m w_b) at w_b = omega1."""
+    h_sys, w_bare_sq = ex.system_hamiltonian(osc, model)
+    c = bath.couplings
+    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+          if model == "symmetric" else np.zeros_like(c))
+    return ex.DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)

@@ -46,7 +46,7 @@ def window(tr: ex.NegativityTrace, t_lo: float, t_hi: float) -> np.ndarray:
 
 
 def run_trace(drift, v_sys, t_max, dt=0.02, stride=5):
-    cfg = ex.EvolutionConfig(t_max, dt, stride, ex.Integrator.NORMAL_MODE)
+    cfg = ex.EvolutionConfig(t_max, dt, stride)
     return ex.negativity_trace(v_sys, drift, cfg)
 
 

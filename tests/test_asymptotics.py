@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import asymptotic_covariance, bath_self_energy, r_crit_from_coefficients
 
 from entbath import asymptotics as asy
-from entbath.bath import SpectralDensity, asymptotic_gamma, counterterm
+from entbath.bath import SpectralDensity, counterterm
 from entbath.errors import NumericalError
 from entbath.gaussian import log_negativity
 

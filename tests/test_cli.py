@@ -315,10 +315,17 @@ def test_exit_code_refusals(cfg_file, tmp_path, capsys):
     assert code == 3
     assert "recurrence" in capsys.readouterr().err
     code = main([
+        "validate", cfg_file, "--set", "bath.n_modes=4", "--set", "evolution.t_max=100",
+    ])
+    assert code == 3
+    assert "bath.n_modes=4" in capsys.readouterr().err
+    # the integrator is no longer a config field
+    code = main([
         "validate", cfg_file,
         "--set", "evolution.integrator=rk4", "--set", "evolution.dt=0.02",
     ])
-    assert code == 3
+    assert code == 2
+    assert "evolution.integrator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, item, code", [
@@ -587,6 +594,7 @@ def _custom_overrides(diagonal):
 
 def test_asymptotics_reads_custom_covariance(cfg_file, tmp_path):
     from entbath import asymptotics as asy
+    from entbath.gaussian import Ordering, basis_change
     from entbath.scenario import Scenario, minus_mode_readout
 
     docs = []
@@ -603,7 +611,8 @@ def test_asymptotics_reads_custom_covariance(cfg_file, tmp_path):
         scenario = Scenario(cfg)
         m_plus, m_minus, omega_minus = scenario.route_scales()
         v_sys = scenario.initial_state(m_minus, omega_minus)
-        r, _, block = minus_mode_readout(v_sys, m_minus, omega_minus)
+        r, _ = minus_mode_readout(v_sys, m_minus, omega_minus)
+        block = basis_change(v_sys, Ordering.NORMAL).matrix[2:, 2:]
         dx_p, dp_p = scenario.plus_equilibrium(cfg.bath.temperature, m_plus)
         cp = asy.critical_params(dx_p, dp_p, block[0, 0] ** 0.5, block[1, 1] ** 0.5,
                                  m_minus, omega_minus)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bare_drift
 
 from entbath import exact as ex
 from entbath.bath import DiscreteBath, SpectralDensity, discretize
@@ -74,7 +75,7 @@ def test_unstable_hamiltonian_refused():
     # strongly negative effective frequency once the counterterm is added
     osc = OscillatorParams(1.0, 0.05, 0.05)
     with pytest.raises(UnstableHamiltonianError):
-        ex.build_position_model(osc, bath, renormalize=False)
+        bare_drift(osc, bath, "position")
 
 
 def _builder_minus(osc, model, s):
@@ -120,9 +121,8 @@ def test_mode_scales_match_closed_forms(model, m):
             {"model": model, "spectral": {"n": 1}, "system": system})))
 
     osc = OscillatorParams(m, w1, w2, c12, c12_t)
-    for renormalize in (True, False):
-        s = -bath.counterterm_sum(m) if renormalize else 0.0
-        drift = build(osc, bath, renormalize=renormalize)
+    for s, drift in ((-bath.counterterm_sum(m), build(osc, bath)),
+                     (0.0, bare_drift(osc, bath, model))):
         assert (drift.m_minus, drift.omega_minus) == pytest.approx(
             _builder_minus(osc, model, s), rel=1e-14)
     assert scenario(c12).route_scales() == pytest.approx(
@@ -171,10 +171,9 @@ def _toy_drift():
 def test_rk4_matches_normal_mode_two_mode_toy():
     bath, drift = _toy_drift()
     v0 = ex.initial_covariance(separable_squeezed(0.8), bath)
-    cfg_rk = ex.EvolutionConfig(8.0, 0.002, 4000, ex.Integrator.RK4)
-    cfg_nm = ex.EvolutionConfig(8.0, 0.002, 4000, ex.Integrator.NORMAL_MODE)
-    _, rk = ex.evolve(v0, drift, cfg_rk)
-    _, nm = ex.evolve(v0, drift, cfg_nm)
+    cfg = ex.EvolutionConfig(8.0, 0.002, 4000)
+    _, rk = ex.evolve(v0, drift, cfg, rk4=True)
+    _, nm = ex.evolve(v0, drift, cfg)
     assert np.abs(rk[-1].matrix - nm[-1].matrix).max() < 1e-9
 
 
@@ -184,10 +183,9 @@ def test_rk4_matches_normal_mode_dense_bath():
     drift = ex.build_position_model(OSC, bath)
     v0 = ex.initial_covariance(separable_squeezed(1.0), bath)
     n = 10000
-    cfg_rk = ex.EvolutionConfig(10.0, 1e-3, n, ex.Integrator.RK4)
-    cfg_nm = ex.EvolutionConfig(10.0, 1e-3, n, ex.Integrator.NORMAL_MODE)
-    _, rk = ex.evolve(v0, drift, cfg_rk)
-    _, nm = ex.evolve(v0, drift, cfg_nm)
+    cfg = ex.EvolutionConfig(10.0, 1e-3, n)
+    _, rk = ex.evolve(v0, drift, cfg, rk4=True)
+    _, nm = ex.evolve(v0, drift, cfg)
     assert np.abs(rk[-1].matrix - nm[-1].matrix).max() < 1e-5
 
 
@@ -195,7 +193,7 @@ def test_rk4_matches_normal_mode_dense_bath():
 def test_rk4_step_matrix_is_classical_rk4(stride):
     _, drift = _toy_drift()
     dt = 0.01
-    hop = ex._rk4_hop(drift, ex.EvolutionConfig(1.0, dt, stride, ex.Integrator.RK4))
+    hop = ex._rk4_hop(drift, ex.EvolutionConfig(1.0, dt, stride))
     k = drift.k
     # the four-stage recurrence, stepped on every column of the identity
     x = np.eye(drift.dim)
@@ -215,7 +213,7 @@ def test_rk4_is_fourth_order():
     errors = []
     for dt in (0.04, 0.02):
         n = int(round(8.0 / dt))
-        _, rk = ex.evolve(v0, drift, ex.EvolutionConfig(8.0, dt, n, ex.Integrator.RK4))
+        _, rk = ex.evolve(v0, drift, ex.EvolutionConfig(8.0, dt, n), rk4=True)
         errors.append(np.abs(rk[-1].matrix - nm[-1].matrix).max())
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.25)
 
@@ -224,23 +222,6 @@ def _reduce_to_system(v_full):
     # partial trace over the bath: the leading 4x4 block
     v_full.require(Ordering.FULL)
     return CovarianceMatrix(v_full.matrix[:4, :4], Ordering.PHYSICAL)
-
-
-def test_rk4_trace_reads_its_channel():
-    bath, drift = small_setup(16, temperature=0.3)
-    v_sys = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)
-    cfg_rk = ex.EvolutionConfig(3.0, 0.002, 50, ex.Integrator.RK4)
-    tr_rk = ex.negativity_trace(v_sys, drift, cfg_rk)
-    tr_nm = ex.negativity_trace(v_sys, drift, ex.EvolutionConfig(3.0, 0.002, 50))
-    np.testing.assert_array_equal(tr_rk.times, tr_nm.times)
-    np.testing.assert_allclose(tr_rk.e_n, tr_nm.e_n, rtol=0, atol=1e-7)
-    # the same channel read out of evolve's RK4 covariances
-    _, series = ex.evolve(ex.initial_covariance(v_sys, bath), drift, cfg_rk)
-    blocks = np.array([_reduce_to_system(v).matrix for v in series])
-    readout = ex._trace_from_blocks(tr_rk.times, blocks)
-    for name in ("e_n", "dx_plus_sq", "dp_plus_sq", "dx_minus_sq", "dp_minus_sq", "xp_plus"):
-        np.testing.assert_allclose(getattr(tr_rk, name), getattr(readout, name),
-                                   rtol=0, atol=1e-11)
 
 
 def test_global_purity_and_energy_conserved():
@@ -274,9 +255,9 @@ def test_recurrence_window_refusal():
 def test_rk4_step_refusal():
     bath, drift = small_setup(32)
     v0 = ex.initial_covariance(separable_squeezed(1.0), bath)
-    cfg = ex.EvolutionConfig(1.0, 0.02, 1, ex.Integrator.RK4)  # > 0.05/20
+    cfg = ex.EvolutionConfig(1.0, 0.02, 1)  # > 0.05/20
     with pytest.raises(StepSizeError):
-        ex.evolve(v0, drift, cfg)
+        ex.evolve(v0, drift, cfg, rk4=True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +265,8 @@ def test_rk4_step_refusal():
 # ---------------------------------------------------------------------------
 
 def test_fast_path_matches_full_reduction():
+    from dataclasses import fields
+
     bath, drift = small_setup(24)
     v_sys = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)
     cfg = ex.EvolutionConfig(6.0, 0.05, 10)
@@ -294,6 +277,12 @@ def test_fast_path_matches_full_reduction():
         nm = basis_change(reduced, Ordering.NORMAL).matrix
         assert tr.dx_plus_sq[i] == pytest.approx(nm[0, 0], abs=1e-11)
         assert tr.dp_plus_sq[i] == pytest.approx(nm[1, 1], abs=1e-11)
+    # every column, read out of evolve's reduced normal-mode states
+    readout = ex._trace_from_blocks(
+        tr.times, np.array([_reduce_to_system(v).matrix for v in series]))
+    for field in fields(ex.NegativityTrace):
+        np.testing.assert_allclose(getattr(tr, field.name), getattr(readout, field.name),
+                                   rtol=0, atol=1e-11)
 
 
 def test_initial_negativity_is_two_r():
@@ -808,8 +797,7 @@ def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
     cases = [
         (ex.build_position_model(OSC, bath), 1),
         (ex.build_position_model(OscillatorParams(1.0, 1.05, 0.95, 0.1), bath), 1),
-        (ex.build_position_model(OscillatorParams(1.3, 3.0, 3.0, 0.2), bath,
-                                 renormalize=False), 1),
+        (bare_drift(OscillatorParams(1.3, 3.0, 3.0, 0.2), bath, "position"), 1),
         (ex.build_symmetric_model(OSC, bath), 1),
         (ex.build_symmetric_model(OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.1), bath), 0),
         (replace(position, couplings=unequal), 0),
@@ -972,17 +960,15 @@ def test_channel_multiplies_the_sampled_rows_only(osc, rows):
     assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
 
 
-def _loop_built(drift, osc, renormalize, symmetric):
+def _loop_built(drift, osc, symmetric):
     # the element-by-element construction the vectorized builders replaced
     from entbath.gaussian import symplectic_form
 
     bath = drift.bath
     h = np.zeros_like(drift.hamiltonian)
     h[:4, :4] = drift.hamiltonian[:4, :4]
-    w_bare_sq = osc.omega1**2
-    if renormalize:
-        s = -bath.counterterm_sum(osc.m)
-        w_bare_sq = 0.5 * (s + w_bare_sq + math.sqrt((s + w_bare_sq) ** 2 - s * s))
+    s = -bath.counterterm_sum(osc.m)
+    w_bare_sq = 0.5 * (s + osc.omega1**2 + math.sqrt((s + osc.omega1**2) ** 2 - s * s))
     w_bare = math.sqrt(w_bare_sq)
     for k in range(bath.n_modes):
         iq, ip = 4 + 2 * k, 5 + 2 * k
@@ -1004,13 +990,12 @@ def test_vectorized_build_is_bit_identical(n_modes):
                SpectralDensity.super_ohmic(0.15, 20.0)):
         bath = discretize(sd, n_modes, 1.0)
         cases = [
-            (ex.build_position_model, OscillatorParams(1.3, 1.05, 0.95, 0.1), True),
-            (ex.build_symmetric_model, OscillatorParams(1.3, 1.7, 1.7, 0.2, 0.1), True),
-            (ex.build_symmetric_model, OscillatorParams(1.3, 3.5, 3.5, 0.2, 0.1), False),
+            (ex.build_position_model, OscillatorParams(1.3, 1.05, 0.95, 0.1)),
+            (ex.build_symmetric_model, OscillatorParams(1.3, 1.7, 1.7, 0.2, 0.1)),
         ]
-        for build, osc, renormalize in cases:
-            drift = build(osc, bath, renormalize=renormalize)
-            h, k = _loop_built(drift, osc, renormalize, build is ex.build_symmetric_model)
+        for build, osc in cases:
+            drift = build(osc, bath)
+            h, k = _loop_built(drift, osc, build is ex.build_symmetric_model)
             assert np.array_equal(drift.hamiltonian, h)
             assert np.array_equal(drift.k, k)
 
@@ -1029,14 +1014,9 @@ def test_schur_stability_matches_dense_eigvalsh(model, monkeypatch):
         for c12 in (-0.8, 0.0, 0.8):
             if model == "position":
                 osc = OscillatorParams(1.0, omega, 1.1 * omega, c12)
-                build = ex.build_position_model
             else:
                 osc = OscillatorParams(1.0, omega, omega, c12, -0.5 * c12)
-                build = ex.build_symmetric_model
-            try:
-                build(osc, bath, renormalize=False)
-            except UnstableHamiltonianError:
-                pass  # the bath-free minus mode; the total H is captured
+            bare_drift(osc, bath, model)
     refused = []
     for drift in captured:
         dense_negative = np.linalg.eigvalsh(drift.hamiltonian)[0] < 0.0

@@ -38,3 +38,23 @@ def test_src_has_no_test_only_functions_or_classes():
         and in_src[node.name] == _names(node)[node.name]
     ]
     assert not unused, f"named only by the tests: {unused}"
+
+
+def test_src_reads_every_name_it_imports():
+    # the package's __init__ imports to re-export; every other module imports to read
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{path.name}:{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert not unread, f"imported and never read: {unread}"
