@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RecurrenceWindowError
 from .gaussian import CovarianceMatrix, Ordering
 
 OHMIC = 1.0
@@ -161,13 +162,29 @@ def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:
     return CovarianceMatrix(np.diag(thermal_bath_variances(bath)), Ordering.FULL)
 
 
+def grid_recurrence_time(cutoff: float, n_modes: int) -> float:
+    """Recurrence time 2 pi / spacing of ``discretize``'s N-mode bath, whose
+    spacing is cutoff / N exactly, without building the bath."""
+    return 2.0 * math.pi / (cutoff / n_modes)
+
+
+def check_recurrence(t_max: float, recurrence_time: float, *, label: str = "t_max",
+                     note: str = "; increase the bath mode count") -> None:
+    """Refuse ``t_max`` beyond RECURRENCE_MARGIN of the recurrence time;
+    ``label`` names the checked quantity and ``note`` ends the message."""
+    if t_max > RECURRENCE_MARGIN * recurrence_time:
+        raise RecurrenceWindowError(
+            f"{label}={t_max:g} exceeds {RECURRENCE_MARGIN} * recurrence time "
+            f"= {RECURRENCE_MARGIN * recurrence_time:g}{note}"
+        )
+
+
 def modes_for_window(cutoff: float, t_max: float) -> int:
-    """Smallest N whose bath keeps t_max inside RECURRENCE_MARGIN of its
-    recurrence time, compared as the recurrence guard compares them: t_rec =
-    2 pi / spacing, with ``discretize``'s spacing cutoff / N."""
+    """Smallest N whose bath ``check_recurrence`` accepts for t_max, by the
+    guard's own comparison on ``grid_recurrence_time``."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    fits = lambda n: t_max <= RECURRENCE_MARGIN * (2.0 * math.pi / (cutoff / n))
+    fits = lambda n: t_max <= RECURRENCE_MARGIN * grid_recurrence_time(cutoff, n)
     n = max(1, math.ceil(cutoff * t_max / (2.0 * math.pi * RECURRENCE_MARGIN)))
     while n > 1 and fits(n - 1):
         n -= 1

@@ -37,14 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import RECURRENCE_MARGIN, DiscreteBath, thermal_bath_covariance, thermal_bath_variances
-from .errors import (
-    NumericalError,
-    RecurrenceWindowError,
-    StepSizeError,
-    UnphysicalStateError,
-    UnstableHamiltonianError,
-)
+from .bath import DiscreteBath, check_recurrence, thermal_bath_covariance, thermal_bath_variances
+from .errors import NumericalError, UnphysicalStateError, UnstableHamiltonianError
 from .gaussian import (
     MIX,
     CovarianceMatrix,
@@ -56,6 +50,7 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
 )
+from .moments import check_step, step_matrices
 
 RK4_STEP_FACTOR = 0.05
 REDUCED_PHYSICALITY_ATOL = 1e-9
@@ -746,22 +741,6 @@ def _secular_block(pole, z_sq, total, idx):
     raise NumericalError(f"secular equation: {len(live)} roots did not converge")
 
 
-def check_recurrence(
-    t_max: float, recurrence_time: float, *, label: str = "t_max",
-    note: str = "; increase the bath mode count",
-) -> None:
-    """Refuse ``t_max`` beyond RECURRENCE_MARGIN of the recurrence time.
-
-    ``label`` names the checked quantity and ``note`` ends the message.
-    """
-    limit = RECURRENCE_MARGIN * recurrence_time
-    if t_max > limit:
-        raise RecurrenceWindowError(
-            f"{label}={t_max:g} exceeds {RECURRENCE_MARGIN} * recurrence time "
-            f"= {limit:g}{note}"
-        )
-
-
 def evolve(
     v0: CovarianceMatrix, drift: DriftMatrix, cfg: EvolutionConfig, rk4: bool = False
 ) -> tuple[np.ndarray, list[CovarianceMatrix]]:
@@ -792,24 +771,12 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + np.swapaxes(v, -1, -2))
 
 
-def _rk4_step(k: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = K x as a matrix, in Horner form:
-    T = I + hK (I + hK/2 (I + hK/3 (I + hK/4)))."""
-    hk = dt * k
-    eye = np.eye(k.shape[0])
-    step = eye + hk / 4.0
-    for order in (3.0, 2.0, 1.0):
-        step = eye + (hk @ step) / order
-    return step
-
-
 def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
-    """The RK4 step matrix raised to the sample stride, refusing a step above
-    RK4_STEP_FACTOR / (fastest bath frequency)."""
-    limit = RK4_STEP_FACTOR / float(drift.bath.frequencies[-1])
-    if cfg.dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(f"RK4 dt={cfg.dt:g} exceeds {RK4_STEP_FACTOR}/Lambda = {limit:g}")
-    return np.linalg.matrix_power(_rk4_step(drift.k, cfg.dt), cfg.sample_stride)
+    """The moment route's RK4 step matrix of K raised to the sample stride,
+    refusing a step above RK4_STEP_FACTOR / (fastest bath frequency)."""
+    check_step(cfg.dt, float(drift.bath.frequencies[-1]), factor=RK4_STEP_FACTOR)
+    k = np.broadcast_to(drift.k, (3, drift.dim, drift.dim))
+    return np.linalg.matrix_power(step_matrices(k, cfg.dt), cfg.sample_stride)
 
 
 # ---------------------------------------------------------------------------

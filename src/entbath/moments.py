@@ -25,7 +25,9 @@ from .gaussian import free_rotation, log_negativities, mix_modes
 UNCERTAINTY_ATOL = 1e-9
 
 # dt ceiling relative to the fastest rate present (spec: dt <= 0.01/max(omega, gamma))
-_STEP_FACTOR = 0.01
+STEP_FACTOR = 0.01
+# relative rounding by which a step may exceed its ceiling, in every RK4 route
+STEP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,33 @@ class TabulatedSchedule:
 # RK4 stepping
 # ---------------------------------------------------------------------------
 
-def _check_step(dt, omega, gamma) -> None:
-    """Refuse the first step above 0.01/max(omega, gamma) at its start."""
-    dt, fastest = np.broadcast_arrays(dt, np.maximum(np.abs(omega), np.abs(gamma)))
-    bad = np.flatnonzero(dt * fastest > _STEP_FACTOR * (1.0 + 1e-12))
+def _excess(dt, omega, gamma=0.0, factor: float = STEP_FACTOR):
+    """Relative excess of steps dt over factor / max(|omega|, |gamma|)."""
+    return dt * np.maximum(np.abs(omega), np.abs(gamma)) / factor - 1.0
+
+
+def check_step(dt, omega, gamma=0.0, factor: float = STEP_FACTOR) -> None:
+    """Refuse the first step dt above factor / max(|omega|, |gamma|), the
+    rates at its start, by more than STEP_SLACK; the arguments broadcast."""
+    dt, excess = np.broadcast_arrays(dt, _excess(dt, omega, gamma, factor))
+    bad = np.flatnonzero(excess > STEP_SLACK)
     if bad.size:
-        raise StepSizeError(
-            f"dt={dt.flat[bad[0]]:.3e} exceeds {_STEP_FACTOR}/max rate = "
-            f"{_STEP_FACTOR / fastest.flat[bad[0]]:.3e}"
-        )
+        h, e = float(dt.flat[bad[0]]), float(excess.flat[bad[0]])
+        raise StepSizeError(f"dt={h!r} exceeds {factor}/max rate = {h / (1.0 + e):.6g} "
+                            f"by {e:.3g} relative")
+
+
+def whole_steps(span: float, omega: float, gamma: float) -> int:
+    """Fewest equal steps of ``span`` that ``check_step`` accepts at these
+    rates: ceil(span / (default_step (1 + STEP_SLACK))), moved where rounding
+    puts that count one off."""
+    fits = lambda n: _excess(span / n, omega, gamma) <= STEP_SLACK
+    n = max(1, math.ceil(span / (default_step(omega, gamma) * (1.0 + STEP_SLACK))))
+    while n > 1 and fits(n - 1):
+        n -= 1
+    while not fits(n):
+        n += 1
+    return n
 
 
 def _position_form(m, w, c) -> tuple:
@@ -196,15 +216,15 @@ def _generators(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _step_matrices(g: np.ndarray, h) -> np.ndarray:
+def step_matrices(g: np.ndarray, h) -> np.ndarray:
     """Classical RK4 steps of y' = A(t) y as matrices, from the generators
-    g (..., 3, 4, 4) at each step's start, middle and end and the step sizes
+    g (..., 3, d, d) at each step's start, middle and end and the step sizes
     h (...): k1 = A1 y, k2 = A2 (y + h k1/2), k3 = A2 (y + h k2/2) and
     k4 = A3 (y + h k3).  For one constant A this is the Taylor polynomial
     I + hA (I + hA/2 (I + hA/3 (I + hA/4)))."""
     h = np.asarray(h, dtype=float)[..., None, None]
     a1, a2, a3 = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
-    eye = np.eye(4)
+    eye = np.eye(g.shape[-1])
     k2 = a2 @ (eye + h / 2.0 * a1)
     k3 = a2 @ (eye + h / 2.0 * k2)
     k4 = a3 @ (eye + h * k3)
@@ -249,8 +269,8 @@ def _constant_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tuple
     dt = dt if dt is not None else default_step(w, gamma)
     ends = _fixed_grid(t0, t_final, dt)
     n, last = len(ends) - 1, ends[-1] - ends[-2]
-    _check_step(dt if n > 1 else last, w, gamma)
-    step, tail = _step_matrices(np.broadcast_to(_generators(a), (2, 3, 4, 4)), [dt, last])
+    check_step(dt if n > 1 else last, w, gamma)
+    step, tail = step_matrices(np.broadcast_to(_generators(a), (2, 3, 4, 4)), [dt, last])
     y = np.concatenate([y0[None], _orbit(step, y0, n - 1)]) if n > 1 else y0[None]
     return ends, np.concatenate([y, (tail @ y[-1])[None]])
 
@@ -267,16 +287,16 @@ def _scheduled_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tupl
         at.append(env(t_next))
     ends, h = np.array(ends), np.diff(ends)
     w, gamma, a = (np.array(v) for v in zip(*at))
-    _check_step(h, w[:-1], gamma[:-1])
+    check_step(h, w[:-1], gamma[:-1])
     y = [y0]
-    for step in _step_matrices(_generators(np.stack([a[:-1], mid, a[1:]], axis=1)), h):
+    for step in step_matrices(_generators(np.stack([a[:-1], mid, a[1:]], axis=1)), h):
         y.append(step @ y[-1])
     return ends, np.array(y)
 
 
 def default_step(omega: float, gamma: float) -> float:
     """Fixed RK4 step: min(0.01/omega, 0.01/gamma)."""
-    return _STEP_FACTOR / max(abs(omega), abs(gamma))
+    return STEP_FACTOR / max(abs(omega), abs(gamma))
 
 
 def integrate(

@@ -227,19 +227,15 @@ class Scenario:
 
     def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray, coeffs) -> dict:
         """Moment-route E_N and dispersion columns at the uniform ``times``
-        under ``coeffs``: the RK4 step is the largest allowed one that divides
-        the sample spacing, so the plus rows are stepped onto ``times`` (the
-        interpolation only absorbs rounding), and the minus rows are rotated
-        exactly to ``times``."""
+        under ``coeffs``: the plus rows are stepped onto ``times`` by the
+        fewest whole RK4 steps per sample spacing (the interpolation only
+        absorbs rounding), and the minus rows are rotated exactly to them."""
         m_plus, m_minus, omega_minus = self.route_scales()
         omega_plus = self.plus_frequency()
         nm = basis_change(v_sys, Ordering.NORMAL).matrix
-        state = mo.MomentState(
-            nm[0, 0], nm[1, 1], 2.0 * nm[0, 1], nm[2, 2], nm[3, 3], 2.0 * nm[2, 3]
-        )
-        step = mo.default_step(omega_plus, coeffs.gamma)
-        spacing = float(times[1] - times[0]) if len(times) > 1 else step
-        per_sample = math.ceil(spacing / step - 1e-9)  # a ratio whole up to rounding
+        state = mo.MomentState(nm[0, 0], nm[1, 1], 2 * nm[0, 1], nm[2, 2], nm[3, 3], 2 * nm[2, 3])
+        spacing = float(times[1] - times[0]) if len(times) > 1 else 0.0
+        per_sample = mo.whole_steps(spacing, omega_plus, coeffs.gamma)
         traj = mo.integrate(
             state, coeffs, m_plus, omega_plus, float(times[-1]), spacing / per_sample,
             model=self.model, sample_every=per_sample,
@@ -371,27 +367,27 @@ class Scenario:
         payload.update(self.zero_t_criticals())
         sd = self.spectral_density
         if sd.exponent == 1.0 and self.temperature == 0.0:
-            dx_e, dp_e = asy.ohmic_exact_zero_t_dispersions(
-                coeffs.gamma, omega_plus, sd.cutoff, m_plus
-            )
-            payload["ohmic_zero_t_exact"] = {"dx_plus": dx_e, "dp_plus": dp_e}
-            payload["ohmic_zero_t_weak_coupling"] = asy.ohmic_weak_zero_t(
-                coeffs.gamma, omega_plus, sd.cutoff
-            )
+            gamma, lam = coeffs.gamma, sd.cutoff
+            payload["ohmic_zero_t_weak_coupling"] = asy.ohmic_weak_zero_t(gamma, omega_plus, lam)
+            try:  # the exact closed form holds only when underdamped
+                dx_e, dp_e = asy.ohmic_exact_zero_t_dispersions(gamma, omega_plus, lam, m_plus)
+                payload["ohmic_zero_t_exact"] = {"dx_plus": dx_e, "dp_plus": dp_e}
+            except ValueError as err:
+                payload["notes"] = [f"ohmic_zero_t_exact left out: its closed form {err}, "
+                                    f"here gamma={gamma!r} and omega_plus={omega_plus!r}"]
         return payload
 
     def validate(self) -> list[tuple[str, bool, str]]:
         """Named refusals on the config as given, then (name, passed, detail)
         of each invariant check on a downsized copy."""
-        sd = self.spectral_density
-        ev = self.cfg.evolution
-        n_modes = self.cfg.bath.n_modes
+        sd, n_modes = self.spectral_density, self.cfg.bath.n_modes
         if n_modes is not None:
-            ex.check_recurrence(ev.t_max, self.bath().recurrence_time, label="evolution.t_max",
+            t_rec = bt.grid_recurrence_time(sd.cutoff, n_modes)
+            bt.check_recurrence(self.cfg.evolution.t_max, t_rec, label="evolution.t_max",
                                 note=f" for bath.n_modes={n_modes}")
 
         bath = self.bath(VALIDATE_MODES)
-        t_val = 0.5 * ex.RECURRENCE_MARGIN * bath.recurrence_time
+        t_val = 0.5 * bt.RECURRENCE_MARGIN * bath.recurrence_time
         drift = self.drift(bath)
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)

@@ -12,6 +12,7 @@ from entbath.bath import (
     DiscreteBath,
     SpectralDensity,
     asymptotic_gamma,
+    check_recurrence,
     counterterm,
     discretize,
     j_omega,
@@ -19,7 +20,6 @@ from entbath.bath import (
     thermal_bath_covariance,
 )
 from entbath.errors import RecurrenceWindowError
-from entbath.exact import check_recurrence
 
 SDS = [
     SpectralDensity.ohmic(0.1, 20.0),

@@ -245,6 +245,40 @@ def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
     np.testing.assert_allclose(cols["E_N_moments"], e_n, rtol=0, atol=1e-6)
 
 
+def test_sample_spacing_a_rounding_above_the_step_limit_takes_two_steps(tmp_path):
+    # dt exceeds the symmetric config's 0.01 RK4 limit by 5e-10 relative: the
+    # moment route fits two steps per sample rather than refusing one
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "symmetric_trace.yaml")
+    out = tmp_path / "m.csv"
+    assert main(["moments", yaml_path, "--set", "evolution.dt=0.010000000005",
+                 "--set", "evolution.sample_stride=1", "--set", "evolution.t_max=1",
+                 "--out", str(out)]) == 0
+    t = _read_csv(out)["t"]
+    assert len(t) == 101 and t[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("gamma0", ["0.1", "0.5", "1.0"])
+def test_exact_zero_t_form_only_when_underdamped(gamma0, tmp_path):
+    # the ohmic T = 0 closed form needs gamma = 2 gamma0 < omega+ = 1; beyond
+    # that asymptotics leaves it out with a note instead of a traceback
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "ohmic_trace.yaml")
+    out = tmp_path / "a.json"
+    assert main(["asymptotics", yaml_path, "--set", f"spectral.gamma0={gamma0}",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "ohmic_zero_t_weak_coupling" in doc
+    if gamma0 == "0.1":
+        assert "ohmic_zero_t_exact" in doc and "notes" not in doc
+    else:
+        assert "ohmic_zero_t_exact" not in doc
+        assert doc["notes"] == [
+            "ohmic_zero_t_exact left out: its closed form requires 0 < gamma < omega, "
+            f"here gamma={2 * float(gamma0)!r} and omega_plus=1.0"
+        ]
+
+
 def test_phase_diagram_parallelism_invariant(cfg_file, tmp_path):
     # sweep.parallelism is accepted but ignored and left out of the hash, so
     # whole artifacts, config echo included, are identical

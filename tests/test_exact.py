@@ -8,7 +8,7 @@ import pytest
 from oracles import bare_drift
 
 from entbath import exact as ex
-from entbath.bath import DiscreteBath, SpectralDensity, discretize
+from entbath.bath import RECURRENCE_MARGIN, DiscreteBath, SpectralDensity, discretize
 from entbath.errors import (
     RecurrenceWindowError,
     StepSizeError,
@@ -228,7 +228,7 @@ def test_global_purity_and_energy_conserved():
     bath, drift = small_setup(24, temperature=0.3)
     v0 = ex.initial_covariance(separable_squeezed(1.5), bath)
     form = drift.normal_modes
-    t = 0.5 * ex.RECURRENCE_MARGIN * bath.recurrence_time
+    t = 0.5 * RECURRENCE_MARGIN * bath.recurrence_time
     s = form.propagator(t)
     v1 = CovarianceMatrix(0.5 * ((s @ v0.matrix @ s.T) + (s @ v0.matrix @ s.T).T),
                           Ordering.FULL)
@@ -255,8 +255,9 @@ def test_recurrence_window_refusal():
 def test_rk4_step_refusal():
     bath, drift = small_setup(32)
     v0 = ex.initial_covariance(separable_squeezed(1.0), bath)
-    cfg = ex.EvolutionConfig(1.0, 0.02, 1)  # > 0.05/20
-    with pytest.raises(StepSizeError):
+    cfg = ex.EvolutionConfig(1.0, 0.02, 1)  # 8 times 0.05/20
+    excess = r"dt=0\.02 exceeds 0\.05/max rate = 0\.0025 by 7 relative"
+    with pytest.raises(StepSizeError, match=excess):
         ex.evolve(v0, drift, cfg, rk4=True)
 
 

@@ -101,10 +101,27 @@ def test_minus_block_rotation_is_exact():
 def test_step_size_guard():
     c = position_coeffs()
     s = VACUUM
-    with pytest.raises(StepSizeError):
+    excess = r"dt=0\.5 exceeds 0\.01/max rate = 0\.01 by 49 relative"
+    with pytest.raises(StepSizeError, match=excess):
         mo.integrate(s, c, 1.0, 1.0, 0.5, dt=0.5)
     assert mo.default_step(1.0, 0.2) == pytest.approx(0.01)
     assert mo.default_step(1.0, 3.0) == pytest.approx(0.01 / 3.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 20])
+@pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 5e-10, 1e-9])
+def test_whole_step_fit_is_the_fewest_steps_the_check_accepts(k, offset):
+    # a span of k default steps, off by a relative offset: within STEP_SLACK
+    # it takes k steps, beyond it k + 1, and the limit check agrees
+    omega, gamma = 1.3, 0.2
+    span = k * mo.default_step(omega, gamma) * (1.0 + offset)
+    n = mo.whole_steps(span, omega, gamma)
+    mo.check_step(span / n, omega, gamma)
+    if n > 1:
+        with pytest.raises(StepSizeError):
+            mo.check_step(span / (n - 1), omega, gamma)
+    if offset != mo.STEP_SLACK:  # at the slack itself rounding decides
+        assert n == (k if offset < mo.STEP_SLACK else k + 1)
 
 
 @pytest.mark.parametrize("growing", ["omega", "gamma"])

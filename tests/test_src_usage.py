@@ -58,3 +58,23 @@ def test_src_reads_every_name_it_imports():
             if (bound := alias.asname or alias.name.split(".")[0]) not in read
         ]
     assert not unread, f"imported and never read: {unread}"
+
+
+# each refusal rule has one owner module, the only one that raises its error
+RAISE_OWNERS = {"StepSizeError": "moments.py", "RecurrenceWindowError": "bath.py"}
+
+
+def _raised(exc: ast.expr) -> str | None:
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(target, "id", getattr(target, "attr", None))
+
+
+def test_each_refusal_is_raised_by_its_owner_only():
+    sites = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and (name := _raised(node.exc)) in RAISE_OWNERS
+    }
+    assert sites == {(owner, name) for name, owner in RAISE_OWNERS.items()}, sites
