@@ -227,15 +227,23 @@ def ohmic_exact_zero_t_dispersions(
 
 
 def ohmic_weak_zero_t(gamma: float, omega: float, cutoff: float) -> dict[str, float]:
-    """Weak-coupling T=0 criticals for an ohmic bath (r_crit signed)."""
+    """Weak-coupling T=0 criticals for an ohmic bath (r_crit signed).
+
+    Each is a multiple of log(1 + (a multiple of gamma / omega)); the forms
+    hold where every log argument is > 0, which r2 and s_crit leave once
+    ln(cutoff / omega) < 1 and gamma is large.
+    """
     g = gamma / omega
     log_lam = math.log(cutoff / omega)
-    return {
-        "r1": 0.5 * math.log(1.0 + 2.0 * g / math.pi),
-        "r2": 0.5 * math.log(1.0 + (log_lam - 0.5) * 4.0 * g / math.pi),
-        "r_crit": -0.25 * math.log(1.0 + (4.0 / math.pi) * log_lam * g),
-        "s_crit": 0.25 * math.log(1.0 + (log_lam - 1.0) * 4.0 * g / math.pi),
+    forms = {
+        "r1": (0.5, 1.0 + 2.0 * g / math.pi),
+        "r2": (0.5, 1.0 + (log_lam - 0.5) * 4.0 * g / math.pi),
+        "r_crit": (-0.25, 1.0 + (4.0 / math.pi) * log_lam * g),
+        "s_crit": (0.25, 1.0 + (log_lam - 1.0) * 4.0 * g / math.pi),
     }
+    if min(arg for _, arg in forms.values()) <= 0.0:
+        raise ValueError("requires every log argument > 0")
+    return {name: scale * math.log(arg) for name, (scale, arg) in forms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .gaussian import (
     free_propagator,
     log_negativities,
     mix_modes,
+    require_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -267,15 +268,9 @@ def build_symmetric_model(osc: OscillatorParams, bath: DiscreteBath) -> DriftMat
     return _assemble(osc, bath, "symmetric")
 
 
-def _require_two_mode(system_v: CovarianceMatrix) -> None:
-    system_v.require(Ordering.PHYSICAL)
-    if system_v.dim != 4:
-        raise ValueError("system state must be two-mode")
-
-
 def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> CovarianceMatrix:
     """Direct sum of a two-mode system state and the thermal bath state."""
-    _require_two_mode(system_v)
+    require_two_mode(system_v)
     vb = thermal_bath_covariance(bath)
     dim = 4 + vb.dim
     v = np.zeros((dim, dim))
@@ -307,7 +302,7 @@ class ReducedChannel:
 
     def blocks(self, system_v: CovarianceMatrix) -> np.ndarray:
         """Reduced 4x4 covariance of ``system_v`` at every sample time."""
-        _require_two_mode(system_v)
+        require_two_mode(system_v)
         return self.z @ system_v.matrix @ self.z.transpose(0, 2, 1) + self.noise
 
 
@@ -802,7 +797,7 @@ def negativity_trace(
     drift's reduced channel, sampled once per plan, applied to ``system_v``.
     Every recorded reduced state is checked for physicality.
     """
-    _require_two_mode(system_v)
+    require_two_mode(system_v)
     check_recurrence(cfg.t_max, drift.bath.recurrence_time)
     times = cfg.sample_times()
     return _trace_from_blocks(times, drift.reduced_channel(times).blocks(system_v))

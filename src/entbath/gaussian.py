@@ -156,21 +156,22 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
 _TRANSPOSE_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
-def _require_two_mode_physical(v: CovarianceMatrix) -> None:
+def require_two_mode(v: CovarianceMatrix) -> None:
+    """Refuse a covariance that is not a two-mode PHYSICAL one."""
     v.require(Ordering.PHYSICAL)
     if v.dim != 4:
-        raise ValueError("partial transpose is defined for two-mode matrices")
+        raise ValueError("expected a two-mode covariance matrix")
 
 
 def partial_transpose(v: CovarianceMatrix) -> CovarianceMatrix:
     """Momentum-sign flip of mode 2 (time reversal of one oscillator)."""
-    _require_two_mode_physical(v)
+    require_two_mode(v)
     return CovarianceMatrix(v.matrix * _TRANSPOSE_SIGNS, Ordering.PHYSICAL)
 
 
 def log_negativity(v: CovarianceMatrix) -> float:
     """E_N = max{0, -ln(2 nu_min)} of the partially transposed matrix."""
-    _require_two_mode_physical(v)
+    require_two_mode(v)
     return float(log_negativities(v.matrix[None])[0])
 
 

@@ -1,12 +1,16 @@
 """One run's physics decisions, shared by every route.
 
-A ``Scenario`` is built once per ``RunConfig``.  It builds the bath, the
-oscillators and the drift, derives the plus and minus modes in one place,
-decides which route applies and refuses with a named ``ConfigError`` where
-none does:
+A ``Scenario`` is built once per ``RunConfig``.  When made, it decides the
+configured system for every route: position coupling needs a named
+exponent, the symmetric model resonance, momentum coupling the symmetric
+model, and the 4x4 system block as configured must be stable
+(``_stable_block``); each refusal is a ``ConfigError`` naming its field.
+It then builds the bath, the oscillators and the drift, derives the plus
+and minus modes in one place, decides which route applies and refuses with
+a named ``ConfigError`` where none does:
 
 * the exact route (the exact columns of ``negativity_trace``, ``validate``)
-  takes any valid config;
+  takes any config the scenario accepts;
 * the moment and closed-form routes damp a plus mode at omega+ and rotate a
   bath-free minus mode, which holds only for resonant oscillators whose
   plus mode lies below the cutoff; a detuned trace leaves out its
@@ -43,6 +47,14 @@ from .gaussian import (
 DISPERSIONS = ["dx_plus_sq", "dp_plus_sq", "dx_minus_sq", "dp_minus_sq"]
 PHASE_COLUMNS = ["r", "T", "phase", "e_mean", "e_amp", "r_crit", "s_crit", "e_c"]
 VALIDATE_MODES = 48  # bath size of validate's downsized copy
+# bytes that the two (N+2)^2 float64 mode matrices A and W of a config's
+# bath may take (N = 8190 at most); a larger bath is refused before it is made
+MODE_MATRIX_BUDGET = 1 << 30
+# system_hamiltonian's one structural refusal per model, as the field to blame
+STRUCTURE_ERRORS = {
+    "symmetric": "system.omega2: symmetric model requires omega1 == omega2",
+    "position": "system.c12_tilde: momentum coupling needs model=symmetric",
+}
 
 
 def minus_mode_readout(
@@ -62,20 +74,67 @@ class Scenario:
         self.cfg = cfg
         sy, sp = cfg.system, cfg.spectral
         self.model = cfg.model
+        if self.model == "position" and sp.n not in (0.5, 1, 3):
+            raise ConfigError(
+                "spectral.n: position coupling has closed forms only for "
+                f"exponents 0.5, 1 and 3, got {sp.n}"
+            )
         self.mass = sy.m
         self.temperature = cfg.bath.temperature
         self.spectral_density = bt.SpectralDensity(float(sp.n), sp.gamma0, sp.cutoff, sy.m)
         self.oscillator = OscillatorParams(sy.m, sy.omega1, sy.omega2, sy.c12, sy.c12_tilde)
+        self.system_block = self._stable_block()
         self._fdt_rules: dict[float, asy.FdtRule] = {}  # by plus mass
+
+    def _stable_block(self) -> np.ndarray:
+        """The 4x4 system block as configured, refused unless it is stable.
+
+        The rule, for every route: its stiffness block (x rows) and its
+        momentum block (p rows) are both positive definite.  A builder
+        drift's Schur complement over its bath is this block (for the
+        symmetric model, each 2x2 block times a positive factor), so the
+        rule is the drift's own positive semidefiniteness check made strict
+        and decided before any bath is built.  A positive definite 2x2
+        block has (K11 + K22)/2 > |K12|, so both x± oscillators of
+        ``exact.mode_scales`` exist.
+        """
+        try:
+            block = ex.system_hamiltonian(self.oscillator, self.model)[0]
+        except ValueError as err:
+            raise ConfigError(STRUCTURE_ERRORS[self.model]) from err
+        stiffness = "system.c12"
+        if not self.oscillator.resonant:
+            stiffness += " and system.omega1/omega2"
+        for name, rows, fields in (("stiffness", slice(0, 4, 2), stiffness),
+                                   ("momentum", slice(1, 4, 2), "system.c12_tilde")):
+            lo = float(np.linalg.eigvalsh(block[rows, rows])[0])
+            if lo <= 0.0:
+                raise ConfigError(
+                    f"{fields}: the configured {name} block is not positive definite "
+                    f"(smallest eigenvalue {lo:.4g}), so the oscillators are unstable"
+                )
+        return block
 
     # -- builders ---------------------------------------------------------
 
     def bath(self, n_modes: int | None = None) -> bt.DiscreteBath:
-        """Discrete bath of ``n_modes``, of ``bath.n_modes``, or sized for t_max."""
+        """Discrete bath of ``n_modes``, of ``bath.n_modes``, or sized for t_max.
+
+        A bath the config sizes is refused when its drift's two mode
+        matrices would exceed ``MODE_MATRIX_BUDGET``.
+        """
         if n_modes is None:
             n_modes = self.cfg.bath.n_modes
-        if n_modes is None:
-            n_modes = bt.modes_for_window(self.cfg.spectral.cutoff, self.cfg.evolution.t_max)
+            sized_by = f"bath.n_modes: a bath of N={n_modes} modes"
+            if n_modes is None:
+                lam, t_max = self.cfg.spectral.cutoff, self.cfg.evolution.t_max
+                n_modes = bt.modes_for_window(lam, t_max)
+                sized_by = (f"spectral.cutoff/evolution.t_max: cutoff={lam!r} and "
+                            f"t_max={t_max!r} size a bath of N={n_modes} modes")
+            size = 2 * 8 * (n_modes + 2) ** 2
+            if size > MODE_MATRIX_BUDGET:
+                raise ConfigError(f"{sized_by}, whose two (N+2)^2 mode matrices need {size} "
+                                  f"bytes, above the budget of {MODE_MATRIX_BUDGET}")
         return bt.discretize(self.spectral_density, n_modes, self.temperature)
 
     def drift(self, bath: bt.DiscreteBath) -> ex.DriftMatrix:
@@ -129,18 +188,7 @@ class Scenario:
         """
         if drift is not None:
             return drift.m_minus, drift.m_minus, drift.omega_minus
-        return (self.mass, *self._configured_minus)
-
-    @functools.cached_property
-    def _configured_minus(self) -> tuple[float, float]:
-        return self._configured_mode(-1.0)
-
-    def _configured_mode(self, sign: float) -> tuple[float, float]:
-        """``exact.mode_scales`` of the system block as configured."""
-        try:
-            return ex.mode_scales(ex.system_hamiltonian(self.oscillator, self.model)[0], sign)
-        except ValueError as err:
-            raise ConfigError(f"system.c12: {err}") from err
+        return (self.mass, *ex.mode_scales(self.system_block))
 
     def plus_frequency(self) -> float:
         """omega+ of the moment and closed-form routes, refusing configs
@@ -165,7 +213,7 @@ class Scenario:
             )
         omega_plus = sy.omega1
         if self.model == "position":
-            omega_plus = self._configured_mode(1.0)[1]
+            omega_plus = ex.mode_scales(self.system_block, 1.0)[1]
         lam = self.cfg.spectral.cutoff
         if omega_plus >= lam:
             raise ConfigError(
@@ -368,13 +416,21 @@ class Scenario:
         sd = self.spectral_density
         if sd.exponent == 1.0 and self.temperature == 0.0:
             gamma, lam = coeffs.gamma, sd.cutoff
-            payload["ohmic_zero_t_weak_coupling"] = asy.ohmic_weak_zero_t(gamma, omega_plus, lam)
+            notes = []
+            try:  # the weak-coupling logs need positive arguments
+                payload["ohmic_zero_t_weak_coupling"] = asy.ohmic_weak_zero_t(
+                    gamma, omega_plus, lam)
+            except ValueError as err:
+                notes.append(f"ohmic_zero_t_weak_coupling left out: its closed form {err}, "
+                             f"here gamma={gamma!r}, omega_plus={omega_plus!r} and cutoff={lam!r}")
             try:  # the exact closed form holds only when underdamped
                 dx_e, dp_e = asy.ohmic_exact_zero_t_dispersions(gamma, omega_plus, lam, m_plus)
                 payload["ohmic_zero_t_exact"] = {"dx_plus": dx_e, "dp_plus": dp_e}
             except ValueError as err:
-                payload["notes"] = [f"ohmic_zero_t_exact left out: its closed form {err}, "
-                                    f"here gamma={gamma!r} and omega_plus={omega_plus!r}"]
+                notes.append(f"ohmic_zero_t_exact left out: its closed form {err}, "
+                             f"here gamma={gamma!r} and omega_plus={omega_plus!r}")
+            if notes:
+                payload["notes"] = notes
         return payload
 
     def validate(self) -> list[tuple[str, bool, str]]:

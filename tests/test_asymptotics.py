@@ -117,6 +117,14 @@ def test_weak_coupling_criticals_close_to_exact():
     assert weak["r2"] == pytest.approx(r2, abs=0.02)
 
 
+@pytest.mark.parametrize("gamma", [3.0, 6.0])
+def test_weak_coupling_criticals_refuse_outside_their_domain(gamma):
+    # ln(cutoff / omega) = ln 2 < 1 makes the s_crit (and, at large gamma,
+    # r2) log argument negative: a named ValueError, not a math domain error
+    with pytest.raises(ValueError, match="every log argument > 0"):
+        asy.ohmic_weak_zero_t(gamma, 1.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation-dissipation route
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: config handling, determinism, exit codes."""
 
 import glob
+import itertools
 import json
 import os
 
@@ -56,15 +57,18 @@ def test_validation_names_fields():
     cfg.initial_state.purity_product = 0.3
     with pytest.raises(ConfigError, match="purity_product"):
         validate(cfg)
+    # rules that tie fields into a physical system are the scenario's
+    from entbath.scenario import Scenario
+
     cfg = from_dict(dict(BASE))
     cfg.model = "symmetric"
     cfg.system.omega2 = 1.1
     with pytest.raises(ConfigError, match="system.omega2"):
-        validate(cfg)
+        Scenario(validate(cfg))
     cfg = from_dict(dict(BASE))
     cfg.spectral.n = 2.0
     with pytest.raises(ConfigError, match="spectral.n"):
-        validate(cfg)
+        Scenario(validate(cfg))
 
 
 def test_overrides_parse_yaml_scalars():
@@ -475,14 +479,134 @@ def test_plus_mode_at_or_above_cutoff_is_config_error(command, cfg_file, tmp_pat
     assert "spectral.cutoff" in err
 
 
-@pytest.mark.parametrize("command", ["asymptotics", "moments", "phase-diagram"])
+@pytest.mark.parametrize(
+    "command", ["asymptotics", "moments", "phase-diagram", "negativity-trace", "validate"]
+)
 def test_unstable_minus_mode_is_config_error(command, cfg_file, tmp_path, capsys):
     # c12 = 1.5 > omega^2 leaves the minus oscillator without a real frequency
     argv = [command, cfg_file, "--set", "system.c12=1.5"]
-    if command != "asymptotics":
+    if command not in ("asymptotics", "validate"):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert "system.c12" in capsys.readouterr().err
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# configured systems whose stiffness or momentum block is not positive
+# definite, and the fields each refusal names
+UNSTABLE_SYSTEMS = [
+    *(pytest.param("symmetric_trace", [f"system.c12={v}"], ["system.c12"], id=f"sym-c12={v}")
+      for v in (-2, -1, 1, 2)),
+    *(pytest.param("symmetric_trace", [f"system.c12_tilde={v}"], ["system.c12_tilde"],
+                   id=f"sym-c12_tilde={v}") for v in (-2, 2)),
+    *(pytest.param("ohmic_trace", [f"system.c12={v}"], ["system.c12"], id=f"ohmic-c12={v}")
+      for v in (-2, 1, 2)),
+    pytest.param("ohmic_trace", ["system.omega2=2", "system.c12=2.05"],
+                 ["system.c12", "system.omega1/omega2"], id="ohmic-detuned-c12=2.05"),
+]
+
+
+@pytest.mark.parametrize(
+    "command", ["negativity-trace", "phase-diagram", "moments", "asymptotics", "validate"]
+)
+@pytest.mark.parametrize("name, overrides, fields", UNSTABLE_SYSTEMS)
+def test_unstable_configured_system_is_config_error_everywhere(
+    command, name, overrides, fields, tmp_path, capsys
+):
+    # one stability decision for every subcommand, made before any bath is built
+    argv = [command, os.path.join(CONFIG_DIR, f"{name}.yaml")]
+    for item in overrides:
+        argv += ["--set", item]
+    if command == "phase-diagram":  # configs/symmetric_trace.yaml has no sweep
+        argv += ["--set", "sweep.r_grid=[1.0]", "--set", "sweep.t_grid=[0.0]",
+                 "--summary", str(tmp_path / "summary.json")]
+    if command in ("negativity-trace", "phase-diagram", "moments"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(field in err for field in fields)
+    assert "Traceback" not in err
+
+
+def test_configured_block_rule_matches_drift_construction():
+    # the scenario accepts a config exactly when the builder's drift is made
+    # and its normal modes exist.  The one exception is a configured block
+    # that is exactly singular (smallest eigenvalue 0.0; here c12 = +-1 or
+    # c12_tilde = -1 in the symmetric model): the scenario refuses it, while
+    # the drift may pass its PSD tolerance and be made
+    from entbath import exact as ex
+    from entbath.bath import SpectralDensity, discretize
+    from entbath.errors import UnstableHamiltonianError
+    from entbath.gaussian import OscillatorParams
+    from entbath.scenario import Scenario
+
+    bath = discretize(SpectralDensity(1.0, 0.1, 20.0), 48)
+    grid = [("position", w2, 0.0) for w2 in (1.0, 1.5, 2.0)]
+    grid += [("symmetric", 1.0, ct) for ct in np.linspace(-3.0, 3.0, 13)]
+    outcomes = set()
+    for (model, w2, c12_t), c12 in itertools.product(grid, np.linspace(-3.0, 3.0, 13)):
+        system = {"omega2": float(w2), "c12": float(c12), "c12_tilde": float(c12_t)}
+        try:
+            Scenario(validate(from_dict({"model": model, "spectral": {"n": 1},
+                                         "system": system})))
+            accepted = True
+        except ConfigError:
+            accepted = False
+        osc = OscillatorParams(1.0, 1.0, float(w2), float(c12), float(c12_t))
+        build = ex.build_symmetric_model if model == "symmetric" else ex.build_position_model
+        try:
+            build(osc, bath).normal_modes
+            made = True
+        except UnstableHamiltonianError:
+            made = False
+        block = ex.system_hamiltonian(osc, model)[0]
+        singular = min(np.linalg.eigvalsh(block[rows, rows])[0]
+                       for rows in (slice(0, 4, 2), slice(1, 4, 2))) == 0.0
+        outcomes.add((accepted, made))
+        assert accepted == made or (singular and not accepted), (model, w2, c12, c12_t)
+    assert outcomes == {(True, True), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("overrides, named, n_modes", [
+    (["spectral.cutoff=10000", "evolution.t_max=20"], "spectral.cutoff/evolution.t_max", 39789),
+    (["bath.n_modes=9000"], "bath.n_modes", 9000),
+])
+def test_bath_beyond_budget_is_refused_before_it_is_made(overrides, named, n_modes,
+                                                         cfg_file, tmp_path, capsys,
+                                                         monkeypatch):
+    # (N+2)^2 mode matrices of 25 GB at N = 39789: the refusal must come
+    # before the bath is discretized, so a misplaced check fails here at once
+    from entbath import bath
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bath beyond the budget was discretized")
+
+    monkeypatch.setattr(bath, "discretize", never)
+    argv = ["negativity-trace", cfg_file, "--out", str(tmp_path / "out.csv")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}")
+    assert f"N={n_modes}" in err and f"{16 * (n_modes + 2) ** 2} bytes" in err
+
+
+def test_weak_coupling_form_left_out_outside_its_domain(tmp_path):
+    # ln(cutoff / omega+) = ln 2 < 1 at gamma = 3 takes the log of a negative
+    # number in s_crit; asymptotics leaves the form out with a note
+    out = tmp_path / "a.json"
+    assert main(["asymptotics", os.path.join(CONFIG_DIR, "ohmic_trace.yaml"),
+                 "--set", "spectral.cutoff=2", "--set", "spectral.gamma0=1.5",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "ohmic_zero_t_weak_coupling" not in doc and "ohmic_zero_t_exact" not in doc
+    assert doc["notes"] == [
+        "ohmic_zero_t_weak_coupling left out: its closed form requires every log "
+        "argument > 0, here gamma=3.0, omega_plus=1.0 and cutoff=2",
+        "ohmic_zero_t_exact left out: its closed form requires 0 < gamma < omega, "
+        "here gamma=3.0 and omega_plus=1.0",
+    ]
 
 
 DETUNED = ["--set", "system.omega1=1.05", "--set", "system.omega2=0.95"]
@@ -610,7 +734,7 @@ def test_scenario_decides_plus_frequency_once(cfg_file, monkeypatch):
     scenario = Scenario(load_config(cfg_file, ["system.c12=0.1"]))
     assert [scenario.plus_frequency() for _ in range(3)] == [pytest.approx(1.1**0.5)] * 3
     assert len({scenario.route_scales() for _ in range(3)}) == 1
-    assert len(calls) == 2  # one configured block per sign
+    assert len(calls) == 1  # one configured block, made with the scenario
     detuned = Scenario(load_config(cfg_file, ["system.omega1=1.05", "system.omega2=0.95"]))
     for _ in range(2):
         with pytest.raises(ConfigError, match="system.omega1/omega2"):

@@ -61,7 +61,10 @@ def test_src_reads_every_name_it_imports():
 
 
 # each refusal rule has one owner module, the only one that raises its error
-RAISE_OWNERS = {"StepSizeError": "moments.py", "RecurrenceWindowError": "bath.py"}
+# (an unstable configured system is the scenario's ConfigError, not a second
+# raiser of the drift's UnstableHamiltonianError)
+RAISE_OWNERS = {"StepSizeError": "moments.py", "RecurrenceWindowError": "bath.py",
+                "UnstableHamiltonianError": "exact.py"}
 
 
 def _raised(exc: ast.expr) -> str | None:
