@@ -7,6 +7,11 @@ Conventions (natural units, hbar = 1):
 * ``V_ij = <{r_i, r_j}>/2 - <r_i><r_j>``, so the vacuum is ``V = I/2``,
 * a physical state has every symplectic eigenvalue >= 1/2.
 
+Symplectic eigenvalues take one real route for every even size, one
+Cholesky factor per matrix (``symplectic_eigenvalues``).  A matrix that is
+not positive definite has no Williamson normal form and is refused as
+unphysical.
+
 Three orderings are used and every matrix carries a tag so they cannot be
 mixed silently: ``PHYSICAL`` is ``(x1, p1, x2, p2)``, ``NORMAL`` is the
 rotated ``(x+, p+, x-, p-)`` basis with ``x± = (x1 ± x2)/sqrt(2)``, and
@@ -79,11 +84,7 @@ class CovarianceMatrix:
             )
 
     def validate_physical(self) -> None:
-        nu = symplectic_eigenvalues(self)
-        if nu[0] < 0.5 - PHYSICALITY_ATOL:
-            raise UnphysicalStateError(
-                f"smallest symplectic eigenvalue {nu[0]:.3e} < 1/2"
-            )
+        require_physical(self, PHYSICALITY_ATOL)
 
 
 def _as_matrix(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -94,62 +95,46 @@ def _as_matrix(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return m
 
 
-def _two_mode_closed_form(v: np.ndarray) -> np.ndarray:
-    # nu±² = (Δ̃ ± sqrt(Δ̃² − 4 det V))/2 with Δ̃ = det A + det B + 2 det C,
-    # for a (k, 4, 4) stack at once
-    delta = (
-        np.linalg.det(v[:, :2, :2])
-        + np.linalg.det(v[:, 2:, 2:])
-        + 2.0 * np.linalg.det(v[:, :2, 2:])
-    )
-    det = np.linalg.det(v)
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0))
-    hi = (delta + root) / 2.0
-    # nu_min^2 = (delta - root)/2 cancels when 4 det << delta^2; the
-    # algebraically equal quotient form det/hi is stable there
-    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return np.sqrt(np.clip(np.stack([lo, hi], axis=-1), 0.0, None))
+def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a positive definite matrix, ascending, one
+    per mode; a (k, d, d) stack gives one row per matrix.
 
-
-def _eigensolver(m: np.ndarray) -> np.ndarray:
-    # moduli of the eigenvalues of i J V come in equal pairs; keep one per mode
-    eig = np.linalg.eigvals(1j * symplectic_form(m.shape[-1]) @ m)
-    return np.sort(np.abs(eig), axis=-1)[..., ::2]
-
-
-def _real_refinement(m: np.ndarray) -> np.ndarray:
-    # with V = R R^T, X = R^T J R = R^-1 (V J) R is antisymmetric with the
-    # eigenvalues ±i nu of V J, so the eigenvalues of X^T X are each nu^2
-    # twice.  A stack with a row that is not positive definite (unphysical)
-    # goes to the eigensolver.
+    With V = R R^T, X = R^T J R is antisymmetric with the eigenvalues ±i nu
+    of V J, so each nu^2 appears twice among the eigenvalues of
+    X^T X = -X^2.  Those
+    carry an error of about eps nu_max^2, so the smallest nu is taken from
+    prod nu = det R = prod diag R instead, which the factor gives to relative
+    accuracy.  A matrix that is not positive definite has no symplectic
+    spectrum and is refused with ``UnphysicalStateError``.
+    """
+    m = _as_matrix(v)
     try:
         r = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return _eigensolver(m)
-    x = np.swapaxes(r, -1, -2) @ symplectic_form(m.shape[-1]) @ r
-    nu_sq = np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)
-    return np.sqrt(nu_sq[..., ::2])
+        raise UnphysicalStateError("covariance matrix is not positive definite") from None
+    # X = R^T J R = P - P^T with P = (even rows of R)^T (odd rows of R)
+    p = np.swapaxes(r[..., 0::2, :], -1, -2) @ r[..., 1::2, :]
+    x = p - np.swapaxes(p, -1, -2)
+    upper = np.sqrt(np.linalg.eigvalsh(-(x @ x))[..., 2::2])
+    # in logs, so that the determinant neither overflows nor underflows
+    log_det = np.log(np.diagonal(r, axis1=-2, axis2=-1)).sum(axis=-1)
+    lowest = np.exp(log_det - np.log(upper).sum(axis=-1))
+    return np.sort(np.concatenate([lowest[..., None], upper], axis=-1), axis=-1)
 
 
-def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric matrix, ascending, one per mode.
+def physicality_margins(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """nu_min - 1/2 of a matrix, or of each matrix of a stack."""
+    return symplectic_eigenvalues(v)[..., 0] - 0.5
 
-    They are the moduli of the eigenvalues of ``i J V``.  A (k, d, d) stack
-    gives one row per matrix.  4x4 input takes the two-mode closed form,
-    any other size the eigensolver.
-    """
-    m = _as_matrix(v)
-    if m.shape[-1] != 4:
-        return _eigensolver(m)
-    stack = m.reshape(-1, 4, 4)
-    nu = _two_mode_closed_form(stack)
-    # the closed form cancels catastrophically near the purity boundary
-    # (|nu - 1/2| ~ 1e-8 observed for squeezed pure states); refine there
-    # with a real symmetric eigensolve
-    near = np.abs(nu[:, 0] - 0.5) < 1e-6
-    if near.any():
-        nu[near] = _real_refinement(stack[near])
-    return nu.reshape(m.shape[:-2] + (2,))
+
+def require_physical(v: CovarianceMatrix | np.ndarray, atol: float) -> None:
+    """Refuse a matrix or stack whose smallest symplectic eigenvalue lies
+    more than ``atol`` below 1/2, naming the breach."""
+    margin = float(np.min(physicality_margins(v)))
+    if margin < -atol:
+        raise UnphysicalStateError(
+            f"smallest symplectic eigenvalue is {-margin:.3e} below 1/2"
+        )
 
 
 # momentum-sign flip of mode 2: the congruence by diag(1, 1, 1, -1)
@@ -178,8 +163,6 @@ def log_negativity(v: CovarianceMatrix) -> float:
 def log_negativities(v: np.ndarray) -> np.ndarray:
     """E_N of every matrix of a (k, 4, 4) stack of PHYSICAL covariances."""
     nu_min = symplectic_eigenvalues(v * _TRANSPOSE_SIGNS)[:, 0]
-    if np.any(nu_min <= 0.0):
-        raise UnphysicalStateError("partial transpose has vanishing eigenvalue")
     return np.maximum(0.0, -np.log(2.0 * nu_min))
 
 

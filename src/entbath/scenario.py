@@ -37,6 +37,7 @@ from .gaussian import (
     Ordering,
     OscillatorParams,
     basis_change,
+    physicality_margins,
     separable_squeezed,
     squeezing_exp,
     squeezing_of,
@@ -473,7 +474,7 @@ class Scenario:
         checks.append(("energy conservation", energy <= 1e-6, f"rel drift={energy:.3e}"))
 
         times = ex.EvolutionConfig(t_val, t_val / 200.0).sample_times()
-        margin = float(ex.physicality_margins(drift.reduced_channel(times).blocks(v_sys)).min())
+        margin = float(physicality_margins(drift.reduced_channel(times).blocks(v_sys)).min())
         checks.append(("reduced-state physicality", margin >= -ex.REDUCED_PHYSICALITY_ATOL,
                        f"{len(times)} samples, min nu-1/2={margin:.3e}"))
         return checks

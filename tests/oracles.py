@@ -18,7 +18,16 @@ from entbath.gaussian import (
     OscillatorParams,
     basis_change,
     free_rotation,
+    symplectic_form,
 )
+
+
+def symplectic_eigensolver(m: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a matrix or a (k, d, d) stack, ascending, as
+    the moduli of the eigenvalues of i J V; they come in equal pairs, so one
+    of each pair is kept."""
+    eig = np.linalg.eigvals(1j * symplectic_form(m.shape[-1]) @ m)
+    return np.sort(np.abs(eig), axis=-1)[..., ::2]
 
 
 def asymptotic_covariance(

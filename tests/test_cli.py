@@ -4,6 +4,7 @@ import glob
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,52 @@ def test_unphysical_custom_covariance_is_config_error(command, cfg_file, tmp_pat
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert "initial_state.covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["asymptotics", "negativity-trace", "moments", "validate"])
+def test_indefinite_custom_covariance_is_config_error(command, cfg_file, tmp_path, capsys):
+    # negative variances: the moduli of the eigenvalues of i J V read (1/2, 1/2),
+    # as for a pure state, but V has no Williamson normal form
+    cov = "[[2,0,0,0],[0,0.125,0,0],[0,0,-0.5,0],[0,0,0,-0.5]]"
+    argv = [command, cfg_file, "--set", "initial_state.kind=custom_covariance",
+            "--set", f"initial_state.covariance={cov}"]
+    if command in ("negativity-trace", "moments"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial_state.covariance:")
+    assert "Traceback" not in err
+
+
+SYMMETRIC_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                "symmetric_trace.yaml")
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(["system.c12=0.5", "initial_state.r=-3"], id="c12=0.5-r=-3"),
+    pytest.param(["initial_state.r=4"], id="r=4"),
+    pytest.param(["initial_state.r=-4"], id="r=-4"),
+])
+def test_squeezed_symmetric_trace_is_read_as_physical(overrides, tmp_path, capsys):
+    # pure minus modes squeezed by |r| = 3-4: the reduced states sit on
+    # nu = 1/2, and their readout must not fall below it by rounding
+    argv = ["negativity-trace", SYMMETRIC_CONFIG, "--set", "evolution.t_max=20",
+            "--out", str(tmp_path / "t.csv")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_validate_refuses_a_singular_initial_state_without_warnings(capsys):
+    # at r = 20 the two-mode squeezed covariance rounds to a singular matrix
+    argv = ["validate", SYMMETRIC_CONFIG, "--set", "initial_state.r=20",
+            "--set", "evolution.t_max=20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("numerical failure:") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["asymptotics", "moments", "phase-diagram"])

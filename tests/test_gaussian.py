@@ -13,7 +13,6 @@ from entbath.gaussian import (
     CovarianceMatrix,
     Ordering,
     OscillatorParams,
-    _eigensolver,
     basis_change,
     free_rotation,
     log_negativity,
@@ -25,6 +24,8 @@ from entbath.gaussian import (
     symplectic_form,
     two_mode_squeezed,
 )
+
+from oracles import symplectic_eigensolver
 
 
 def random_physical(rng: np.random.Generator, n_modes: int = 2) -> CovarianceMatrix:
@@ -57,13 +58,14 @@ def test_closed_form_matches_eigensolver():
     for _ in range(50):
         v = random_physical(rng)
         fast = symplectic_eigenvalues(v)
-        slow = _eigensolver(v.matrix)
+        slow = symplectic_eigensolver(v.matrix)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-10)
 
 
 def test_closed_form_refined_at_purity_boundary():
-    # squeezed pure states sit exactly on nu = 1/2 where the closed form
-    # cancels catastrophically; the refined path must stay accurate
+    # squeezed pure states sit exactly on nu = 1/2, where the closed form
+    # nu^2 = (delta - sqrt(delta^2 - 4 det V))/2 cancels catastrophically;
+    # the real route must stay accurate there
     for r in (0.5, 1.0, 2.0, 3.0):
         v = basis_change(two_mode_squeezed(r), Ordering.PHYSICAL)
         nu = symplectic_eigenvalues(v)
@@ -81,8 +83,7 @@ def _random_symplectic(rng: np.random.Generator) -> np.ndarray:
 def test_stacked_eigenvalues_match_eigensolver():
     rng = np.random.default_rng(11)
     mixed = [random_physical(rng).matrix for _ in range(40)]
-    # pure states and states within 1e-7 of pure, where the closed form
-    # is refined
+    # pure states and states within 1e-7 of pure
     near_pure = []
     for eps in [0.0] * 10 + list(rng.uniform(0.0, 1e-7, 30)):
         s = _random_symplectic(rng)
@@ -91,7 +92,7 @@ def test_stacked_eigenvalues_match_eigensolver():
     nu = symplectic_eigenvalues(stack)
     assert nu.shape == (len(stack), 2)
     for i, v in enumerate(stack):
-        ref = _eigensolver(v)
+        ref = symplectic_eigensolver(v)
         assert np.abs(nu[i] - ref).max() <= 1e-12
         # the single-matrix call is a stack of one
         assert np.array_equal(symplectic_eigenvalues(v), nu[i])
@@ -99,11 +100,9 @@ def test_stacked_eigenvalues_match_eigensolver():
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
-def test_real_refinement_matches_eigensolver_near_half(r, monkeypatch):
+def test_real_refinement_matches_eigensolver_near_half(r):
     # the states an exact trace reads: a thermal, squeezed plus mode beside
     # an exactly pure minus mode squeezed by r, both rotated freely
-    import entbath.gaussian as g
-
     rng = np.random.default_rng(17)
     stack = []
     for phase in rng.uniform(0.0, 2.0 * math.pi, 24):
@@ -115,12 +114,8 @@ def test_real_refinement_matches_eigensolver_near_half(r, monkeypatch):
         nm[2:, 2:] = free_rotation(minus, 1.3, 0.8, phase)
         stack.append(mix_modes(nm))
     stack = np.array(stack)
-    calls = []
-    eigensolver = g._eigensolver
-    monkeypatch.setattr(g, "_eigensolver", lambda m: calls.append(len(m)) or eigensolver(m))
     nu = symplectic_eigenvalues(stack)
-    assert calls == []  # every row refined, none by the complex eigensolver
-    ref = eigensolver(stack)
+    ref = symplectic_eigensolver(stack)
     # both routes read the rounded input, whose own conditioning moves a
     # pure mode's nu by about eps e^(4|r|) (3.6e-11 at r = 3)
     tol = 1e-12 + np.finfo(float).eps * math.exp(4.0 * abs(r))
@@ -128,21 +123,35 @@ def test_real_refinement_matches_eigensolver_near_half(r, monkeypatch):
     assert np.abs(nu[:, 0] - 0.5).max() <= tol
 
 
-def test_refinement_falls_back_to_eigensolver_for_indefinite_rows(monkeypatch):
-    import entbath.gaussian as g
-
+def test_indefinite_row_is_refused():
+    # the indefinite row's eigenvalues of i J V have moduli (1/2, 1/2), as a
+    # pure state's do; it has no Williamson normal form and is no covariance
     pure = basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL).matrix
-    indefinite = np.diag([2.0, 0.125, -0.5, -0.5])  # closed form reads nu = 1/2
+    indefinite = np.diag([2.0, 0.125, -0.5, -0.5])
     mixed = random_physical(np.random.default_rng(3)).matrix
-    stack = np.array([pure, indefinite, mixed])
-    calls = []
-    eigensolver = g._eigensolver
-    monkeypatch.setattr(g, "_eigensolver", lambda m: calls.append(len(m)) or eigensolver(m))
-    nu = symplectic_eigenvalues(stack)
-    # the two near rows go to the eigensolver together, as before the real route
-    assert calls == [2]
-    assert np.array_equal(nu[:2], eigensolver(stack[:2]))
-    assert np.array_equal(nu[2], symplectic_eigenvalues(mixed))
+    assert np.allclose(symplectic_eigensolver(indefinite), 0.5)
+    for m in (indefinite, np.array([pure, indefinite, mixed])):
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            symplectic_eigenvalues(m)
+    with pytest.raises(UnphysicalStateError, match="not positive definite"):
+        CovarianceMatrix(indefinite, Ordering.PHYSICAL).validate_physical()
+
+
+def test_many_mode_state_matches_eigensolver():
+    # validate's purity check reads a 50-mode state through the same route
+    v = random_physical(np.random.default_rng(29), n_modes=50)
+    nu = symplectic_eigenvalues(v)
+    assert nu.shape == (50,)
+    assert np.all(np.diff(nu) >= 0.0)
+    np.testing.assert_allclose(nu, symplectic_eigensolver(v.matrix), rtol=1e-9)
+
+
+def test_refusal_names_the_breach():
+    # nu = 1/2 - 2e-6 in both modes
+    v = CovarianceMatrix((0.5 - 2e-6) * np.eye(4), Ordering.PHYSICAL)
+    with pytest.raises(UnphysicalStateError,
+                       match=r"smallest symplectic eigenvalue is 2\.000e-06 below 1/2"):
+        v.validate_physical()
 
 
 def test_ordering_guard():
