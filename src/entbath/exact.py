@@ -23,7 +23,11 @@ size N+2.  The reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t)
 whose Z and N do not depend on the system state; the drift keeps the
 channel of its latest sampling plan, so each further state costs one 4x4
 congruence per sample.  The channel samples the rows of S(t) in the
-(x+, p+, x-, p-) basis.  When H is unchanged by exchanging the two
+(x+, p+, x-, p-) basis.  Its noise is the reduced thermal state of H, which
+is stationary, less the sampled rows through a low-rank factor of the gap
+between that thermal state and the prepared one (system block zero, bath
+thermal); the factor is found once per channel, so no sample meets the
+(N+2)^2 mode matrices.  When H is unchanged by exchanging the two
 oscillators (every resonant builder config), x- and p- decouple from the
 rest: only x+ and p+ are sampled, and the minus rows are the closed-form
 free rotation, with no bath noise.
@@ -37,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import DiscreteBath, check_recurrence, thermal_bath_covariance, thermal_bath_variances
+from .bath import DiscreteBath, check_recurrence, thermal_bath_covariance
 from .errors import NumericalError, UnstableHamiltonianError
 from .gaussian import (
     MIX,
@@ -158,7 +162,7 @@ class DriftMatrix:
         """Reduced channel at ``times``; the latest plan's is kept, keyed by times."""
         held = self.__dict__.get("_channel")
         if held is None or not np.array_equal(held.times, times):
-            held = self.normal_modes.reduced_channel(thermal_bath_variances(self.bath), times)
+            held = self.normal_modes.reduced_channel(self.bath, times)
             self.__dict__["_channel"] = held
         return held
 
@@ -283,9 +287,8 @@ def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> Covari
 # Propagators
 # ---------------------------------------------------------------------------
 
-# samples per GEMM in NormalModes.reduced_channel: their 2 (free minus
-# pair) or 4 sampled rows against W and A^T keep the working set to a
-# few MB at N ~ 1200
+# samples per chunk in NormalModes.reduced_channel: its cos and sin tables,
+# chunk x (N+2) each, take 0.6 MB apiece at N = 597 whatever the sample count
 SAMPLE_CHUNK = 128
 
 
@@ -317,8 +320,10 @@ class NormalModes:
     A A^T = B and K A = W^T diag(omega^2): the exact normal modes of a
     linear bath (Ullersma, Physica 32, 27 (1966)).  With B = L L^T and
     L^T K L = U diag(omega^2) U^T (U orthogonal), A = L U and W = U^T L^-1;
-    for position coupling L = M^(-1/2).  ``minus`` is the (mass, frequency)
-    of a minus pair that H leaves free, else None.
+    for position coupling L = M^(-1/2).  Also K^-1 = A diag(omega^-2) A^T and
+    B^-1 = W^T W, which give the reduced channel its classical thermal part
+    from the system rows alone.  ``minus`` is the (mass, frequency) of a
+    minus pair that H leaves free, else None.
     """
 
     omega: np.ndarray
@@ -337,47 +342,134 @@ class NormalModes:
         s[1::2, 1::2] = (w.T * cos) @ a.T
         return s
 
-    def reduced_channel(self, bath_variances: np.ndarray, times: np.ndarray) -> ReducedChannel:
-        """The reduced channel at ``times`` of a diagonal thermal bath.
+    def reduced_channel(self, bath: DiscreteBath, times: np.ndarray) -> ReducedChannel:
+        """The reduced channel at ``times`` of the thermal ``bath``.
 
-        The system rows of S(t) in NORMAL order (x+, p+, x-, p-) are built
-        per chunk of samples as weights on Q and on P, then mapped to
-        coefficients on the initial positions (through W) and momenta
-        (through A^T).  With a free minus pair only x+ and p+ are sampled:
-        x+ is cos g+ on Q and sin g+ / omega on P, p+ is -omega sin h+ on Q
-        and cos h+ on P; the minus rows are the free rotation at ``minus``,
-        which carries no bath noise.  Z is the rows' coefficients on the
-        initial (x1, p1, x2, p2), and N their bath coefficients weighted by
-        ``bath_variances``.
+        Each system row of S(t) in NORMAL order (x+, p+, x-, p-) is a weight
+        on Q and one on P: an x row is cos g on Q and sin g / omega on P, a
+        p row -omega sin h on Q and cos h on P.  The prepared state's bath
+        part is the thermal state V_th of H, diagonal in normal modes and
+        stationary, less Delta = V_th - (0 (+) V_bath), whose Q-P block is
+        zero.  So the noise of the sampled rows R(t) is
+        N(t) = V_th,red - R(t) Delta R(t)^T, and V_th,red does not depend on
+        t.  Per quadrature, Delta is T times a rank-2 closed form (the block
+        inverse of the arrowheads K and B: T Y (A_s Y)^-1 Y^T on Q with
+        Y = Omega^-2 A_s^T, and T W_s (W_s^T W_s)^-1 W_s^T on P, A_s and W_s
+        the system rows of A and columns of W) plus a quantum remainder, with
+        no T / omega^2 terms to cancel, that ``_low_rank`` factors once per
+        channel from products with the bath columns of W and A.  Per chunk of
+        samples two products, cos and sin against n x k(2 + r) coefficients,
+        give Z (the rows through W_s and A_s^T) and the rows' coordinates in
+        the factor of Delta.  With a free minus pair only x+ and p+ are
+        sampled; the minus rows are the free rotation at ``minus``, which
+        carries no bath noise.
         """
-        om = self.omega
-        n = len(om)
+        om, t = self.omega, bath.temperature
+        a_s, w_s, w_b, a_b = self.a[:2], self.w[:, :2], self.w[:, 2:], self.a[2:]
+        f_m, f_b = _quantum_part(om, t), _quantum_part(bath.frequencies, t)
+        m_b = bath.masses
+        y = a_s.T / om[:, None] ** 2
+        # on Q and P: the columns that give Z, then Delta's factor, and its weights
+        on_q, lam_q = _thermal_gap(w_s, y, a_s @ y, t, *_low_rank(
+            lambda x: f_m[:, None] * x - w_b @ ((f_b / m_b)[:, None] * (w_b.T @ x)), len(om)))
+        on_p, lam_p = _thermal_gap(a_s.T, w_s, w_s.T @ w_s, t, *_low_rank(
+            lambda x: (om**2 * f_m)[:, None] * x
+            - a_b.T @ ((m_b * bath.frequencies**2 * f_b)[:, None] * (a_b @ x)), len(om)))
+        var_q = t / om**2 + f_m  # <Q^2> of V_th; <P^2> = omega^2 <Q^2>
         frame = MIX if self.minus is None else MIX[:2]
-        g = frame[:, 0::2] @ self.a[:2]        # x rows: g . (cos Q + sin P / omega)
-        hs = frame[:, 1::2] @ self.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
-        k = len(frame)
+        rows = np.concatenate([frame[0::2], frame[1::2]])  # x rows, then p rows
+        g = frame[0::2, 0::2] @ a_s    # x rows: g . (cos Q + sin P / omega)
+        h = frame[1::2, 1::2] @ w_s.T  # p rows: h . (-omega sin Q + cos P)
+        kx, k = len(g), len(rows)
+        stationary = np.zeros((k, k))
+        stationary[:kx, :kx] = (g * var_q) @ g.T
+        stationary[kx:, kx:] = (h * (om**2 * var_q)) @ h.T
+
+        def coefficients(weights, on):
+            return (weights.T[:, :, None] * on[:, None, :]).reshape(len(om), -1)
+
+        by_cos = np.hstack([coefficients(g, on_q), coefficients(h, on_p)])
+        by_sin = np.hstack([coefficients(g / om, on_p), coefficients(-om * h, on_q)])
+        split_cos, split_sin = kx * on_q.shape[1], kx * on_p.shape[1]
         times = np.array(times, dtype=float)
-        var_q, var_pi = bath_variances[0::2], bath_variances[1::2]
         z = np.empty((len(times), k, 4))
         noise = np.empty((len(times), k, k))
         for lo in range(0, len(times), SAMPLE_CHUNK):
             part = slice(lo, lo + SAMPLE_CHUNK)
-            phase = np.multiply.outer(times[part], om)[:, None, :]
-            cos, sin = np.cos(phase), np.sin(phase)
-            on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
-            on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
-            sx, sp = (on_q @ self.w).reshape(-1, k, n), (on_p @ self.a.T).reshape(-1, k, n)
-            z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
-            bx, bp = sx[..., 2:], sp[..., 2:]
-            noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
-            noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
-        z, noise = frame.T @ z, frame.T @ noise @ frame
+            phase = np.multiply.outer(times[part], om)
+            c, s = np.cos(phase) @ by_cos, np.sin(phase) @ by_sin
+            q = np.concatenate([c[:, :split_cos], s[:, split_sin:]], axis=1)
+            p = np.concatenate([s[:, :split_sin], c[:, split_cos:]], axis=1)
+            q, p = q.reshape(len(q), k, -1), p.reshape(len(p), k, -1)
+            z[part, :, 0::2], z[part, :, 1::2] = q[..., :2], p[..., :2]
+            f_q, f_p = q[..., 2:], p[..., 2:]
+            noise[part] = stationary - (f_q * lam_q) @ f_q.transpose(0, 2, 1)
+            noise[part] -= (f_p * lam_p) @ f_p.transpose(0, 2, 1)
+        z, noise = rows.T @ z, rows.T @ noise @ rows
         if self.minus is not None:
             free = MIX[2:]
             z += free.T @ free_propagator(*self.minus, times) @ free
         for arr in (times, z, noise):
             arr.flags.writeable = False
         return ReducedChannel(times, z, noise)
+
+
+def _quantum_part(omega: np.ndarray, temperature: float) -> np.ndarray:
+    """<Q^2> of unit-mass oscillators at ``temperature`` less the classical
+    T / omega^2: (coth x - 1/x) / 2 omega with x = omega / 2T.  Below x = 1,
+    where that difference cancels, it is Lambert's continued fraction
+    x / (3 + x^2 / (5 + x^2 / (7 + ...))), cut after _LAMBERT_DEPTH levels."""
+    if temperature == 0.0:
+        return 0.5 / omega
+    x = omega / (2.0 * temperature)
+    sq = np.minimum(x, 1.0) ** 2
+    tail = np.full_like(x, 2.0 * _LAMBERT_DEPTH + 1.0)
+    for odd in range(2 * _LAMBERT_DEPTH - 1, 1, -2):
+        tail = odd + sq / tail
+    return np.where(x < 1.0, x / tail, 1.0 / np.tanh(x) - 1.0 / x) / (2.0 * omega)
+
+
+def _thermal_gap(lead, cols, gram, temperature, u, lam):
+    """One quadrature's Delta = T cols gram^-1 cols^T + U diag(lam) U^T as
+    columns [lead | cols V | U] and weights [T / gamma, lam], where
+    gram = V diag(gamma) V^T; the ``lead`` columns, which give Z, carry none."""
+    gamma, vec = np.linalg.eigh(gram)
+    return np.hstack([lead, cols @ vec, u]), np.concatenate([temperature / gamma, lam])
+
+
+# levels of the continued fraction in _quantum_part: at x = 1 the cut-off
+# tail changes the value by far less than a rounding
+_LAMBERT_DEPTH = 12
+
+# _low_rank's randomized range finder: the seed of its test matrix, its first
+# width, the columns the cut must drop before the width stops doubling, and
+# the cut, relative to the largest eigenvalue of the projected operator
+_RANGE_SEED = 0
+_RANGE_START = 32
+_RANGE_OVERSAMPLE = 8
+_RANGE_CUT = 1e-14
+
+
+def _low_rank(apply, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, lam), U orthonormal n x r, with U diag(lam) U^T the symmetric
+    n x n operator ``apply`` (a map of n x l blocks) to rounding.
+
+    One pass of a randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 217 (2011)): the orthonormal basis Q of ``apply`` on a
+    Gaussian n x l block, then the eigenpairs of Q^T (apply Q) above
+    _RANGE_CUT of the largest |eigenvalue|.  The width l starts at
+    _RANGE_START, at most n, and doubles until the cut drops at least
+    _RANGE_OVERSAMPLE columns, so the range was captured, or l = n.
+    """
+    rng = np.random.default_rng(_RANGE_SEED)
+    width = min(_RANGE_START, n)
+    while True:
+        basis = np.linalg.qr(apply(rng.standard_normal((n, width))))[0]
+        lam, vec = np.linalg.eigh(basis.T @ apply(basis))
+        keep = np.abs(lam) > _RANGE_CUT * np.abs(lam).max()
+        if width == n or width - np.count_nonzero(keep) >= _RANGE_OVERSAMPLE:
+            return basis @ vec[:, keep], lam[keep]
+        width = min(2 * width, n)
 
 
 def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:

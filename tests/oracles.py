@@ -11,12 +11,20 @@ import numpy as np
 
 from entbath import exact as ex
 from entbath.asymptotics import PositionCoefficients, _self_energy_shift
-from entbath.bath import DiscreteBath, SpectralDensity, counterterm, j_omega
+from entbath.bath import (
+    DiscreteBath,
+    SpectralDensity,
+    counterterm,
+    j_omega,
+    thermal_bath_variances,
+)
 from entbath.gaussian import (
+    MIX,
     CovarianceMatrix,
     Ordering,
     OscillatorParams,
     basis_change,
+    free_propagator,
     free_rotation,
     symplectic_form,
 )
@@ -73,3 +81,37 @@ def bare_drift(osc: OscillatorParams, bath: DiscreteBath, model: str) -> ex.Drif
     cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
           if model == "symmetric" else np.zeros_like(c))
     return ex.DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
+
+
+def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.ReducedChannel:
+    """``NormalModes.reduced_channel`` through the full W and A^T: each
+    sample's system rows, as weights on Q and P, are mapped to coefficients
+    on every initial coordinate, and the noise is the bath coefficients
+    weighted by the thermal bath variances, O(S k n^2)."""
+    om = modes.omega
+    n = len(om)
+    frame = MIX if modes.minus is None else MIX[:2]
+    g = frame[:, 0::2] @ modes.a[:2]        # x rows: g . (cos Q + sin P / omega)
+    hs = frame[:, 1::2] @ modes.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
+    k = len(frame)
+    times = np.array(times, dtype=float)
+    variances = thermal_bath_variances(bath)
+    var_q, var_pi = variances[0::2], variances[1::2]
+    z = np.empty((len(times), k, 4))
+    noise = np.empty((len(times), k, k))
+    for lo in range(0, len(times), ex.SAMPLE_CHUNK):
+        part = slice(lo, lo + ex.SAMPLE_CHUNK)
+        phase = np.multiply.outer(times[part], om)[:, None, :]
+        cos, sin = np.cos(phase), np.sin(phase)
+        on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
+        on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
+        sx, sp = (on_q @ modes.w).reshape(-1, k, n), (on_p @ modes.a.T).reshape(-1, k, n)
+        z[part] = np.stack([sx[..., 0], sp[..., 0], sx[..., 1], sp[..., 1]], axis=-1)
+        bx, bp = sx[..., 2:], sp[..., 2:]
+        noise[part] = (bx * var_q) @ bx.transpose(0, 2, 1)
+        noise[part] += (bp * var_pi) @ bp.transpose(0, 2, 1)
+    z, noise = frame.T @ z, frame.T @ noise @ frame
+    if modes.minus is not None:
+        free = MIX[2:]
+        z += free.T @ free_propagator(*modes.minus, times) @ free
+    return ex.ReducedChannel(times, z, noise)

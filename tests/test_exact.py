@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bare_drift
+from oracles import bare_drift, reference_channel
 
 from entbath import exact as ex
 from entbath.bath import RECURRENCE_MARGIN, DiscreteBath, SpectralDensity, discretize
@@ -20,6 +20,7 @@ from entbath.gaussian import (
     OscillatorParams,
     basis_change,
     free_rotation,
+    log_negativities,
     separable_squeezed,
     symplectic_eigenvalues,
     two_mode_squeezed,
@@ -401,9 +402,9 @@ def test_channel_built_once_per_drift_and_plan(build, monkeypatch):
     builds = []
     original = ex.NormalModes.reduced_channel
 
-    def counting(self, bath_variances, times):
+    def counting(self, bath, times):
         builds.append(len(times))
-        return original(self, bath_variances, times)
+        return original(self, bath, times)
 
     monkeypatch.setattr(ex.NormalModes, "reduced_channel", counting)
     bath = discretize(OHMIC, 24, 0.5)
@@ -428,6 +429,12 @@ def test_channel_built_once_per_drift_and_plan(build, monkeypatch):
     assert np.array_equal(tr.e_n, ex.negativity_trace(states[0], build(OSC, bath), other).e_n)
     assert np.array_equal(ex.negativity_trace(states[1], drift, cfg).e_n, first[1])
     assert builds == [16] * 5 + [13, 13, 16]
+    # the range finder's seed is fixed: fresh drifts of a large bath give
+    # the same channel
+    big = discretize(OHMIC, 597, 0.5)
+    one, two = (build(OSC, big).reduced_channel(cfg.sample_times()) for _ in range(2))
+    assert builds == [16] * 5 + [13, 13, 16, 16, 16]
+    assert np.array_equal(one.z, two.z) and np.array_equal(one.noise, two.noise)
 
 
 @pytest.mark.parametrize(
@@ -600,8 +607,6 @@ def test_beam_splitter_modes_match_the_eigh_route(exponent, temperature):
     # 4.1e-12 off at n = 0.5, T = 1) and frequencies are compared against
     # the top one; test_secular_frequencies_match_mpmath holds the
     # arrowhead's to 1e-14
-    from entbath.bath import thermal_bath_variances
-
     bath = discretize(SpectralDensity(exponent, 0.1, 20.0), 597, temperature)
     drift = ex.build_symmetric_model(OSC, bath)
     assert ex._beam_scales(drift) is not None
@@ -609,8 +614,7 @@ def test_beam_splitter_modes_match_the_eigh_route(exponent, temperature):
     assert np.all(np.diff(modes.omega) >= 0.0)
     assert np.abs(modes.omega - ref.omega).max() <= 1e-11 * ref.omega[-1]
     times = ex.EvolutionConfig(150.0, 0.02, 10).sample_times()
-    variances = thermal_bath_variances(bath)
-    got, want = (m.reduced_channel(variances, times) for m in (modes, ref))
+    got, want = (m.reduced_channel(bath, times) for m in (modes, ref))
     assert np.abs(got.z - want.z).max() <= 1e-11
     assert np.abs(got.noise - want.noise).max() <= 1e-11
     _assert_normal_mode_identities(drift, modes)
@@ -740,8 +744,6 @@ def test_deflated_modes_match_eigh(case, live, monkeypatch):
 @pytest.mark.parametrize("n_modes", [597, 1194])
 @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
 def test_secular_negativity_matches_eigh(exponent, n_modes):
-    from entbath.bath import thermal_bath_variances
-
     sd = SpectralDensity(exponent, 0.1, 20.0)
     times = ex.EvolutionConfig(150.0, 0.02, 50).sample_times()
     states = (separable_squeezed(2.0), separable_squeezed(-2.0), _correlated_state())
@@ -749,8 +751,8 @@ def test_secular_negativity_matches_eigh(exponent, n_modes):
         drift = ex.build_position_model(osc, discretize(sd, n_modes))
         modes, ref = ex.normal_modes(drift), _eigh_position_modes(drift)
         for temperature in (0.0, 10.0):
-            variances = thermal_bath_variances(discretize(sd, n_modes, temperature))
-            got, want = (m.reduced_channel(variances, times) for m in (modes, ref))
+            bath = discretize(sd, n_modes, temperature)
+            got, want = (m.reduced_channel(bath, times) for m in (modes, ref))
             for v in states:
                 e_got = ex._trace_from_blocks(times, got.blocks(v)).e_n
                 e_want = ex._trace_from_blocks(times, want.blocks(v)).e_n
@@ -933,32 +935,113 @@ class _Recorded(np.ndarray):
     (OscillatorParams(1.0, 1.05, 0.95), 4),
 ], ids=["resonant", "resonant-c12", "detuned"])
 def test_channel_multiplies_the_sampled_rows_only(osc, rows):
-    # the GEMMs against the (N+2)^2 W and A^T: 2 rows per sample for a free
-    # minus pair, all 4 otherwise
+    # nothing meets the (N+2)^2 W or A^T: the system rows of A and W weigh
+    # the sampled rows, 2 for a free minus pair and 4 otherwise, and the
+    # bath columns of W and A enter only the factor of Delta, whose products
+    # are the same at one chunk of samples and at several
     from dataclasses import replace
-
-    from entbath.bath import thermal_bath_variances
 
     n_modes = 40
     bath = discretize(OHMIC, n_modes, 1.0)
     modes = ex.normal_modes(ex.build_position_model(osc, bath))
-    log = []
-    views = {}
-    for tag in ("a", "w"):
-        views[tag] = getattr(modes, tag).view(_Recorded)
-        views[tag].tag, views[tag].log = tag, log
-    times = ex.EvolutionConfig(20.0, 0.05, 1).sample_times()
-    assert len(times) > ex.SAMPLE_CHUNK
-    variances = thermal_bath_variances(bath)
-    channel = replace(modes, **views).reduced_channel(variances, times)
-    square = (n_modes + 2, n_modes + 2)
-    gemm_rows = {"a": 0, "w": 0}
-    for tag, left, right in log:
-        if right == square:
-            gemm_rows[tag] += left[0]
-    assert gemm_rows == {"a": rows * len(times), "w": rows * len(times)}
-    plain = modes.reduced_channel(variances, times)
-    assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
+    logs, sizes = [], []
+    for t_max in (5.0, 20.0):
+        log = []
+        views = {}
+        for tag in ("a", "w"):
+            views[tag] = getattr(modes, tag).view(_Recorded)
+            views[tag].tag, views[tag].log = tag, log
+        times = ex.EvolutionConfig(t_max, 0.05, 1).sample_times()
+        channel = replace(modes, **views).reduced_channel(bath, times)
+        plain = modes.reduced_channel(bath, times)
+        assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
+        logs.append(log)
+        sizes.append(len(times))
+    assert sizes[0] <= ex.SAMPLE_CHUNK < 3 * ex.SAMPLE_CHUNK < sizes[1]
+    assert logs[0] == logs[1]
+    square, system = (n_modes + 2, n_modes + 2), (2, n_modes + 2)
+    assert not [entry for entry in log if square in entry[1:]]
+    assert sum(left[0] for _, left, right in log if right == system) == rows
+    assert {tag for tag, _, right in log if right == system} == {"a", "w"}
+
+
+# the channel grid: both builders, criterion 9's detuned pair, small and
+# shipped bath sizes, and temperatures from the ground state to T >> omega
+CHANNEL_CASES = {
+    "position": (POSITION, OSC),
+    "symmetric": (SYMMETRIC, OSC),
+    "detuned": (POSITION, OscillatorParams(1.0, 1.05, 0.95)),
+}
+channel_grid = pytest.mark.parametrize("temperature", [0.0, 0.01, 1.0, 10.0])
+channel_cases = pytest.mark.parametrize("case", list(CHANNEL_CASES))
+channel_sizes = pytest.mark.parametrize("n_modes", [48, 597])
+
+
+def _channel_plan(n_modes, case, temperature):
+    build, osc = CHANNEL_CASES[case]
+    bath = discretize(OHMIC, n_modes, temperature)
+    cfg = ex.EvolutionConfig(min(150.0, 0.7 * bath.recurrence_time), 0.02, 10)
+    return build(osc, bath), cfg.sample_times()
+
+
+def _assert_channel_matches_reference(drift, times):
+    # Z to 1e-14, N to 1e-12 of its largest entry, and E_N to 5e-12 on
+    # separable r = +-2 and two-mode r = 1
+    got = drift.reduced_channel(times)
+    want = reference_channel(drift.normal_modes, drift.bath, times)
+    assert np.abs(got.z - want.z).max() <= 1e-14
+    assert np.abs(got.noise - want.noise).max() <= 1e-12 * np.abs(want.noise).max()
+    for v in (separable_squeezed(2.0), separable_squeezed(-2.0),
+              basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)):
+        e_got, e_want = (log_negativities(c.blocks(v)) for c in (got, want))
+        assert np.abs(e_got - e_want).max() <= 5e-12
+
+
+@channel_grid
+@channel_cases
+@channel_sizes
+def test_channel_matches_the_full_mode_reference(n_modes, case, temperature):
+    _assert_channel_matches_reference(*_channel_plan(n_modes, case, temperature))
+
+
+@channel_grid
+@channel_cases
+@channel_sizes
+def test_channel_is_completely_positive(n_modes, case, temperature):
+    # a Gaussian channel is completely positive exactly when
+    # N + (i/2)(J - Z J Z^T) >= 0 (Holevo & Werner, PRA 63, 032312 (2001))
+    from entbath.gaussian import symplectic_form
+
+    drift, times = _channel_plan(n_modes, case, temperature)
+    channel = drift.reduced_channel(times)
+    j = symplectic_form(4)
+    form = channel.noise + 0.5j * (j - channel.z @ j @ channel.z.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(form).min() >= -1e-13
+
+
+def test_range_finder_doubles_its_width_from_any_start(monkeypatch):
+    calls = []
+    original = ex._low_rank
+
+    def recorded(apply, n):
+        calls.append([])
+        return original(lambda x: calls[-1].append(x.shape[1]) or apply(x), n)
+
+    monkeypatch.setattr(ex, "_low_rank", recorded)
+    # n = 26 < _RANGE_START: every column from the first pass
+    _assert_channel_matches_reference(*_channel_plan(24, "detuned", 1.0))
+    assert calls == [[26, 26]] * 2
+    # from a width of 1 the width doubles until the cut drops the
+    # oversampling, and the channel still meets the grid bounds
+    monkeypatch.setattr(ex, "_RANGE_START", 1)
+    for case, temperature in (("position", 0.0), ("symmetric", 0.01), ("detuned", 10.0)):
+        calls.clear()
+        _assert_channel_matches_reference(*_channel_plan(597, case, temperature))
+        assert len(calls) == 2
+        for widths in calls:
+            passes = len(widths) // 2
+            assert passes > 2
+            assert widths == [2**i for i in range(passes) for _ in range(2)]
 
 
 def _loop_built(drift, osc, symmetric):
