@@ -5,7 +5,11 @@ The spectral-density family is
     J(w) = (2/pi) m gamma0 w (w/Lambda)^(n-1) theta(Lambda - w)
 
 with ohmicity exponent n (ohmic n=1, sub-ohmic n=1/2, super-ohmic n=3).
-Bath masses are fixed to 1; couplings absorb the freedom.
+The bath acts on the system only through J(w) = sum_k c_k^2/(2 w_k)
+delta(w - w_k), so its oscillators have unit mass and the couplings c_k
+carry the freedom: the bath Hamiltonian is sum_k (pi_k^2 + w_k^2 q_k^2)/2.
+Their thermal state is the one rule ``quantum_part`` plus the classical
+T / w^2, which the exact engine's channel and its dense check both read.
 """
 
 from __future__ import annotations
@@ -84,19 +88,19 @@ def asymptotic_gamma(sd: SpectralDensity, omega: float) -> float:
 
 @dataclass(frozen=True)
 class DiscreteBath:
-    """N oscillators on a uniform frequency grid realizing a SpectralDensity.
+    """N unit-mass oscillators on a uniform frequency grid realizing a
+    SpectralDensity, at one temperature.
 
     Uniform spacing makes the recurrence time 2 pi / dw explicit; the grid
     w_k = k dw excludes w=0, so sub-ohmic c_k^2/w_k^2 sums stay finite.
     """
 
     frequencies: np.ndarray
-    masses: np.ndarray
     couplings: np.ndarray
     temperature: float
 
     def __post_init__(self) -> None:
-        for name in ("frequencies", "masses", "couplings"):
+        for name in ("frequencies", "couplings"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -105,8 +109,6 @@ class DiscreteBath:
         w = self.frequencies
         if len(w) == 0 or np.any(np.diff(w) <= 0) or w[0] <= 0:
             raise ValueError("bath frequencies must be positive and increasing")
-        if not np.all(self.masses > 0):
-            raise ValueError("bath masses must be positive")
 
     @property
     def n_modes(self) -> int:
@@ -123,9 +125,9 @@ class DiscreteBath:
         return 2.0 * math.pi / self.spacing
 
     def counterterm_sum(self, system_mass: float) -> float:
-        """Discrete-sum counterterm -(4/m) sum_k c_k^2/(2 m_k w_k^2)."""
-        c, mk, w = self.couplings, self.masses, self.frequencies
-        return -(4.0 / system_mass) * float(np.sum(c**2 / (2.0 * mk * w**2)))
+        """Discrete-sum counterterm -(4/m) sum_k c_k^2/(2 w_k^2)."""
+        c, w = self.couplings, self.frequencies
+        return -(4.0 / system_mass) * float(np.sum(c**2 / (2.0 * w**2)))
 
 
 def discretize(sd: SpectralDensity, n_modes: int, temperature: float = 0.0) -> DiscreteBath:
@@ -138,22 +140,38 @@ def discretize(sd: SpectralDensity, n_modes: int, temperature: float = 0.0) -> D
         raise ValueError("need at least one bath mode")
     dw = sd.cutoff / n_modes
     w = dw * np.arange(1, n_modes + 1)
-    masses = np.ones(n_modes)
-    couplings = np.sqrt(2.0 * masses * w * j_omega(sd, np.minimum(w, sd.cutoff)) * dw)
-    return DiscreteBath(w, masses, couplings, temperature)
+    couplings = np.sqrt(2.0 * w * j_omega(sd, np.minimum(w, sd.cutoff)) * dw)
+    return DiscreteBath(w, couplings, temperature)
+
+
+# levels of the continued fraction in quantum_part: at x = 1 the cut-off
+# tail changes the value by far less than a rounding
+_LAMBERT_DEPTH = 12
+
+
+def quantum_part(omega: np.ndarray, temperature: float) -> np.ndarray:
+    """<q^2> of unit-mass oscillators at ``temperature`` less the classical
+    T / omega^2: (coth x - 1/x) / 2 omega with x = omega / 2T.  Below x = 1,
+    where that difference cancels, it is Lambert's continued fraction
+    x / (3 + x^2 / (5 + x^2 / (7 + ...))), cut after _LAMBERT_DEPTH levels."""
+    if temperature == 0.0:
+        return 0.5 / omega
+    x = omega / (2.0 * temperature)
+    sq = np.minimum(x, 1.0) ** 2
+    tail = np.full_like(x, 2.0 * _LAMBERT_DEPTH + 1.0)
+    for odd in range(2 * _LAMBERT_DEPTH - 1, 1, -2):
+        tail = odd + sq / tail
+    return np.where(x < 1.0, x / tail, 1.0 / np.tanh(x) - 1.0 / x) / (2.0 * omega)
 
 
 def thermal_bath_variances(bath: DiscreteBath) -> np.ndarray:
-    """Diagonal of the thermal bath covariance, interleaved (q, pi)."""
-    w, mk = bath.frequencies, bath.masses
-    t = bath.temperature
-    if t == 0.0:
-        occ = np.ones_like(w)
-    else:
-        occ = 1.0 / np.tanh(w / (2.0 * t))
+    """Diagonal of the thermal bath covariance, interleaved (q, pi):
+    <q_k^2> = T / w_k^2 + ``quantum_part`` and <pi_k^2> = w_k^2 <q_k^2>."""
+    w, t = bath.frequencies, bath.temperature
+    var_q = t / w**2 + quantum_part(w, t)
     diag = np.empty(2 * bath.n_modes)
-    diag[0::2] = occ / (2.0 * mk * w)
-    diag[1::2] = mk * w * occ / 2.0
+    diag[0::2] = var_q
+    diag[1::2] = w**2 * var_q
     return diag
 
 

@@ -4,7 +4,8 @@ The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  A drift holds
 the nonzero blocks of H, in O(N): the 4x4 system block, the 4 x N
-system-bath couplings and the bath, whose own diagonal is the bath block.
+system-bath couplings and the bath.  Bath oscillators have unit mass, so
+the bath block is w_k^2 on q_k and 1 on pi_k.
 Traces read a normal-mode channel (below).  ``evolve`` gives the full
 covariance by the normal-mode propagator S(t) = exp(Kt) (exactly
 symplectic, arbitrary t) or, as the independent oracle that ``validate`` and
@@ -13,7 +14,8 @@ squaring, the one place K is formed.
 A drift has no x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so its
 normal modes are real and second order, computed once per drift and cached
 on it.  The factor of the momentum block B costs O(N^2), because B is an
-arrowhead: two system rows beside a diagonal bath block.  For position
+arrowhead: two system rows beside the identity, B = [[B_ss, C], [C^T, I]],
+so B = L L^T with L = [[chol S, C], [0, I]], S = B_ss - C C^T.  For position
 coupling the mass-weighted stiffness is an arrowhead too, and its modes
 solve a secular equation in O(N^2) time and memory.  So do the symmetric
 model's at c12 = c12_tilde, where the plus oscillator meets the bath
@@ -41,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import DiscreteBath, check_recurrence, thermal_bath_covariance
+from .bath import DiscreteBath, check_recurrence, quantum_part, thermal_bath_covariance
 from .errors import NumericalError, UnstableHamiltonianError
 from .gaussian import (
     MIX,
@@ -94,7 +96,8 @@ class DriftMatrix:
     system-bath block: an x row couples to each q_k and a p row to each
     pi_k, so x-p cross terms can sit only in ``system``, which refuses
     them, as a made drift (``replace`` too) refuses an H that is not positive
-    semidefinite.  The bath block is the bath's own diagonal (``bath_diagonal``).
+    semidefinite.  The bath oscillators have unit mass, so the bath block is
+    diagonal, w_k^2 on q_k and 1 on pi_k, and the drift need not hold it.
     ``m_minus``/``omega_minus`` are ``mode_scales`` of the system block
     (the bath-free minus oscillator of the bare model), computed once; the
     dense ``hamiltonian`` and ``k`` are formed on each read, for the RK4
@@ -123,11 +126,6 @@ class DriftMatrix:
         return 4 + 2 * self.bath.n_modes
 
     @property
-    def bath_diagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bath block: stiffnesses m_k w_k^2 (on q_k) and inverse masses 1/m_k (on pi_k)."""
-        return self.bath.masses * self.bath.frequencies**2, 1.0 / self.bath.masses
-
-    @property
     def hamiltonian(self) -> np.ndarray:
         """The dense H in FULL ordering, not kept."""
         h = np.zeros((self.dim, self.dim))
@@ -135,7 +133,7 @@ class DriftMatrix:
         h[0:4:2, 4::2], h[1:4:2, 5::2] = self.couplings[0::2], self.couplings[1::2]
         h[4:, :4] = h[:4, 4:].T
         iq = 4 + 2 * np.arange(self.bath.n_modes)
-        h[iq, iq], h[iq + 1, iq + 1] = self.bath_diagonal
+        h[iq, iq], h[iq + 1, iq + 1] = self.bath.frequencies**2, 1.0
         return h
 
     @property
@@ -170,18 +168,16 @@ class DriftMatrix:
 def _check_stable(drift: DriftMatrix) -> None:
     """Refuse a total Hamiltonian that is not positive semidefinite, naming
     the block that is not: the stiffness (x, q), checked first, or the
-    momentum block (p, pi).  The bath part D of each is diagonal and positive
-    (a bath refuses masses and frequencies <= 0), so by the Schur complement
-    a block is >= 0 exactly when its 2x2 H_ss - C D^-1 C^T is; the tolerance
-    is relative to max |H|.
+    momentum block (p, pi).  The bath part of each is diagonal and positive,
+    diag(w_k^2) and I (a bath refuses frequencies <= 0), so by the Schur
+    complement a block is >= 0 exactly when its 2x2 H_ss - C D^-1 C^T is;
+    the tolerance is relative to max |H|.
     """
-    h_ss, c = drift.system, drift.couplings
-    k_bath, b_bath = drift.bath_diagonal
-    scale = max(1.0, float(np.abs(h_ss).max()), float(np.abs(c).max()),
-                float(k_bath.max()), float(b_bath.max()))
-    for name, rows, d in (("stiffness", slice(0, 4, 2), k_bath),
-                          ("momentum block", slice(1, 4, 2), b_bath)):
-        lo = float(np.linalg.eigvalsh(h_ss[rows, rows] - (c[rows] / d) @ c[rows].T)[0])
+    h_ss, c, w_sq = drift.system, drift.couplings, drift.bath.frequencies**2
+    scale = max(1.0, float(np.abs(h_ss).max()), float(np.abs(c).max()), float(w_sq.max()))
+    for name, rows, c_over_d in (("stiffness", slice(0, 4, 2), c[0::2] / w_sq),
+                                 ("momentum block", slice(1, 4, 2), c[1::2])):
+        lo = float(np.linalg.eigvalsh(h_ss[rows, rows] - c_over_d @ c[rows].T)[0])
         if lo < -_PSD_TOL * scale:
             raise UnstableHamiltonianError(
                 f"{name} of H has negative Schur-complement eigenvalue {lo:.3e}"
@@ -248,10 +244,10 @@ def mode_scales(h_sys: np.ndarray, sign: float = -1.0) -> tuple[float, float]:
 def _assemble(osc: OscillatorParams, bath: DiscreteBath, model: str):
     """Drift of either model: the bare system block, the diagonal bath block,
     the position couplings (x1 + x2) sum c_k q_k and, for the symmetric
-    model, the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / m_k w_k) pi_k."""
+    model, the momentum couplings ((p1 + p2)/(m w_b)) sum (c_k / w_k) pi_k."""
     h_sys, w_bare_sq = system_hamiltonian(osc, model, -bath.counterterm_sum(osc.m))
     c = bath.couplings
-    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.frequencies)
           if model == "symmetric" else np.zeros_like(c))
     drift = DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
     try:  # an unstable minus mode is refused at build time
@@ -320,7 +316,8 @@ class NormalModes:
     A A^T = B and K A = W^T diag(omega^2): the exact normal modes of a
     linear bath (Ullersma, Physica 32, 27 (1966)).  With B = L L^T and
     L^T K L = U diag(omega^2) U^T (U orthogonal), A = L U and W = U^T L^-1;
-    for position coupling L = M^(-1/2).  Also K^-1 = A diag(omega^-2) A^T and
+    the unit-mass bath makes L = [[chol S, C], [0, I]], so for position
+    coupling (C = 0) L is diagonal.  Also K^-1 = A diag(omega^-2) A^T and
     B^-1 = W^T W, which give the reduced channel its classical thermal part
     from the system rows alone.  ``minus`` is the (mass, frequency) of a
     minus pair that H leaves free, else None.
@@ -366,15 +363,14 @@ class NormalModes:
         """
         om, t = self.omega, bath.temperature
         a_s, w_s, w_b, a_b = self.a[:2], self.w[:, :2], self.w[:, 2:], self.a[2:]
-        f_m, f_b = _quantum_part(om, t), _quantum_part(bath.frequencies, t)
-        m_b = bath.masses
+        f_m, f_b = quantum_part(om, t), quantum_part(bath.frequencies, t)
         y = a_s.T / om[:, None] ** 2
         # on Q and P: the columns that give Z, then Delta's factor, and its weights
         on_q, lam_q = _thermal_gap(w_s, y, a_s @ y, t, *_low_rank(
-            lambda x: f_m[:, None] * x - w_b @ ((f_b / m_b)[:, None] * (w_b.T @ x)), len(om)))
+            lambda x: f_m[:, None] * x - w_b @ (f_b[:, None] * (w_b.T @ x)), len(om)))
         on_p, lam_p = _thermal_gap(a_s.T, w_s, w_s.T @ w_s, t, *_low_rank(
             lambda x: (om**2 * f_m)[:, None] * x
-            - a_b.T @ ((m_b * bath.frequencies**2 * f_b)[:, None] * (a_b @ x)), len(om)))
+            - a_b.T @ ((bath.frequencies**2 * f_b)[:, None] * (a_b @ x)), len(om)))
         var_q = t / om**2 + f_m  # <Q^2> of V_th; <P^2> = omega^2 <Q^2>
         frame = MIX if self.minus is None else MIX[:2]
         rows = np.concatenate([frame[0::2], frame[1::2]])  # x rows, then p rows
@@ -414,21 +410,6 @@ class NormalModes:
         return ReducedChannel(times, z, noise)
 
 
-def _quantum_part(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """<Q^2> of unit-mass oscillators at ``temperature`` less the classical
-    T / omega^2: (coth x - 1/x) / 2 omega with x = omega / 2T.  Below x = 1,
-    where that difference cancels, it is Lambert's continued fraction
-    x / (3 + x^2 / (5 + x^2 / (7 + ...))), cut after _LAMBERT_DEPTH levels."""
-    if temperature == 0.0:
-        return 0.5 / omega
-    x = omega / (2.0 * temperature)
-    sq = np.minimum(x, 1.0) ** 2
-    tail = np.full_like(x, 2.0 * _LAMBERT_DEPTH + 1.0)
-    for odd in range(2 * _LAMBERT_DEPTH - 1, 1, -2):
-        tail = odd + sq / tail
-    return np.where(x < 1.0, x / tail, 1.0 / np.tanh(x) - 1.0 / x) / (2.0 * omega)
-
-
 def _thermal_gap(lead, cols, gram, temperature, u, lam):
     """One quadrature's Delta = T cols gram^-1 cols^T + U diag(lam) U^T as
     columns [lead | cols V | U] and weights [T / gamma, lam], where
@@ -436,10 +417,6 @@ def _thermal_gap(lead, cols, gram, temperature, u, lam):
     gamma, vec = np.linalg.eigh(gram)
     return np.hstack([lead, cols @ vec, u]), np.concatenate([temperature / gamma, lam])
 
-
-# levels of the continued fraction in _quantum_part: at x = 1 the cut-off
-# tail changes the value by far less than a rounding
-_LAMBERT_DEPTH = 12
 
 # _low_rank's randomized range finder: the seed of its test matrix, its first
 # width, the columns the cut must drop before the width stops doubling, and
@@ -490,9 +467,10 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     through a beam splitter, else one real symmetric eigh of size N+2
     around an O(N^2) factor.
 
-    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, D]] with D
-    diagonal, so with the 2x2 Schur complement S = B_ss - C D^-1 C^T the
-    factor L = [[chol(S), C D^-1/2], [0, D^1/2]] has L L^T = B.
+    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, I]], its bath
+    part the identity of the unit-mass bath, so with the 2x2 Schur
+    complement S = B_ss - C C^T the factor L = [[chol S, C], [0, I]] has
+    L L^T = B.
 
     Position coupling (decided here from the blocks, once per drift) has B
     diagonal and both system rows coupled to the bath through the same
@@ -511,24 +489,22 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     (``UnstableHamiltonianError``) guard the boundary against rounding.
     """
     h_sys, cx, c = drift.system, drift.couplings[0::2], drift.couplings[1::2]
-    k_bath, d = drift.bath_diagonal
+    freq = drift.bath.frequencies
     try:
-        low = np.linalg.cholesky(h_sys[1::2, 1::2] - (c / d) @ c.T)
+        low = np.linalg.cholesky(h_sys[1::2, 1::2] - c @ c.T)
     except np.linalg.LinAlgError as err:
         raise UnstableHamiltonianError(
             "momentum block of H not positive definite; no normal-mode form"
         ) from err
-    root = np.sqrt(d)
     l_sys = np.diagonal(low)
     if not np.any(c) and low[1, 0] == 0.0 and np.array_equal(l_sys[0] * cx[0], l_sys[1] * cx[1]):
-        w_sq, a, w = _position_modes(h_sys[0::2, 0::2], cx[0], k_bath,
-                                     np.concatenate([l_sys, root]), d)
+        w_sq, a, w = _position_modes(h_sys[0::2, 0::2], cx[0], freq**2, l_sys)
     elif (scales := _beam_scales(drift)) is not None:
-        return NormalModes(*_beam_splitter_modes(cx[0], k_bath, d, *scales), scales[1])
+        return NormalModes(*_beam_splitter_modes(cx[0], freq, *scales), scales[1])
     else:  # the (N+2)^2 position block K of H
-        k = np.diag(np.concatenate([np.zeros(2), k_bath]))
+        k = np.diag(np.concatenate([np.zeros(2), freq**2]))
         k[:2, :2], k[:2, 2:], k[2:, :2] = h_sys[0::2, 0::2], cx, cx.T
-        w_sq, a, w = _factored_modes(k, low, c, root)
+        w_sq, a, w = _factored_modes(k, low, c)
     return NormalModes(np.sqrt(w_sq), a, w, _free_minus(drift))
 
 
@@ -538,39 +514,38 @@ def _beam_scales(drift: DriftMatrix):
 
     The free pair (``_free_minus``) has equal x1/x2 and p1/p2 bath rows.
     The plus-bath terms sqrt(2) (c_k x+ q_k + cp_k p+ pi_k) conserve quanta
-    when cp_k m+ omega+ m_k omega_k = c_k (no a+ b_k or a+^dag b_k^dag
-    terms), which is checked to 8 eps relative, with m_k omega_k =
-    sqrt(K_kk / B_kk).  An x+ or x- without stiffness is left to the eigh
-    route, which refuses it.
+    when cp_k m+ omega+ omega_k = c_k for the unit-mass bath (no a+ b_k or
+    a+^dag b_k^dag terms), which is checked to 8 eps relative.  An x+ or x-
+    without stiffness is left to the eigh route, which refuses it.
     """
-    h_sys, k_bath, b_bath = drift.system, *drift.bath_diagonal
+    h_sys = drift.system
     # x+ and x- have stiffness K11 +- K12 once K11 = K22 (a free pair)
     if h_sys[0, 0] <= abs(h_sys[0, 2]) or (minus := _free_minus(drift)) is None:
         return None
     plus = mode_scales(h_sys, +1.0)
     c, cp = drift.couplings[0], drift.couplings[1]
-    mw = plus[0] * plus[1] * np.sqrt(k_bath / b_bath)
+    mw = plus[0] * plus[1] * drift.bath.frequencies
     if not np.all(np.abs(cp * mw - c) <= 8.0 * _EPS * np.abs(c)):
         return None
     return plus, minus
 
 
-def _beam_splitter_modes(c, k_bath, b_bath, plus, minus):
-    """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
+def _beam_splitter_modes(c, freq, plus, minus):
+    """(omega, A, W) of a beam-form H (``_beam_scales``) over the unit-mass
+    bath frequencies ``freq``, in O(N^2).
 
     In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
     omega_i) of (x+, bath), H = (X^T M X + P^T M P) / 2 with the
     first-order arrowhead M = [[omega+, g], [g, diag omega_k]], g_k =
-    sqrt(2) c_k / sqrt(m+ omega+ m_k omega_k), so M = U diag(lam) U^T
+    sqrt(2) c_k / sqrt(m+ omega+ omega_k), so M = U diag(lam) U^T
     (``_arrowhead_eigh``) gives the frequencies lam and A_ij = u_ij
     sqrt(lam_j / (m_i omega_i)), W^T_ij = u_ij sqrt(m_i omega_i / lam_j).
     The x+ row lands on x1 and x2 at 1/sqrt(2); the free minus pair adds
     the column (1/sqrt(m-), sqrt(m-)) on x- = (x1 - x2)/sqrt(2).
     """
     m_minus, omega_minus = minus
-    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], np.sqrt(k_bath / b_bath)]))
-    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]),
-                             np.sqrt(k_bath * b_bath))
+    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], freq]))
+    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]), freq)
     u[0] *= math.sqrt(0.5)
     at = int(np.searchsorted(lam, omega_minus))
     root_lam = np.sqrt(lam)
@@ -587,51 +562,53 @@ def _beam_splitter_modes(c, k_bath, b_bath, plus, minus):
     return np.insert(lam, at, omega_minus), a, wt.T
 
 
-def _factored_modes(k, low, c, root):
-    """(omega^2, A, W) from one eigh of L^T K L, L = [[low, C D^-1/2], [0, D^1/2]]."""
-    e = c / root  # L = [[low, e], [0, diag(root)]]
+def _factored_modes(k, low, c):
+    """(omega^2, A, W) from one eigh of L^T K L, with the momentum factor
+    L = [[low, C], [0, I]] of the unit-mass bath (low = chol S)."""
     # (L^T K) L in that order: with C = 0 it rounds as the dense product did
     lk = np.empty_like(k)
     lk[:2] = low.T @ k[:2]
-    lk[2:] = e.T @ k[:2] + root[:, None] * k[2:]
+    lk[2:] = c.T @ k[:2] + k[2:]
     m = np.empty_like(k)
     m[:, :2] = lk[:, :2] @ low
-    m[:, 2:] = lk[:, :2] @ e + lk[:, 2:] * root
+    m[:, 2:] = lk[:, :2] @ c + lk[:, 2:]
     w_sq, u = np.linalg.eigh(m)
     if w_sq[0] <= 0.0:
         raise UnstableHamiltonianError(
             f"normal-mode frequency^2 {w_sq[0]:.3e} <= 0; no normal-mode form"
         )
     a = np.empty_like(u)
-    a[:2] = low @ u[:2] + e @ u[2:]
-    a[2:] = root[:, None] * u[2:]
+    a[:2] = low @ u[:2] + c @ u[2:]
+    a[2:] = u[2:]
     w = np.empty_like(u)
     w[:, :2] = np.linalg.solve(low.T, u[:2]).T
-    w[:, 2:] = (u[2:].T - w[:, :2] @ e) / root
+    w[:, 2:] = u[2:].T - w[:, :2] @ c
     return w_sq, a, w
 
 
-def _position_modes(k_ss, c, k_bath, lw, d):
-    """(omega^2, A, W) of a position-coupled H with diagonal L = diag(lw).
+def _position_modes(k_ss, c, w_sq_bath, l_sys):
+    """(omega^2, A, W) of a position-coupled H, whose momentum factor is
+    L = diag(l_sys, I) (the bath has unit mass).
 
-    With y = x / lw, M = L K L has equal system-bath rows v, so in the
+    With y = x / L, M = L K L has equal system-bath rows v, so in the
     (y+, y-, bath) coordinates, y± = (y1 ± y2)/sqrt(2), it is the arrowhead
     with tip y+ (stiffness a++), border (a+-, sqrt(2) v) and poles
-    (a--, d_k K_kk).  A = L R U and W = U^T R^T L^-1, R the ± rotation.
+    (a--, w_k^2).  A = L R U and W = U^T R^T L^-1, R the ± rotation.
     """
-    m_ss = lw[:2, None] * k_ss * lw[:2]
+    m_ss = l_sys[:, None] * k_ss * l_sys
     mean, half = (m_ss[0, 0] + m_ss[1, 1]) / 2.0, (m_ss[0, 0] - m_ss[1, 1]) / 2.0
     border = np.empty(len(c) + 1)
     border[0] = half
-    border[1:] = math.sqrt(2.0) * lw[0] * c * lw[2:]
+    border[1:] = math.sqrt(2.0) * l_sys[0] * c
     poles = np.empty_like(border)
     poles[0] = mean - m_ss[0, 1]
-    poles[1:] = d * k_bath
+    poles[1:] = w_sq_bath
     w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
     plus, minus = u[0] / math.sqrt(2.0), u[1] / math.sqrt(2.0)
     u[0], u[1] = plus + minus, plus - minus
-    a = u * lw[:, None]
-    u /= lw[:, None]
+    a = u.copy()
+    a[:2] *= l_sys[:, None]
+    u[:2] /= l_sys[:, None]
     return w_sq, a, u.T
 
 

@@ -16,7 +16,6 @@ from entbath.bath import (
     SpectralDensity,
     counterterm,
     j_omega,
-    thermal_bath_variances,
 )
 from entbath.gaussian import (
     MIX,
@@ -75,12 +74,20 @@ def bath_self_energy(sd: SpectralDensity, omega: float) -> complex:
 def bare_drift(osc: OscillatorParams, bath: DiscreteBath, model: str) -> ex.DriftMatrix:
     """A builder's drift with the configured system block taken as bare: no
     counterterm shift, and the symmetric model's momentum couplings
-    (c_k / m_k w_k) / (m w_b) at w_b = omega1."""
+    (c_k / w_k) / (m w_b) at w_b = omega1."""
     h_sys, w_bare_sq = ex.system_hamiltonian(osc, model)
     c = bath.couplings
-    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.masses * bath.frequencies)
+    cp = (c / (osc.m * math.sqrt(w_bare_sq) * bath.frequencies)
           if model == "symmetric" else np.zeros_like(c))
     return ex.DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
+
+
+def thermal_bath_variances(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
+    """<q_k^2> = coth(w_k/2T) / 2 w_k and <pi_k^2> = w_k coth(w_k/2T) / 2 of
+    the unit-mass thermal bath, in the textbook coth form (coth = 1 at T = 0)."""
+    w, t = bath.frequencies, bath.temperature
+    coth = np.ones_like(w) if t == 0.0 else 1.0 / np.tanh(w / (2.0 * t))
+    return coth / (2.0 * w), w * coth / 2.0
 
 
 def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.ReducedChannel:
@@ -95,8 +102,7 @@ def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.Re
     hs = frame[:, 1::2] @ modes.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
     k = len(frame)
     times = np.array(times, dtype=float)
-    variances = thermal_bath_variances(bath)
-    var_q, var_pi = variances[0::2], variances[1::2]
+    var_q, var_pi = thermal_bath_variances(bath)
     z = np.empty((len(times), k, 4))
     noise = np.empty((len(times), k, k))
     for lo in range(0, len(times), ex.SAMPLE_CHUNK):

@@ -123,9 +123,9 @@ def test_thermal_covariance_occupancies():
 
 def test_discrete_bath_validation():
     with pytest.raises(ValueError):
-        DiscreteBath(np.array([1.0, 0.5]), np.ones(2), np.ones(2), 0.0)
+        DiscreteBath(np.array([1.0, 0.5]), np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        DiscreteBath(np.array([1.0, 2.0]), np.ones(2), np.ones(2), -1.0)
+        DiscreteBath(np.array([1.0, 2.0]), np.ones(2), -1.0)
     with pytest.raises(ValueError):
         discretize(SpectralDensity.ohmic(0.1, 20.0), 0)
 

@@ -154,7 +154,7 @@ def test_propagator_symplectic_and_composes():
 def test_decoupled_bath_gives_free_periodicity():
     # zero couplings: the system block is exactly periodic with period 2 pi
     w = 0.625 * np.arange(1, 33)
-    bath = DiscreteBath(w, np.ones(32), np.zeros(32), 0.0)
+    bath = DiscreteBath(w, np.zeros(32), 0.0)
     drift = ex.build_position_model(OSC, bath)  # counterterm sum is zero
     v_sys = separable_squeezed(1.0)
     v0 = ex.initial_covariance(v_sys, bath)
@@ -165,7 +165,7 @@ def test_decoupled_bath_gives_free_periodicity():
 
 
 def _toy_drift():
-    bath = DiscreteBath(np.array([0.5, 1.0]), np.ones(2), np.array([0.2, 0.3]), 0.0)
+    bath = DiscreteBath(np.array([0.5, 1.0]), np.array([0.2, 0.3]), 0.0)
     return bath, ex.build_position_model(OSC, bath)
 
 
@@ -475,14 +475,14 @@ def test_drift_is_its_hamiltonian_and_bath(monkeypatch):
     assert (drift.m_minus, drift.omega_minus) == ex.mode_scales(system)
     assert drift.dim == 20
     # the dense H: x rows couple to q_k, p rows to pi_k, and the bath block
-    # is the bath's diagonal (m_k w_k^2, 1/m_k)
+    # is the unit-mass bath's diagonal (w_k^2, 1)
     h = drift.hamiltonian
     assert np.array_equal(h, h.T)
     assert np.array_equal(h[:4, :4], system)
     assert np.array_equal(h[0:4:2, 4::2], drift.couplings[0::2])
     assert np.array_equal(h[1:4:2, 5::2], drift.couplings[1::2])
     assert not np.any(h[0:4:2, 5::2]) and not np.any(h[1:4:2, 4::2])
-    bath_block = np.diag(np.ravel([bath.masses * bath.frequencies**2, 1.0 / bath.masses], "F"))
+    bath_block = np.diag(np.ravel([bath.frequencies**2, np.ones(bath.n_modes)], "F"))
     assert np.array_equal(h[4:, 4:], bath_block)
     assert np.array_equal(drift.k, symplectic_form(20) @ h)
     assert not drift.system.flags.writeable and not drift.couplings.flags.writeable
@@ -514,7 +514,7 @@ def test_drift_build_holds_only_its_blocks(build):
     assert peak < 1e6
     held = [v for obj in (drift, drift.bath) for v in vars(obj).values()
             if isinstance(v, np.ndarray)]
-    assert len(held) == 5 and max(a.size for a in held) <= 4 * n_modes
+    assert len(held) == 4 and max(a.size for a in held) <= 4 * n_modes
 
 
 def test_real_modes_refuse_xp_coupling():
@@ -589,12 +589,12 @@ def _assert_normal_mode_identities(drift, modes):
 
 def _factored_oracle(drift):
     # the eigh route, called directly: the reference for the drifts it no
-    # longer serves
+    # longer serves; the unit-mass bath leaves B's bath block the identity
     h = drift.hamiltonian
     k, b = h[0::2, 0::2], h[1::2, 1::2]
-    c, d = b[:2, 2:], np.diagonal(b)[2:]
-    low = np.linalg.cholesky(b[:2, :2] - (c / d) @ c.T)
-    w_sq, a, w = ex._factored_modes(k, low, c, np.sqrt(d))
+    c = b[:2, 2:]
+    low = np.linalg.cholesky(b[:2, :2] - c @ c.T)
+    w_sq, a, w = ex._factored_modes(k, low, c)
     return ex.NormalModes(np.sqrt(w_sq), a, w, ex._free_minus(drift))
 
 
@@ -710,7 +710,7 @@ def _hand_bath(n_modes, zero_at):
     w = 20.0 / n_modes * np.arange(1, n_modes + 1)
     c = discretize(OHMIC, n_modes).couplings.copy()
     c[zero_at] = 0.0
-    return DiscreteBath(w, np.ones(n_modes), c, 1.0)
+    return DiscreteBath(w, c, 1.0)
 
 
 @pytest.mark.parametrize("case, live", [
@@ -829,23 +829,21 @@ def test_secular_modes_refuse_an_indefinite_stiffness():
     for system in (plus, minus):
         with pytest.raises(UnstableHamiltonianError, match="stiffness"):
             replace(base, system=system)
-    # a bath oscillator without stiffness m_k w_k^2 is refused by the bath
-    for masses, frequencies, match in ((0.0, 1.0, "masses"), (-1.0, 1.0, "masses"),
-                                       (1.0, 0.0, "frequencies")):
-        w = np.concatenate([[frequencies], bath.frequencies[1:]])
-        m = np.concatenate([[masses], bath.masses[1:]])
-        with pytest.raises(ValueError, match=match):
-            DiscreteBath(w, m, bath.couplings, 0.0)
+    # a bath oscillator without stiffness w_k^2 is refused by the bath
+    for frequency in (0.0, -1.0):
+        w = np.concatenate([[frequency], bath.frequencies[1:]])
+        with pytest.raises(ValueError, match="frequencies"):
+            DiscreteBath(w, bath.couplings, 0.0)
     # a beam-form H whose x+ stiffness k+ lies below its counterterm s+ (the
     # momentum couplings are rescaled so that it keeps the beam form): its
     # stiffness is refused first, before the momentum block or the arrowhead
     beam = ex.build_symmetric_model(OSC, bath)
-    c, (k_bath, b_bath) = beam.couplings[0], beam.bath_diagonal
+    c, w = beam.couplings[0], beam.bath.frequencies
     system = np.array(beam.system)
     system[0, 2] = system[2, 0] = 0.0
-    system[0, 0] = system[2, 2] = 0.5 * np.sum(2.0 * c**2 / k_bath)
+    system[0, 0] = system[2, 2] = 0.5 * np.sum(2.0 * c**2 / w**2)
     m_plus, omega_plus = ex.mode_scales(system, +1.0)
-    cp = c / (m_plus * omega_plus * np.sqrt(k_bath / b_bath))
+    cp = c / (m_plus * omega_plus * w)
     with pytest.raises(UnstableHamiltonianError, match="stiffness"):
         replace(beam, system=system, couplings=np.array([c, cp, c, cp]))
 
@@ -1056,13 +1054,13 @@ def _loop_built(drift, osc, symmetric):
     w_bare = math.sqrt(w_bare_sq)
     for k in range(bath.n_modes):
         iq, ip = 4 + 2 * k, 5 + 2 * k
-        h[iq, iq] = bath.masses[k] * bath.frequencies[k] ** 2
-        h[ip, ip] = 1.0 / bath.masses[k]
+        h[iq, iq] = bath.frequencies[k] ** 2
+        h[ip, ip] = 1.0
         c = bath.couplings[k]
         h[0, iq] = h[iq, 0] = c
         h[2, iq] = h[iq, 2] = c
         if symmetric:
-            cp = c / (osc.m * w_bare * bath.masses[k] * bath.frequencies[k])
+            cp = c / (osc.m * w_bare * bath.frequencies[k])
             h[1, ip] = h[ip, 1] = cp
             h[3, ip] = h[ip, 3] = cp
     return h, symplectic_form(h.shape[0]) @ h
