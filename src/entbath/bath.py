@@ -5,11 +5,9 @@ The spectral-density family is
     J(w) = (2/pi) m gamma0 w (w/Lambda)^(n-1) theta(Lambda - w)
 
 with ohmicity exponent n (ohmic n=1, sub-ohmic n=1/2, super-ohmic n=3).
-The bath acts on the system only through J(w) = sum_k c_k^2/(2 w_k)
-delta(w - w_k), so its oscillators have unit mass and the couplings c_k
-carry the freedom: the bath Hamiltonian is sum_k (pi_k^2 + w_k^2 q_k^2)/2.
-Their thermal state is the one rule ``quantum_part`` plus the classical
-T / w^2, which the exact engine's channel and its dense check both read.
+The bath acts only through J(w) = sum_k c_k^2/(2 w_k) delta(w - w_k), so its
+oscillators have unit mass, H_bath = sum_k (pi_k^2 + w_k^2 q_k^2)/2, and
+``quantum_part`` is their one thermal rule.
 """
 
 from __future__ import annotations
@@ -169,10 +167,7 @@ def thermal_bath_variances(bath: DiscreteBath) -> np.ndarray:
     <q_k^2> = T / w_k^2 + ``quantum_part`` and <pi_k^2> = w_k^2 <q_k^2>."""
     w, t = bath.frequencies, bath.temperature
     var_q = t / w**2 + quantum_part(w, t)
-    diag = np.empty(2 * bath.n_modes)
-    diag[0::2] = var_q
-    diag[1::2] = w**2 * var_q
-    return diag
+    return np.ravel([var_q, w**2 * var_q], "F")
 
 
 def thermal_bath_covariance(bath: DiscreteBath) -> CovarianceMatrix:

@@ -4,8 +4,8 @@ The total Hamiltonian is quadratic, H = (1/2) r^T H r over the FULL-ordered
 phase-space vector (x1, p1, x2, p2, q1, pi1, ...), so the covariance obeys
 the Lyapunov equation dV/dt = K V + V K^T with drift K = J H.  A drift holds
 the nonzero blocks of H, in O(N): the 4x4 system block, the 4 x N
-system-bath couplings and the bath.  Bath oscillators have unit mass, so
-the bath block is w_k^2 on q_k and 1 on pi_k.
+system-bath couplings and the bath, whose oscillators have unit mass: the
+bath block is w_k^2 on q_k and 1 on pi_k.
 Traces read a normal-mode channel (below).  ``evolve`` gives the full
 covariance by the normal-mode propagator S(t) = exp(Kt) (exactly
 symplectic, arbitrary t) or, as the independent oracle that ``validate`` and
@@ -96,8 +96,7 @@ class DriftMatrix:
     system-bath block: an x row couples to each q_k and a p row to each
     pi_k, so x-p cross terms can sit only in ``system``, which refuses
     them, as a made drift (``replace`` too) refuses an H that is not positive
-    semidefinite.  The bath oscillators have unit mass, so the bath block is
-    diagonal, w_k^2 on q_k and 1 on pi_k, and the drift need not hold it.
+    semidefinite.  The bath block is w_k^2 on q_k and 1 on pi_k (unit masses).
     ``m_minus``/``omega_minus`` are ``mode_scales`` of the system block
     (the bath-free minus oscillator of the bare model), computed once; the
     dense ``hamiltonian`` and ``k`` are formed on each read, for the RK4
@@ -357,9 +356,9 @@ class NormalModes:
         channel from products with the bath columns of W and A.  Per chunk of
         samples two products, cos and sin against n x k(2 + r) coefficients,
         give Z (the rows through W_s and A_s^T) and the rows' coordinates in
-        the factor of Delta.  With a free minus pair only x+ and p+ are
-        sampled; the minus rows are the free rotation at ``minus``, which
-        carries no bath noise.
+        the r columns of Delta's factor (at T = 0 the remainder's alone).
+        With a free minus pair only x+ and p+ are sampled; the minus rows are
+        the free rotation at ``minus``, which carries no bath noise.
         """
         om, t = self.omega, bath.temperature
         a_s, w_s, w_b, a_b = self.a[:2], self.w[:, :2], self.w[:, 2:], self.a[2:]
@@ -413,7 +412,10 @@ class NormalModes:
 def _thermal_gap(lead, cols, gram, temperature, u, lam):
     """One quadrature's Delta = T cols gram^-1 cols^T + U diag(lam) U^T as
     columns [lead | cols V | U] and weights [T / gamma, lam], where
-    gram = V diag(gamma) V^T; the ``lead`` columns, which give Z, carry none."""
+    gram = V diag(gamma) V^T; the ``lead`` columns, which give Z, carry none.
+    At T = 0 the closed form weighs nothing and is left out."""
+    if temperature == 0.0:
+        return np.hstack([lead, u]), lam
     gamma, vec = np.linalg.eigh(gram)
     return np.hstack([lead, cols @ vec, u]), np.concatenate([temperature / gamma, lam])
 
@@ -467,10 +469,9 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     through a beam splitter, else one real symmetric eigh of size N+2
     around an O(N^2) factor.
 
-    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, I]], its bath
-    part the identity of the unit-mass bath, so with the 2x2 Schur
-    complement S = B_ss - C C^T the factor L = [[chol S, C], [0, I]] has
-    L L^T = B.
+    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, I]] (unit bath
+    masses), so with the 2x2 Schur complement S = B_ss - C C^T the factor
+    L = [[chol S, C], [0, I]] has L L^T = B.
 
     Position coupling (decided here from the blocks, once per drift) has B
     diagonal and both system rows coupled to the bath through the same
@@ -531,8 +532,7 @@ def _beam_scales(drift: DriftMatrix):
 
 
 def _beam_splitter_modes(c, freq, plus, minus):
-    """(omega, A, W) of a beam-form H (``_beam_scales``) over the unit-mass
-    bath frequencies ``freq``, in O(N^2).
+    """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
 
     In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
     omega_i) of (x+, bath), H = (X^T M X + P^T M P) / 2 with the
@@ -563,8 +563,7 @@ def _beam_splitter_modes(c, freq, plus, minus):
 
 
 def _factored_modes(k, low, c):
-    """(omega^2, A, W) from one eigh of L^T K L, with the momentum factor
-    L = [[low, C], [0, I]] of the unit-mass bath (low = chol S)."""
+    """(omega^2, A, W) from one eigh of L^T K L, L = [[low, C], [0, I]], low = chol S."""
     # (L^T K) L in that order: with C = 0 it rounds as the dense product did
     lk = np.empty_like(k)
     lk[:2] = low.T @ k[:2]
@@ -577,9 +576,8 @@ def _factored_modes(k, low, c):
         raise UnstableHamiltonianError(
             f"normal-mode frequency^2 {w_sq[0]:.3e} <= 0; no normal-mode form"
         )
-    a = np.empty_like(u)
+    a = u.copy()
     a[:2] = low @ u[:2] + c @ u[2:]
-    a[2:] = u[2:]
     w = np.empty_like(u)
     w[:, :2] = np.linalg.solve(low.T, u[:2]).T
     w[:, 2:] = u[2:].T - w[:, :2] @ c
@@ -587,8 +585,7 @@ def _factored_modes(k, low, c):
 
 
 def _position_modes(k_ss, c, w_sq_bath, l_sys):
-    """(omega^2, A, W) of a position-coupled H, whose momentum factor is
-    L = diag(l_sys, I) (the bath has unit mass).
+    """(omega^2, A, W) of a position-coupled H, L = diag(l_sys, I) (unit bath masses).
 
     With y = x / L, M = L K L has equal system-bath rows v, so in the
     (y+, y-, bath) coordinates, y± = (y1 ± y2)/sqrt(2), it is the arrowhead
@@ -606,8 +603,7 @@ def _position_modes(k_ss, c, w_sq_bath, l_sys):
     w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
     plus, minus = u[0] / math.sqrt(2.0), u[1] / math.sqrt(2.0)
     u[0], u[1] = plus + minus, plus - minus
-    a = u.copy()
-    a[:2] *= l_sys[:, None]
+    a = np.concatenate([u[:2] * l_sys[:, None], u[2:]])
     u[:2] /= l_sys[:, None]
     return w_sq, a, u.T
 

@@ -31,7 +31,7 @@ from . import bath as bt
 from . import exact as ex
 from . import moments as mo
 from .config import RunConfig
-from .errors import ConfigError, UnphysicalStateError
+from .errors import ConfigError, NumericalError, UnphysicalStateError
 from .gaussian import (
     CovarianceMatrix,
     Ordering,
@@ -146,8 +146,9 @@ class Scenario:
     def initial_state(self, m_minus: float, omega_minus: float) -> CovarianceMatrix:
         """Prepared two-oscillator state, squeezing measured at (m-, omega-).
 
-        An unphysical ``custom_covariance`` is a config error, refused here
-        before any route runs.
+        Refused here, before any route runs: an unphysical ``custom_covariance``
+        (a config error) and a squeezing whose state rounds to a matrix that is
+        not positive definite (a ``NumericalError`` naming initial_state.r).
         """
         ini = self.cfg.initial_state
         if ini.kind == "custom_covariance":
@@ -165,7 +166,13 @@ class Scenario:
             r = ini.r if ini.kind == "separable_squeezed" else 0.0
             base = separable_squeezed(r, m_minus, omega_minus)
         # admix thermal noise: uniform scaling sets the minus-mode purity product
-        return CovarianceMatrix(ini.purity_product / 0.5 * base.matrix, Ordering.PHYSICAL)
+        v = CovarianceMatrix(ini.purity_product / 0.5 * base.matrix, Ordering.PHYSICAL)
+        try:
+            symplectic_eigenvalues(v)
+        except UnphysicalStateError:
+            raise NumericalError(f"initial_state.r: the covariance prepared at r={ini.r!r} "
+                                 "rounds to a matrix that is not positive definite") from None
+        return v
 
     def minus_squeezing(self, r: float) -> float:
         """Signed minus-mode squeezing of the configured state kind at r."""

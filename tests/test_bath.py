@@ -17,7 +17,9 @@ from entbath.bath import (
     discretize,
     j_omega,
     modes_for_window,
+    quantum_part,
     thermal_bath_covariance,
+    thermal_bath_variances,
 )
 from entbath.errors import RecurrenceWindowError
 
@@ -119,6 +121,32 @@ def test_thermal_covariance_occupancies():
     hot = thermal_bath_covariance(discretize(sd, 4, 50.0))
     # equipartition: q-variance -> T / w^2 at high temperature
     assert np.allclose(np.diag(hot.matrix)[0::2], 50.0 / w**2, rtol=5e-2)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.37, 1.0, 25.0])
+def test_thermal_rule_matches_mpmath(temperature):
+    # the quantum part (coth x - 1/x) / 2w, x = w / 2T, against 40 digits for
+    # x from 1e-8 to 1e3, on both sides of the switch to Lambert's continued
+    # fraction at x = 1 (worst measured: 2 eps, at x = 1), and 1 / 2w at T = 0
+    import mpmath
+
+    eps = np.finfo(float).eps
+    x = np.unique(np.concatenate([np.logspace(-8, 3, 221), [1.0, 0.999, 1.001],
+                                  np.nextafter(1.0, [0.0, 2.0])]))
+    omega = 2.0 * max(temperature, 1.0) * x
+    with mpmath.workdps(40):
+        if temperature == 0.0:
+            ref = [1 / (2 * mpmath.mpf(w)) for w in omega]
+        else:
+            ref = [(mpmath.coth(v) - 1 / v) / (2 * mpmath.mpf(w))
+                   for v, w in zip(map(mpmath.mpf, omega / (2.0 * temperature)), omega)]
+        ref = np.array([float(r) for r in ref])
+    assert np.abs(quantum_part(omega, temperature) / ref - 1.0).max() <= 4.0 * eps
+    # the bath's thermal state is the classical part plus this rule
+    bath = DiscreteBath(omega, np.ones_like(omega), temperature)
+    var = thermal_bath_variances(bath)
+    assert np.array_equal(var[0::2], temperature / omega**2 + quantum_part(omega, temperature))
+    assert np.array_equal(var[1::2], omega**2 * var[0::2])
 
 
 def test_discrete_bath_validation():

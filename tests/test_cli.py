@@ -515,6 +515,21 @@ def test_validate_refuses_a_singular_initial_state_without_warnings(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "negativity-trace", "moments"])
+def test_singular_initial_state_is_refused_naming_the_squeezing(command, tmp_path, capsys):
+    # the state prepared at r = 20 rounds to a singular matrix: every route
+    # that prepares it refuses before it runs, and names the field
+    argv = [command, SYMMETRIC_CONFIG, "--set", "initial_state.r=20",
+            "--set", "evolution.t_max=20"]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "initial_state.r" in lines[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["asymptotics", "moments", "phase-diagram"])
 def test_plus_mode_at_or_above_cutoff_is_config_error(command, cfg_file, tmp_path, capsys):
     argv = [command, cfg_file, "--set", "system.omega1=25", "--set", "system.omega2=25"]

@@ -4,6 +4,7 @@ it.  Code that only the tests call belongs in the tests."""
 
 import ast
 import pathlib
+import sys
 from collections import Counter
 
 import entbath
@@ -58,6 +59,30 @@ def test_src_reads_every_name_it_imports():
             if (bound := alias.asname or alias.name.split(".")[0]) not in read
         ]
     assert not unread, f"imported and never read: {unread}"
+
+
+# the import names of the runtime dependencies in pyproject.toml; scipy,
+# mpmath and hypothesis are test extras that src/ must not need
+RUNTIME_IMPORTS = {"numpy", "yaml"}
+
+
+def test_src_imports_only_the_standard_library_and_its_runtime_dependencies():
+    imported, foreign = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one of the package's own modules
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                imported.add(top)
+                if top not in sys.stdlib_module_names | RUNTIME_IMPORTS | {"entbath"}:
+                    foreign.append(f"{path.name}:{node.lineno} {name}")
+    assert RUNTIME_IMPORTS <= imported, "the guard saw no runtime dependency: it checks nothing"
+    assert not foreign, foreign
 
 
 # each refusal rule has one owner module, the only one that raises its error
