@@ -96,7 +96,7 @@ class DriftMatrix:
     system-bath block: an x row couples to each q_k and a p row to each
     pi_k, so x-p cross terms can sit only in ``system``, which refuses
     them, as a made drift (``replace`` too) refuses an H that is not positive
-    semidefinite.  The bath block is w_k^2 on q_k and 1 on pi_k (unit masses).
+    semidefinite.  The unit-mass bath's block is w_k^2 on q_k and 1 on pi_k.
     ``m_minus``/``omega_minus`` are ``mode_scales`` of the system block
     (the bath-free minus oscillator of the bare model), computed once; the
     dense ``hamiltonian`` and ``k`` are formed on each read, for the RK4
@@ -469,8 +469,8 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     through a beam splitter, else one real symmetric eigh of size N+2
     around an O(N^2) factor.
 
-    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, I]] (unit bath
-    masses), so with the 2x2 Schur complement S = B_ss - C C^T the factor
+    The momentum block is an arrowhead, B = [[B_ss, C], [C^T, I]] (a unit-mass
+    bath), so with the 2x2 Schur complement S = B_ss - C C^T the factor
     L = [[chol S, C], [0, I]] has L L^T = B.
 
     Position coupling (decided here from the blocks, once per drift) has B
@@ -585,7 +585,7 @@ def _factored_modes(k, low, c):
 
 
 def _position_modes(k_ss, c, w_sq_bath, l_sys):
-    """(omega^2, A, W) of a position-coupled H, L = diag(l_sys, I) (unit bath masses).
+    """(omega^2, A, W) of a position-coupled H, L = diag(l_sys, I) (unit-mass bath).
 
     With y = x / L, M = L K L has equal system-bath rows v, so in the
     (y+, y-, bath) coordinates, y± = (y1 ± y2)/sqrt(2), it is the arrowhead

@@ -82,7 +82,7 @@ def bare_drift(osc: OscillatorParams, bath: DiscreteBath, model: str) -> ex.Drif
     return ex.DriftMatrix(h_sys, np.array([c, cp, c, cp]), bath)
 
 
-def thermal_bath_variances(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
+def coth_bath_variances(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
     """<q_k^2> = coth(w_k/2T) / 2 w_k and <pi_k^2> = w_k coth(w_k/2T) / 2 of
     the unit-mass thermal bath, in the textbook coth form (coth = 1 at T = 0)."""
     w, t = bath.frequencies, bath.temperature
@@ -102,7 +102,7 @@ def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.Re
     hs = frame[:, 1::2] @ modes.w[:, :2].T  # p rows: h . (-omega sin Q + cos P)
     k = len(frame)
     times = np.array(times, dtype=float)
-    var_q, var_pi = thermal_bath_variances(bath)
+    var_q, var_pi = coth_bath_variances(bath)
     z = np.empty((len(times), k, 4))
     noise = np.empty((len(times), k, k))
     for lo in range(0, len(times), ex.SAMPLE_CHUNK):
