@@ -29,7 +29,10 @@ congruence per sample.  The channel samples the rows of S(t) in the
 is stationary, less the sampled rows through a low-rank factor of the gap
 between that thermal state and the prepared one (system block zero, bath
 thermal); the factor is found once per channel, so no sample meets the
-(N+2)^2 mode matrices.  When H is unchanged by exchanging the two
+(N+2)^2 mode matrices.  Sample times are uniform, so by angle addition the
+channel takes cos and sin of the in-chunk offsets k h omega once and of
+omega at each chunk's first time, and rotates the sampled rows' weights,
+not a table, to each chunk.  When H is unchanged by exchanging the two
 oscillators (every resonant builder config), x- and p- decouple from the
 rest: only x+ and p+ are sampled, and the minus rows are the closed-form
 free rotation, with no bath noise.
@@ -282,9 +285,13 @@ def initial_covariance(system_v: CovarianceMatrix, bath: DiscreteBath) -> Covari
 # Propagators
 # ---------------------------------------------------------------------------
 
-# samples per chunk in NormalModes.reduced_channel: its cos and sin tables,
-# chunk x (N+2) each, take 0.6 MB apiece at N = 597 whatever the sample count
+# samples per chunk in NormalModes.reduced_channel: cos and sin are taken of
+# the chunk x (N+2) offsets k h omega once per channel (0.6 MB apiece at
+# N = 597, whatever the sample count) and of omega at each chunk's base time
 SAMPLE_CHUNK = 128
+# how far, in eps of the largest |t|, a sample time may sit off the uniform
+# grid; dt * arange rounds each time once, about 1.5 eps at worst
+_GRID_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -353,10 +360,12 @@ class NormalModes:
         Y = Omega^-2 A_s^T, and T W_s (W_s^T W_s)^-1 W_s^T on P, A_s and W_s
         the system rows of A and columns of W) plus a quantum remainder, with
         no T / omega^2 terms to cancel, that ``_low_rank`` factors once per
-        channel from products with the bath columns of W and A.  Per chunk of
-        samples two products, cos and sin against n x k(2 + r) coefficients,
-        give Z (the rows through W_s and A_s^T) and the rows' coordinates in
-        the r columns of Delta's factor (at T = 0 the remainder's alone).
+        channel from products with the bath columns of W and A.  The times
+        must be uniform; per chunk of samples, products of the offset tables
+        cos and sin(k h omega) with the rows' weights rotated to the chunk
+        (``_sampled_coordinates``) give Z (the rows through W_s and A_s^T)
+        and the rows' coordinates in the r columns of Delta's factor (at
+        T = 0 the remainder's alone).
         With a free minus pair only x+ and p+ are sampled; the minus rows are
         the free rotation at ``minus``, which carries no bath noise.
         """
@@ -380,22 +389,15 @@ class NormalModes:
         stationary[:kx, :kx] = (g * var_q) @ g.T
         stationary[kx:, kx:] = (h * (om**2 * var_q)) @ h.T
 
-        def coefficients(weights, on):
-            return (weights.T[:, :, None] * on[:, None, :]).reshape(len(om), -1)
-
-        by_cos = np.hstack([coefficients(g, on_q), coefficients(h, on_p)])
-        by_sin = np.hstack([coefficients(g / om, on_p), coefficients(-om * h, on_q)])
-        split_cos, split_sin = kx * on_q.shape[1], kx * on_p.shape[1]
+        # every sampled row weighs Q and P by u_c cos(omega t) + u_s sin(omega t)
+        # (x rows, then p rows); axis 0 is the quadrature, Q then P
+        u_c, u_s = np.zeros((2, 2, k, len(om)))
+        u_c[0, :kx], u_s[0, kx:] = g, -om * h
+        u_s[1, :kx], u_c[1, kx:] = g / om, h
         times = np.array(times, dtype=float)
         z = np.empty((len(times), k, 4))
         noise = np.empty((len(times), k, k))
-        for lo in range(0, len(times), SAMPLE_CHUNK):
-            part = slice(lo, lo + SAMPLE_CHUNK)
-            phase = np.multiply.outer(times[part], om)
-            c, s = np.cos(phase) @ by_cos, np.sin(phase) @ by_sin
-            q = np.concatenate([c[:, :split_cos], s[:, split_sin:]], axis=1)
-            p = np.concatenate([s[:, :split_sin], c[:, split_cos:]], axis=1)
-            q, p = q.reshape(len(q), k, -1), p.reshape(len(p), k, -1)
+        for part, q, p in _sampled_coordinates(times, om, u_c, u_s, (on_q, on_p)):
             z[part, :, 0::2], z[part, :, 1::2] = q[..., :2], p[..., :2]
             f_q, f_p = q[..., 2:], p[..., 2:]
             noise[part] = stationary - (f_q * lam_q) @ f_q.transpose(0, 2, 1)
@@ -407,6 +409,54 @@ class NormalModes:
         for arr in (times, z, noise):
             arr.flags.writeable = False
         return ReducedChannel(times, z, noise)
+
+
+def _sampled_coordinates(times, om, u_c, u_s, on):
+    """Per chunk of samples, (samples, each row's coordinates in the columns
+    of ``on[0]``, the same in ``on[1]``), for rows whose weights on the
+    quadratures of ``on`` are u_c cos(omega t) + u_s sin(omega t).
+
+    The times must be uniform (``_grid_step``), so t = b + k h with b the
+    chunk's first time and k < SAMPLE_CHUNK: cos and sin of k h omega are
+    taken once, the weights are rotated to b, and per quadrature a chunk is
+    two products, cos(k h omega) against (u_c cos b + u_s sin b) . on and
+    sin(k h omega) against (u_s cos b - u_c sin b) . on, through one
+    coefficient buffer."""
+    n, k = len(om), u_c.shape[1]
+    # [cos | sin] of the offsets, written in place
+    table = np.empty((min(SAMPLE_CHUNK, len(times)), 2 * n))
+    np.multiply.outer(_grid_step(times) * np.arange(len(table)), om, out=table[:, n:])
+    np.cos(table[:, n:], out=table[:, :n])
+    np.sin(table[:, n:], out=table[:, n:])
+    coeffs = np.empty((n, k * max(f.shape[1] for f in on)))
+    by_sin = np.empty((len(table), coeffs.shape[1]))
+    coords = [np.empty((len(table), k * f.shape[1])) for f in on]
+    for lo in range(0, len(times), SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, len(times) - lo)
+        cos_b, sin_b = np.cos(times[lo] * om), np.sin(times[lo] * om)
+        rotated = (u_c * cos_b + u_s * sin_b, u_s * cos_b - u_c * sin_b)
+        for quad, (f, out) in enumerate(zip(on, coords)):
+            width = f.shape[1]
+            for weights, trig, dst in zip(rotated, (table[:size, :n], table[:size, n:]),
+                                          (out, by_sin)):
+                for r, w_row in enumerate(weights[quad]):
+                    np.multiply(f, w_row[:, None], out=coeffs[:, r * width:(r + 1) * width])
+                np.matmul(trig, coeffs[:, :k * width], out=dst[:size, :k * width])
+            out[:size] += by_sin[:size, :k * width]
+        yield slice(lo, lo + size), *(out[:size].reshape(size, k, -1) for out in coords)
+
+
+def _grid_step(times: np.ndarray) -> float:
+    """The spacing of ``times``, which must be an arithmetic progression to
+    _GRID_ULPS eps times the largest |t| (one time is a progression of one)."""
+    if len(times) < 2:
+        return 0.0
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    off = np.abs(times - (times[0] + step * np.arange(len(times)))).max()
+    if not off <= _GRID_ULPS * _EPS * np.abs(times).max():
+        raise ValueError(f"sample times are not uniform: {off:.3e} off the grid of "
+                         f"spacing {step:.6g}")
+    return float(step)
 
 
 def _thermal_gap(lead, cols, gram, temperature, u, lam):

@@ -7,10 +7,11 @@ Conventions (natural units, hbar = 1):
 * ``V_ij = <{r_i, r_j}>/2 - <r_i><r_j>``, so the vacuum is ``V = I/2``,
 * a physical state has every symplectic eigenvalue >= 1/2.
 
-Symplectic eigenvalues take one real route for every even size, one
-Cholesky factor per matrix (``symplectic_eigenvalues``).  A matrix that is
-not positive definite has no Williamson normal form and is refused as
-unphysical.
+Symplectic eigenvalues start from one Cholesky factor per matrix
+(``symplectic_eigenvalues``): a two-mode matrix reads its larger one from a
+closed form and any larger size from a real symmetric eigensolve.  A matrix
+that is not positive definite has no Williamson normal form and is refused
+as unphysical.
 
 Three orderings are used and every matrix carries a tag so they cannot be
 mixed silently: ``PHYSICAL`` is ``(x1, p1, x2, p2)``, ``NORMAL`` is the
@@ -100,12 +101,15 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     per mode; a (k, d, d) stack gives one row per matrix.
 
     With V = R R^T, X = R^T J R is antisymmetric with the eigenvalues ±i nu
-    of V J, so each nu^2 appears twice among the eigenvalues of
-    X^T X = -X^2.  Those
-    carry an error of about eps nu_max^2, so the smallest nu is taken from
-    prod nu = det R = prod diag R instead, which the factor gives to relative
-    accuracy.  A matrix that is not positive definite has no symplectic
-    spectrum and is refused with ``UnphysicalStateError``.
+    of V J.  At d = 4, so(4) = su(2) + su(2) splits X into its self-dual and
+    anti-self-dual parts, the 3-vectors s and a (``_two_mode_upper``), and
+    the larger nu is (|s| + |a|) / 2, a sum of norms with no cancellation.
+    At d > 4 each nu^2 appears twice among the eigenvalues of
+    X^T X = -X^2.  Either route gives a small nu only to about eps nu_max,
+    so the smallest is taken from prod nu = det R = prod diag R instead,
+    which the factor gives to relative accuracy.  A matrix that is not
+    positive definite has no symplectic spectrum and is refused with
+    ``UnphysicalStateError``.
     """
     m = _as_matrix(v)
     try:
@@ -115,11 +119,24 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     # X = R^T J R = P - P^T with P = (even rows of R)^T (odd rows of R)
     p = np.swapaxes(r[..., 0::2, :], -1, -2) @ r[..., 1::2, :]
     x = p - np.swapaxes(p, -1, -2)
-    upper = np.sqrt(np.linalg.eigvalsh(-(x @ x))[..., 2::2])
+    if m.shape[-1] == 4:
+        upper = _two_mode_upper(x)[..., None]
+    else:
+        upper = np.sqrt(np.linalg.eigvalsh(-(x @ x))[..., 2::2])
     # in logs, so that the determinant neither overflows nor underflows
     log_det = np.log(np.diagonal(r, axis1=-2, axis2=-1)).sum(axis=-1)
     lowest = np.exp(log_det - np.log(upper).sum(axis=-1))
     return np.sort(np.concatenate([lowest[..., None], upper], axis=-1), axis=-1)
+
+
+def _two_mode_upper(x: np.ndarray) -> np.ndarray:
+    """The larger singular value of a 4x4 antisymmetric X, or of each of a
+    stack: (|s| + |a|) / 2 with s = (X12 + X34, X13 - X24, X14 + X23) and
+    a = (X12 - X34, X13 + X24, X14 - X23); the smaller is ||s| - |a|| / 2."""
+    first = x[..., [0, 0, 0], [1, 2, 3]]                      # X12, X13, X14
+    second = x[..., [2, 1, 1], [3, 3, 2]] * [1.0, -1.0, 1.0]  # X34, -X24, X23
+    s, a = first + second, first - second
+    return 0.5 * (np.sqrt((s * s).sum(axis=-1)) + np.sqrt((a * a).sum(axis=-1)))
 
 
 def physicality_margins(v: CovarianceMatrix | np.ndarray) -> np.ndarray:

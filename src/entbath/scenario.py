@@ -233,13 +233,14 @@ class Scenario:
     def plus_equilibrium(self, temperature: float, mass: float) -> tuple[float, float]:
         """Asymptotic (dx+, dp+) of a plus mode of the given mass: the
         fluctuation-dissipation integral for position coupling, the thermal
-        state at omega+ for the symmetric model."""
+        state at omega+ for the symmetric model: the unit-mass rule of
+        ``bath.quantum_part`` at mass m, <x^2> = (T / omega^2 + quantum_part)
+        / m and <p^2> = m^2 omega^2 <x^2>."""
         omega_plus = self.plus_frequency()
         if self.model == "symmetric":
-            t = temperature
-            coth = 1.0 if t == 0.0 else 1.0 / math.tanh(omega_plus / (2.0 * t))
-            dx = math.sqrt(coth / (2.0 * mass * omega_plus))
-            return dx, math.sqrt(mass * omega_plus * coth / 2.0)
+            var_x = (temperature / omega_plus**2
+                     + float(bt.quantum_part(omega_plus, temperature))) / mass
+            return math.sqrt(var_x), mass * omega_plus * math.sqrt(var_x)
         if mass not in self._fdt_rules:
             self._fdt_rules[mass] = asy.FdtRule(self.spectral_density, omega_plus, mass)
         return self._fdt_rules[mass].dispersions(temperature)

@@ -94,7 +94,10 @@ def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.Re
     """``NormalModes.reduced_channel`` through the full W and A^T: each
     sample's system rows, as weights on Q and P, are mapped to coefficients
     on every initial coordinate, and the noise is the bath coefficients
-    weighted by the thermal bath variances, O(S k n^2)."""
+    weighted by the thermal bath variances, O(S k n^2).  Each phase t omega
+    and its cos and sin are taken in ``np.longdouble`` and rounded once, so
+    the reference does not share the library's rounding of t omega (where
+    long double is no wider than double, it does)."""
     om = modes.omega
     n = len(om)
     frame = MIX if modes.minus is None else MIX[:2]
@@ -107,8 +110,8 @@ def reference_channel(modes: ex.NormalModes, bath: DiscreteBath, times) -> ex.Re
     noise = np.empty((len(times), k, k))
     for lo in range(0, len(times), ex.SAMPLE_CHUNK):
         part = slice(lo, lo + ex.SAMPLE_CHUNK)
-        phase = np.multiply.outer(times[part], om)[:, None, :]
-        cos, sin = np.cos(phase), np.sin(phase)
+        phase = np.multiply.outer(times[part].astype(np.longdouble), om.astype(np.longdouble))
+        cos, sin = (f(phase)[:, None, :].astype(float) for f in (np.cos, np.sin))
         on_q = (cos * g - sin * (om * hs)).reshape(-1, n)
         on_p = (sin * (g / om) + cos * hs).reshape(-1, n)
         sx, sp = (on_q @ modes.w).reshape(-1, k, n), (on_p @ modes.a.T).reshape(-1, k, n)

@@ -3,6 +3,7 @@
 import glob
 import itertools
 import json
+import math
 import os
 import warnings
 
@@ -408,6 +409,24 @@ def test_one_sample_window_gives_the_prepared_state(name, tmp_path):
     _, m_minus, omega_minus = scenario.route_scales()
     nm = basis_change(scenario.initial_state(m_minus, omega_minus), Ordering.NORMAL).matrix
     np.testing.assert_allclose([b[key][0] for key in DISPERSIONS], np.diag(nm), rtol=1e-15)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.01, 1.0, 10.0])
+def test_symmetric_plus_equilibrium_is_the_coth_state(temperature):
+    # the thermal state at omega+ through bath.quantum_part, against the
+    # textbook coth(omega/2T) / (2 m omega) and m omega coth / 2, to 4 eps
+    from entbath.scenario import Scenario
+
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "symmetric_trace.yaml")
+    scenario = Scenario(load_config(yaml_path, [f"bath.temperature={temperature}"]))
+    omega = scenario.plus_frequency()
+    coth = 1.0 if temperature == 0.0 else 1.0 / math.tanh(omega / (2.0 * temperature))
+    for mass in (1.0, 0.3, 2.1726):
+        dx, dp = scenario.plus_equilibrium(temperature, mass)
+        eps = np.finfo(float).eps
+        assert dx**2 == pytest.approx(coth / (2.0 * mass * omega), rel=4.0 * eps, abs=0.0)
+        assert dp**2 == pytest.approx(mass * omega * coth / 2.0, rel=4.0 * eps, abs=0.0)
 
 
 def test_validate_passes(cfg_file, capsys):

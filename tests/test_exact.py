@@ -663,6 +663,75 @@ def test_normal_modes_make_one_cubic_call(build, osc, eighs, monkeypatch):
         assert all(shapes[0] == (2, 2) for _, shapes in others), others
 
 
+def test_trace_reads_out_without_eigensolves_and_few_phases(monkeypatch):
+    # the shipped plan (N = 597, 751 samples): the readout factors each
+    # block and solves nothing, and the channel takes cos and sin of the
+    # SAMPLE_CHUNK x (N+2) offsets once and of N+2 phases per chunk (the
+    # free minus pair's closed-form rotation, one phase per sample, is apart)
+    import entbath.gaussian as ga
+
+    linalg_calls, phases = [], {"cos": 0, "sin": 0}
+
+    class Linalg:
+        def __getattr__(self, name):
+            fn = getattr(np.linalg, name)
+
+            def recorded(*args, **kwargs):
+                linalg_calls.append(name)
+                return fn(*args, **kwargs)
+            return recorded
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    class Trig:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, x, **kwargs):
+            phases["cos"] += np.size(x)
+            return np.cos(x, **kwargs)
+
+        def sin(self, x, **kwargs):
+            phases["sin"] += np.size(x)
+            return np.sin(x, **kwargs)
+
+    bath = discretize(OHMIC, 597)
+    drift = ex.build_position_model(OSC, bath)
+    drift.normal_modes
+    cfg = ex.EvolutionConfig(150.0, 0.02, 10)
+    monkeypatch.setattr(ga, "np", Numpy())
+    monkeypatch.setattr(ex, "np", Trig())
+    ex.negativity_trace(separable_squeezed(2.0), drift, cfg)
+    assert linalg_calls and set(linalg_calls) == {"cholesky"}
+    samples = len(cfg.sample_times())
+    chunks = -(-samples // ex.SAMPLE_CHUNK)
+    assert samples == 751 and chunks == 6
+    bound = (ex.SAMPLE_CHUNK + chunks) * (bath.n_modes + 2)
+    assert 0 < phases["cos"] <= bound and 0 < phases["sin"] <= bound
+
+
+def test_channel_refuses_times_off_a_uniform_grid():
+    # the channel's phases come by angle addition on a uniform grid; sample
+    # times, a time nudged by an ulp and a single time are on one
+    drift = ex.build_position_model(OSC, discretize(OHMIC, 24))
+    times = ex.EvolutionConfig(3.0, 0.05, 4).sample_times()
+    for bad in (np.array([0.0, 0.1, 0.25]), times**1.01, np.append(times, 3.5),
+                times + 1e-9 * np.arange(len(times)) ** 2):
+        with pytest.raises(ValueError, match="sample times are not uniform"):
+            drift.reduced_channel(bad)
+    nudged = times.copy()
+    nudged[5] = np.nextafter(nudged[5], np.inf)
+    plain = drift.normal_modes.reduced_channel(drift.bath, times)
+    near = drift.normal_modes.reduced_channel(drift.bath, nudged)
+    assert np.abs(near.z - plain.z).max() <= 1e-14
+    one = drift.normal_modes.reduced_channel(drift.bath, times[7:8])
+    assert np.abs(one.z[0] - plain.z[7]).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Position coupling: normal modes from the secular equation
 # ---------------------------------------------------------------------------
@@ -982,12 +1051,12 @@ def _channel_plan(n_modes, case, temperature):
     return build(osc, bath), cfg.sample_times()
 
 
-def _assert_channel_matches_reference(drift, times):
+def _assert_channel_matches_reference(drift, times, z_tol=1e-14):
     # Z to 1e-14, N to 1e-12 of its largest entry, and E_N to 5e-12 on
     # separable r = +-2 and two-mode r = 1
     got = drift.reduced_channel(times)
     want = reference_channel(drift.normal_modes, drift.bath, times)
-    assert np.abs(got.z - want.z).max() <= 1e-14
+    assert np.abs(got.z - want.z).max() <= z_tol
     assert np.abs(got.noise - want.noise).max() <= 1e-12 * np.abs(want.noise).max()
     for v in (separable_squeezed(2.0), separable_squeezed(-2.0),
               basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL)):
@@ -1000,6 +1069,28 @@ def _assert_channel_matches_reference(drift, times):
 @channel_sizes
 def test_channel_matches_the_full_mode_reference(n_modes, case, temperature):
     _assert_channel_matches_reference(*_channel_plan(n_modes, case, temperature))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 10.0])
+def test_long_window_channel_matches_the_full_mode_reference(temperature):
+    # criterion 9's detuned pair over its window, N = 1194 to t_max = 300.
+    # A phase omega t is good to about eps omega t, so Z is held to
+    # eps t_max sum_m |dZ/d(omega_m t)| omega_m over its four blocks, every
+    # phase one eps relative off and all in step: 2.4e-13 here, against
+    # 6.9e-15 measured (the reference's phases are long double)
+    from entbath.bath import modes_for_window
+
+    build, osc = CHANNEL_CASES["detuned"]
+    drift = build(osc, discretize(OHMIC, modes_for_window(OHMIC.cutoff, 300.0), temperature))
+    times = ex.EvolutionConfig(300.0, 0.02, 10).sample_times()
+    modes = drift.normal_modes
+    a, w, om = np.abs(modes.a[:2]), np.abs(modes.w[:, :2]), modes.omega
+    # x-x, x-p, p-x and p-p blocks: A cos W, A sin A^T / omega,
+    # -W^T omega sin W and W^T cos A^T, each weight times omega
+    slope = max(((a * om) @ w).max(), (a @ a.T).max(), ((w.T * om**2) @ w).max(),
+                ((w.T * om) @ a.T).max())
+    assert drift.bath.n_modes == 1194
+    _assert_channel_matches_reference(drift, times, np.finfo(float).eps * 300.0 * slope)
 
 
 @channel_grid

@@ -137,6 +137,91 @@ def test_indefinite_row_is_refused():
         CovarianceMatrix(indefinite, Ordering.PHYSICAL).validate_physical()
 
 
+def _passive(rng: np.random.Generator) -> np.ndarray:
+    # a passive (orthogonal symplectic) map from a random 2x2 unitary U:
+    # x' = Re U x - Im U p, p' = Im U x + Re U p, reordered to (x1, p1, x2, p2)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    order = [0, 2, 1, 3]
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])[np.ix_(order, order)]
+
+
+def _squeezed_frame(rng: np.random.Generator, r_max: float) -> np.ndarray:
+    # Bloch-Messiah: passive, local squeezings |r| <= r_max, passive
+    r1, r2 = rng.uniform(-r_max, r_max, 2)
+    return _passive(rng) @ np.diag(np.exp([r1, -r1, r2, -r2])) @ _passive(rng)
+
+
+def _two_mode_stacks() -> dict:
+    """Two-mode covariances, PHYSICAL order, each stack with its partial
+    transposes appended: ``exact`` holds states whose float entries fix nu
+    to rounding (diagonal ones, and two-mode squeezing only transposed, where
+    the upper nu is e^(2|r|) nu); ``entangled`` the rest, which fix nu only to
+    about eps times the condition number of V (an entangled pure state's
+    float entries at r = 6 carry nu = 1/2 to 1e-6)."""
+    rng = np.random.default_rng(31)
+    r_grid = np.linspace(-6.0, 6.0, 13)
+    tms = [nu * 2.0 * basis_change(two_mode_squeezed(r), Ordering.PHYSICAL).matrix
+           for r in r_grid for nu in (0.5, 0.8, 3.0)]
+    flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+    exact = [0.5 * np.eye(4), 1.7 * np.eye(4), 1e3 * np.eye(4)]  # degenerate nu1 = nu2
+    exact += [np.diag(np.exp([2.0 * a, -2.0 * a, 2.0 * b, -2.0 * b])) / 2.0  # pure
+              for a in r_grid for b in r_grid[::3]]
+    exact += [np.diag(np.exp([2.0 * a, -2.0 * a, 2.0 * b, -2.0 * b])) * nu
+              for a, b, nu in rng.uniform([-6.0, -6.0, 0.5], [6.0, 6.0, 4.0], (20, 3))]
+    entangled = tms + [nu * (s := _squeezed_frame(rng, 6.0)) @ s.T
+                       for nu in (0.5, 0.5, 1.3, 40.0) for _ in range(10)]
+    entangled += [(s := _squeezed_frame(rng, 6.0)) @ np.diag(np.repeat(nus, 2)) @ s.T
+                  for nus in rng.uniform(0.5, 4.0, (20, 2))]
+    stacks = {"exact": np.array(exact + [v * flip for v in tms]),
+              "entangled": np.array(entangled + [v * flip for v in entangled])}
+    return {name: 0.5 * (v + v.transpose(0, 2, 1)) for name, v in stacks.items()}
+
+
+@pytest.mark.parametrize("group", ["exact", "entangled"])
+def test_two_mode_readout_matches_the_eigensolver_route(group):
+    # the larger nu of (|s| + |a|) / 2 against sqrt of the top eigenvalue of
+    # X^T X = -X^2, on one X = P - P^T from the Cholesky factor, as
+    # symplectic_eigenvalues forms it, to 8 eps relative (3.1 eps measured
+    # up to |r| = 6)
+    from entbath.gaussian import _two_mode_upper
+
+    v = _two_mode_stacks()[group]
+    r = np.linalg.cholesky(v)
+    p = r[:, 0::2].transpose(0, 2, 1) @ r[:, 1::2]
+    x = p - p.transpose(0, 2, 1)
+    ref = np.sqrt(np.linalg.eigvalsh(-(x @ x))[:, -1])
+    assert np.all(np.abs(_two_mode_upper(x) - ref) <= 8.0 * np.finfo(float).eps * ref)
+
+
+def _mpmath_symplectic(v: np.ndarray) -> tuple[float, float]:
+    # nu^2 = (Delta -+ sqrt(Delta^2 - 4 det V)) / 2, Delta = det A + det B +
+    # 2 det C for V = [[A, C], [C^T, B]], at 60 digits on the float entries
+    import mpmath
+
+    with mpmath.workdps(60):
+        m = mpmath.matrix(v.tolist())
+        det2 = lambda i, j: m[i, j] * m[i + 1, j + 1] - m[i, j + 1] * m[i + 1, j]
+        delta = det2(0, 0) + det2(2, 2) + 2 * det2(0, 2)
+        root = mpmath.sqrt(max(delta**2 - 4 * mpmath.det(m), 0))
+        return tuple(float(mpmath.sqrt((delta + sign * root) / 2)) for sign in (-1, 1))
+
+
+@pytest.mark.parametrize("group", ["exact", "entangled"])
+def test_two_mode_readout_matches_mpmath(group):
+    # the exact nu of each float matrix: the upper to 8 eps relative where
+    # the entries fix it (3.6 eps measured), else to 8 eps times the
+    # condition number of V, the Cholesky factor's backward error, which the
+    # eigvalsh route shares (2.7e9 eps measured on two-mode squeezing at
+    # r = 6, 0.2 eps times the condition number)
+    v = _two_mode_stacks()[group]
+    nu = symplectic_eigenvalues(v)
+    ref = np.array([_mpmath_symplectic(m) for m in v])
+    scale = 8.0 * np.finfo(float).eps
+    if group == "entangled":
+        scale *= np.linalg.cond(v)
+    assert np.all(np.abs(nu[:, 1] - ref[:, 1]) <= scale * ref[:, 1])
+
+
 def test_many_mode_state_matches_eigensolver():
     # validate's purity check reads a 50-mode state through the same route
     v = random_physical(np.random.default_rng(29), n_modes=50)
