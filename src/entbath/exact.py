@@ -531,11 +531,11 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     (``_arrowhead_eigh``).  The symmetric model at c12 = c12_tilde (decided
     from the blocks too, ``_beam_scales``) couples its plus oscillator to
     each bath mode through a beam splitter, so its frequencies are the
-    eigenvalues of a first-order arrowhead solved the same way
-    (``_beam_splitter_modes``).  Any other H (the symmetric model at
-    c12 != c12_tilde, hand-built ones) forms L^T K L, A = L U and
-    W = U^T L^-1 with row and column scalings plus n x 2 by 2 x n products,
-    around one ``eigh``.  Whether the minus pair is free is decided here
+    eigenvalues of a first-order arrowhead solved the same way, with the
+    free x- an uncoupled pole (``_beam_splitter_modes``).  Any other H (the
+    symmetric model at c12 != c12_tilde, hand-built ones) forms L^T K L,
+    A = L U and W = U^T L^-1 with row and column scalings plus n x 2 by
+    2 x n products, around one ``eigh``.  Whether the minus pair is free is decided here
     too (``_free_minus``).  A drift is stable when made; the refusals here
     (``UnstableHamiltonianError``) guard the boundary against rounding.
     """
@@ -585,31 +585,31 @@ def _beam_splitter_modes(c, freq, plus, minus):
     """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
 
     In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
-    omega_i) of (x+, bath), H = (X^T M X + P^T M P) / 2 with the
-    first-order arrowhead M = [[omega+, g], [g, diag omega_k]], g_k =
-    sqrt(2) c_k / sqrt(m+ omega+ omega_k), so M = U diag(lam) U^T
-    (``_arrowhead_eigh``) gives the frequencies lam and A_ij = u_ij
-    sqrt(lam_j / (m_i omega_i)), W^T_ij = u_ij sqrt(m_i omega_i / lam_j).
-    The x+ row lands on x1 and x2 at 1/sqrt(2); the free minus pair adds
-    the column (1/sqrt(m-), sqrt(m-)) on x- = (x1 - x2)/sqrt(2).
+    omega_i) of (x+, x-, bath), H = (X^T M X + P^T M P) / 2 with the
+    first-order arrowhead M = [[omega+, g], [g, diag(omega-, omega_k)]],
+    g = (0, sqrt(2) c_k / sqrt(m+ omega+ omega_k)): the free x- is a pole
+    without coupling, which ``_arrowhead_eigh`` deflates.  M = U diag(lam)
+    U^T gives the frequencies lam and A_ij = u_ij sqrt(lam_j / (m_i
+    omega_i)), W^T_ij = u_ij sqrt(m_i omega_i / lam_j), whose x+ and x-
+    rows ``_unmix`` takes to x1 and x2.
     """
-    m_minus, omega_minus = minus
-    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], freq]))
-    lam, u = _arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]), freq)
-    u[0] *= math.sqrt(0.5)
-    at = int(np.searchsorted(lam, omega_minus))
+    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1], minus[0] * minus[1]], freq]))
+    border = np.concatenate([[0.0], math.sqrt(2.0) * c / (root_mw[0] * root_mw[2:])])
+    lam, u = _arrowhead_eigh(plus[1], border, np.concatenate([[minus[1]], freq]))
     root_lam = np.sqrt(lam)
-    a, wt = np.empty((len(c) + 2, len(c) + 2)), np.empty((len(c) + 2, len(c) + 2))
-    for dst, src in ((slice(None, at), slice(None, at)), (slice(at + 1, None), slice(at, None))):
-        np.multiply(u[:, src], root_lam[src], out=a[1:, dst])
-        np.divide(u[:, src], root_lam[src], out=wt[1:, dst])
-    a[:, at] = wt[:, at] = 0.0
-    a[1:] /= root_mw[:, None]
-    wt[1:] *= root_mw[:, None]
-    a[0], wt[0] = a[1], wt[1]
-    a[0, at], wt[0, at] = math.sqrt(0.5 / m_minus), math.sqrt(0.5 * m_minus)
-    a[1, at], wt[1, at] = -a[0, at], -wt[0, at]
-    return np.insert(lam, at, omega_minus), a, wt.T
+    a = u * root_lam
+    a /= root_mw[:, None]
+    u /= root_lam
+    u *= root_mw[:, None]
+    return lam, _unmix(a), _unmix(u).T
+
+
+def _unmix(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with its x+ and x- rows (0 and 1) replaced in place by x1 and
+    x2: x1 = (x+ + x-)/sqrt(2) and x2 = (x+ - x-)/sqrt(2)."""
+    plus, minus = rows[0] / math.sqrt(2.0), rows[1] / math.sqrt(2.0)
+    rows[0], rows[1] = plus + minus, plus - minus
+    return rows
 
 
 def _factored_modes(k, low, c):
@@ -651,8 +651,7 @@ def _position_modes(k_ss, c, w_sq_bath, l_sys):
     poles[0] = mean - m_ss[0, 1]
     poles[1:] = w_sq_bath
     w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
-    plus, minus = u[0] / math.sqrt(2.0), u[1] / math.sqrt(2.0)
-    u[0], u[1] = plus + minus, plus - minus
+    _unmix(u)
     a = np.concatenate([u[:2] * l_sys[:, None], u[2:]])
     u[:2] /= l_sys[:, None]
     return w_sq, a, u.T

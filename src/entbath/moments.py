@@ -2,11 +2,10 @@
 for the minus mode.
 
 The plus-mode moments y = (<x^2>, <p^2>, <{x,p}>) obey y' = M y + b, with
-coefficients (damping, diffusion, anomalous diffusion) supplied as
-schedules; the minus mode never sees the bath and simply rotates.  With a
-constant 1 appended, one RK4 step is one 4x4 matrix: built once for
-constant inputs, whose steps are its powers, and once per step for
-schedules.  A fixed step ends at t0 + k dt, the last one at t_final.
+constant coefficients (damping, diffusion, anomalous diffusion); the minus
+mode never sees the bath and simply rotates.  With a constant 1 appended,
+one RK4 step is one 4x4 matrix, built once: each sample spacing is a whole
+number of equal steps, and the samples are rows of that matrix's orbit.
 """
 
 from __future__ import annotations
@@ -110,6 +109,7 @@ class TabulatedSchedule:
     Evaluation outside the grid clamps to the endpoint values.  ``values``
     is a sequence of coefficient tuples matching ``kind`` ("position" gives
     PositionCoefficients, "symmetric" gives SymmetricCoefficients).
+    ``integrate`` takes constant coefficients; nothing consumes a table yet.
     """
 
     def __init__(self, times: Sequence[float], values, kind: str = "position"):
@@ -231,25 +231,6 @@ def step_matrices(g: np.ndarray, h) -> np.ndarray:
     return eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _environment(model: str, coeffs, mass, omega):
-    """t -> (omega, gamma, ODE coefficients) as Python floats."""
-    form = _FORMS[model]
-    cfn, mfn, ofn = (v if callable(v) else (lambda t, v=v: v) for v in (coeffs, mass, omega))
-
-    def at(t):
-        m, w, c = mfn(t), ofn(t), cfn(t)
-        return float(w), float(c.gamma), tuple(map(float, form(m, w, c)))
-    return at
-
-
-def _fixed_grid(t0: float, t_final: float, dt: float) -> np.ndarray:
-    """Step ends t0 + k dt from the step count, the last one at t_final exactly."""
-    n = math.ceil((t_final - t0) / dt)
-    if n > 1 and t0 + (n - 1) * dt >= t_final:
-        n -= 1
-    return np.append(t0 + np.arange(n) * dt, t_final)
-
-
 def _orbit(step: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     """(step^1 y0, ..., step^n y0) as (n, 4): the powers step^1..step^b, with
     b = ceil(sqrt(n)), applied in one batched product to y0 and to the
@@ -262,38 +243,6 @@ def _orbit(step: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("pij,kj->kpi", np.array(powers), np.concatenate(bases)).reshape(-1, 4)[:n]
 
 
-def _constant_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tuple:
-    """Step ends and states of constant inputs: the orbit of y0 under the one
-    step matrix, then the last (short) step's own matrix."""
-    w, gamma, a = env(t0)
-    dt = dt if dt is not None else default_step(w, gamma)
-    ends = _fixed_grid(t0, t_final, dt)
-    n, last = len(ends) - 1, ends[-1] - ends[-2]
-    check_step(dt if n > 1 else last, w, gamma)
-    step, tail = step_matrices(np.broadcast_to(_generators(a), (2, 3, 4, 4)), [dt, last])
-    y = np.concatenate([y0[None], _orbit(step, y0, n - 1)]) if n > 1 else y0[None]
-    return ends, np.concatenate([y, (tail @ y[-1])[None]])
-
-
-def _scheduled_march(env, y0: np.ndarray, t0: float, t_final: float, dt) -> tuple:
-    """Step ends and states of callable inputs, one step matrix per step; without
-    ``dt`` each step is ``default_step`` of the rates at its start."""
-    ends, at, mid = [t0] if dt is None else list(_fixed_grid(t0, t_final, dt)), [env(t0)], []
-    while ends[-1] < t_final or len(at) < len(ends):
-        if len(at) == len(ends):
-            ends.append(min(ends[-1] + default_step(*at[-1][:2]), t_final))
-        t, t_next = ends[len(at) - 1], ends[len(at)]
-        mid.append(env(t + (t_next - t) / 2.0)[2])
-        at.append(env(t_next))
-    ends, h = np.array(ends), np.diff(ends)
-    w, gamma, a = (np.array(v) for v in zip(*at))
-    check_step(h, w[:-1], gamma[:-1])
-    y = [y0]
-    for step in step_matrices(_generators(np.stack([a[:-1], mid, a[1:]], axis=1)), h):
-        y.append(step @ y[-1])
-    return ends, np.array(y)
-
-
 def default_step(omega: float, gamma: float) -> float:
     """Fixed RK4 step: min(0.01/omega, 0.01/gamma)."""
     return STEP_FACTOR / max(abs(omega), abs(gamma))
@@ -302,39 +251,38 @@ def default_step(omega: float, gamma: float) -> float:
 def integrate(
     state: MomentState,
     coeffs,
-    m,
-    omega,
-    t_final: float,
-    dt: float | None = None,
+    m: float,
+    omega: float,
+    spacing: float,
+    samples: int,
     model: str = "position",
-    sample_every: int = 1,
 ) -> Trajectory:
-    """March the plus-mode ODEs from ``state`` to t_final; samples every
-    ``sample_every``-th step and the final one.  A t_final at the state's
-    time gives its one row.
+    """The plus-mode ODEs under constant ``coeffs`` from ``state``, sampled
+    at the ``samples`` times state.time + j spacing (j = 0, 1, ...).
 
-    Only the plus block is marched: the minus block never sees the bath, and
-    ``MomentState.minus_rows`` rotates it exactly to any times.  ``coeffs``,
-    ``m`` and ``omega`` may be callables of time.  Without ``dt`` the step
-    is ``default_step`` of the rates: computed once for constant inputs, and
-    at each step's start when an input is a callable of time, so a schedule
-    whose rates grow is stepped finer.  An explicit ``dt`` is a fixed step,
-    refused where it exceeds the bound.  The plus block must stay positive
-    at every step.
+    Each spacing is ``whole_steps`` equal RK4 steps of one step matrix, so
+    every step stays within ``check_step``'s bound.  Only the plus block is
+    marched: the minus block never sees the bath, and
+    ``MomentState.minus_rows`` rotates it exactly to any times.  The plus
+    block must stay positive at every step, not only at the samples.
     """
     if model not in _FORMS:
         raise ValueError(f"unknown coupling model {model!r}")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples={samples!r} must be an integer >= 1")
+    if samples > 1 and not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing={spacing!r} must be finite and positive")
     t0 = float(state.time)
-    if not t_final >= t0:
-        raise ValueError(f"t_final={t_final} precedes the state's time {t0}")
-    env = _environment(model, coeffs, m, omega)
     y0 = np.array([*state.plus_block_moments(), 1.0])
-    march = _scheduled_march if any(callable(v) for v in (coeffs, m, omega)) else _constant_march
-    ends, y = march(env, y0, t0, t_final, dt) if t_final > t0 else (np.array([t0]), y0[None])
-    det = _require_positive("plus", y[:, :3], ends)
-    n = len(ends) - 1
-    sampled = np.r_[0:n:sample_every, n]
-    return Trajectory(ends[sampled], y[sampled, :3], float(det.min()))
+    if samples == 1:
+        y, every, spacing = y0[None], 1, 0.0
+    else:
+        every = whole_steps(spacing, omega, coeffs.gamma)
+        g = np.broadcast_to(_generators(_FORMS[model](m, omega, coeffs)), (3, 4, 4))
+        step = step_matrices(g, spacing / every)
+        y = np.concatenate([y0[None], _orbit(step, y0, every * (samples - 1))])
+    det = _require_positive("plus", y[:, :3], t0 + np.arange(len(y)) * (spacing / every))
+    return Trajectory(t0 + np.arange(samples) * spacing, y[::every, :3], float(det.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -284,20 +284,14 @@ class Scenario:
 
     def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray, coeffs) -> dict:
         """Moment-route E_N and dispersion columns at the uniform ``times``
-        under ``coeffs``: the plus rows are stepped onto ``times`` by the
-        fewest whole RK4 steps per sample spacing (the interpolation only
-        absorbs rounding), and the minus rows are rotated exactly to them."""
+        under ``coeffs``: the plus rows are sampled at the grid's spacing,
+        and the minus rows are rotated exactly to ``times``."""
         m_plus, m_minus, omega_minus = self.route_scales()
-        omega_plus = self.plus_frequency()
         nm = basis_change(v_sys, Ordering.NORMAL).matrix
         state = mo.MomentState(nm[0, 0], nm[1, 1], 2 * nm[0, 1], nm[2, 2], nm[3, 3], 2 * nm[2, 3])
         spacing = float(times[1] - times[0]) if len(times) > 1 else 0.0
-        per_sample = mo.whole_steps(spacing, omega_plus, coeffs.gamma)
-        traj = mo.integrate(
-            state, coeffs, m_plus, omega_plus, float(times[-1]), spacing / per_sample,
-            model=self.model, sample_every=per_sample,
-        )
-        plus = np.stack([np.interp(times, traj.times, col) for col in traj.plus.T], axis=1)
+        plus = mo.integrate(state, coeffs, m_plus, self.plus_frequency(), spacing, len(times),
+                            model=self.model).plus
         minus = state.minus_rows(m_minus, omega_minus, times)
         cols = [mo.negativities(plus, minus), *plus.T[:2], *minus.T[:2]]
         return dict(zip(["E_N_moments", *DISPERSIONS], cols))

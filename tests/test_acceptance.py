@@ -128,9 +128,7 @@ def test_criterion_2_fixed_points(announce):
     for t_bath in (0.0, 10.0):
         c = asy.coefficient_limits(OHMIC, 1.0, t_bath, "position")
         dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
-        traj = mo.integrate(
-            VACUUM, c, 1.0, 1.0, 50.0 / c.gamma, sample_every=1000
-        )
+        traj = mo.integrate(VACUUM, c, 1.0, 1.0, 1.0 / c.gamma, 51)
         x2, p2, xp = traj.plus[-1]
         scale = max(dx * dx, dp * dp)
         assert abs(x2 - dx * dx) < 1e-8 * scale
@@ -140,9 +138,7 @@ def test_criterion_2_fixed_points(announce):
     # the symmetric fixed point is the thermal state at omega = m = 1
     cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
     coth = 1.0 / math.tanh(1.0 / (2.0 * 0.3))
-    traj = mo.integrate(
-        VACUUM, cs, 1.0, 1.0, 50.0 / cs.gamma, model="symmetric", sample_every=1000,
-    )
+    traj = mo.integrate(VACUUM, cs, 1.0, 1.0, 1.0 / cs.gamma, 51, model="symmetric")
     assert abs(traj.plus[-1, 0] - coth / 2.0) < 1e-8
     assert abs(traj.plus[-1, 1] - coth / 2.0) < 1e-8
     cases.append("symmetric T=0.3")

@@ -242,12 +242,12 @@ def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
                            2.0 * nm[2, 3])
     t = cols["t"]
     fine = mo.integrate(state, scenario.moment_coefficients(), m_plus,
-                        scenario.plus_frequency(), float(t[-1]), (t[1] - t[0]) / 100,
-                        sample_every=100)
-    np.testing.assert_allclose(fine.times, t, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(cols["dx_plus_sq"], fine.plus[:, 0], rtol=0, atol=1e-6)
-    np.testing.assert_allclose(cols["dp_plus_sq"], fine.plus[:, 1], rtol=0, atol=1e-6)
-    e_n = mo.negativities(fine.plus, state.minus_rows(m_minus, omega_minus, fine.times))
+                        scenario.plus_frequency(), (t[1] - t[0]) / 100, 100 * (len(t) - 1) + 1)
+    times, plus = fine.times[::100], fine.plus[::100]
+    np.testing.assert_allclose(times, t, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(cols["dx_plus_sq"], plus[:, 0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cols["dp_plus_sq"], plus[:, 1], rtol=0, atol=1e-6)
+    e_n = mo.negativities(plus, state.minus_rows(m_minus, omega_minus, times))
     np.testing.assert_allclose(cols["E_N_moments"], e_n, rtol=0, atol=1e-6)
 
 

@@ -620,6 +620,53 @@ def test_beam_splitter_modes_match_the_eigh_route(exponent, temperature):
     _assert_normal_mode_identities(drift, modes)
 
 
+def _inserted_minus_modes(drift):
+    # the (x+, bath) beam-splitter arrowhead alone, its x+ row spread onto
+    # x1 and x2, and the free minus pair's column inserted at omega-
+    plus, (m_minus, omega_minus) = ex._beam_scales(drift)
+    c, freq = drift.couplings[0], drift.bath.frequencies
+    root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], freq]))
+    lam, u = ex._arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]), freq)
+    at = int(np.searchsorted(lam, omega_minus))
+
+    def spread(rows, minus):
+        full = np.concatenate([rows[:1], rows])
+        full[:2] *= math.sqrt(0.5)
+        return np.insert(full, at, np.r_[minus, -minus, np.zeros(len(freq))], axis=1)
+
+    a = spread(u * np.sqrt(lam) / root_mw[:, None], math.sqrt(0.5 / m_minus))
+    wt = spread(u / np.sqrt(lam) * root_mw[:, None], math.sqrt(0.5 * m_minus))
+    return ex.NormalModes(np.insert(lam, at, omega_minus), a, wt.T, (m_minus, omega_minus))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_beam_splitter_minus_pole_on_a_bath_mode(temperature):
+    # the shipped symmetric config at N = 600 puts bath mode 30 at 1.0, the
+    # drift's omega- to one ulp: the uncoupled x- pole is deflated beside a
+    # live bath pole and appears once, with its free-pair column
+    bath = discretize(OHMIC, 600, temperature)
+    drift = ex.build_symmetric_model(OSC, bath)
+    m_minus, omega_minus = drift._minus_scales
+    assert abs(bath.frequencies[29] - omega_minus) <= 4.0 * np.finfo(float).eps
+    modes, ref = ex.normal_modes(drift), _inserted_minus_modes(drift)
+    assert modes.minus == (m_minus, omega_minus)
+    assert np.abs(modes.w @ modes.a - np.eye(drift.dim // 2)).max() <= 1e-14
+    assert np.count_nonzero(modes.omega == omega_minus) == 1
+    assert np.array_equal(modes.omega, ref.omega)
+    j = int(np.flatnonzero(modes.omega == omega_minus)[0])
+    x_minus = math.sqrt(0.5 / m_minus)
+    np.testing.assert_allclose(modes.a[:, j], np.r_[x_minus, -x_minus, np.zeros(600)],
+                               rtol=1e-15, atol=0.0)
+    times = ex.EvolutionConfig(150.0, 0.02, 10).sample_times()
+    got, want = (m.reduced_channel(bath, times) for m in (modes, ref))
+    # (a separable r = 2 state carries ~5e-13 of rounding in E_N, e^(4r) eps,
+    # between any two orderings of the same products)
+    for v in (basis_change(two_mode_squeezed(1.0), Ordering.PHYSICAL), _correlated_state()):
+        e_got = ex._trace_from_blocks(times, got.blocks(v)).e_n
+        e_want = ex._trace_from_blocks(times, want.blocks(v)).e_n
+        assert np.abs(e_got - e_want).max() <= 1e-13
+
+
 @pytest.mark.parametrize("build, osc, eighs", [
     (POSITION, OscillatorParams(1.0, 1.0, 1.0, 0.1), 0),
     (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.1, 0.1), 0),

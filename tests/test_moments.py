@@ -1,5 +1,5 @@
-"""Master-equation moment integration: fixed points, free limits,
-schedules and the entanglement readout."""
+"""Master-equation moment integration: fixed points, free limits, the
+sample grid, coefficient tables and the entanglement readout."""
 
 import math
 import re
@@ -46,7 +46,7 @@ def test_position_fixed_point_is_stationary():
     c = position_coeffs()
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     s = mo.MomentState(dx * dx, dp * dp, 0.0, 0.5, 0.5, 0.0)
-    x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, dt=0.005).plus[-1]
+    x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, 2).plus[-1]
     assert x2 == pytest.approx(s.x2_plus, rel=1e-13)
     assert p2 == pytest.approx(s.p2_plus, rel=1e-13)
     assert abs(xp) < 1e-13
@@ -57,7 +57,7 @@ def test_symmetric_fixed_point_is_stationary():
     c = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
     coth = 1.0 / math.tanh(1.0 / (2.0 * 0.3))
     s = mo.MomentState(coth / 2.0, coth / 2.0, 0.0, 0.5, 0.5, 0.0)
-    x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, dt=0.005, model="symmetric").plus[-1]
+    x2, p2, xp = mo.integrate(s, c, 1.0, 1.0, 0.005, 2, model="symmetric").plus[-1]
     assert x2 == pytest.approx(s.x2_plus, rel=1e-13)
     assert p2 == pytest.approx(s.p2_plus, rel=1e-13)
     assert abs(xp) < 1e-13
@@ -68,7 +68,7 @@ def test_position_model_converges_to_fixed_point(t_bath):
     c = position_coeffs(t_bath)
     dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
     start = VACUUM
-    x2, p2, xp = mo.integrate(start, c, 1.0, 1.0, 60.0, sample_every=50).plus[-1]
+    x2, p2, xp = mo.integrate(start, c, 1.0, 1.0, 0.5, 121).plus[-1]
     assert x2 == pytest.approx(dx * dx, rel=1e-6)
     assert p2 == pytest.approx(dp * dp, rel=1e-6)
     assert abs(xp) < 1e-6 * max(1.0, dp * dp)
@@ -78,7 +78,7 @@ def test_free_limit_preserves_determinant():
     # vanishing bath coefficients: both blocks rotate freely
     c = asy.PositionCoefficients(1e-300, 1e-300, 0.0)
     start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2)
-    traj = mo.integrate(start, c, 1.0, 1.0, 12.0, dt=0.01, sample_every=100)
+    traj = mo.integrate(start, c, 1.0, 1.0, 1.0, 13)
     d0 = start.x2_plus * start.p2_plus - (start.xp_plus / 2.0) ** 2
     for x2, p2, xp in traj.plus:
         assert x2 * p2 - (xp / 2.0) ** 2 == pytest.approx(d0, rel=1e-8)
@@ -99,11 +99,9 @@ def test_minus_block_rotation_is_exact():
 
 
 def test_step_size_guard():
-    c = position_coeffs()
-    s = VACUUM
     excess = r"dt=0\.5 exceeds 0\.01/max rate = 0\.01 by 49 relative"
     with pytest.raises(StepSizeError, match=excess):
-        mo.integrate(s, c, 1.0, 1.0, 0.5, dt=0.5)
+        mo.check_step(0.5, 1.0, 0.2)
     assert mo.default_step(1.0, 0.2) == pytest.approx(0.01)
     assert mo.default_step(1.0, 3.0) == pytest.approx(0.01 / 3.0)
 
@@ -124,36 +122,23 @@ def test_whole_step_fit_is_the_fewest_steps_the_check_accepts(k, offset):
         assert n == (k if offset < mo.STEP_SLACK else k + 1)
 
 
-@pytest.mark.parametrize("growing", ["omega", "gamma"])
-def test_default_step_follows_growing_rates(growing):
-    # rates that outgrow the first step are stepped finer, not refused
-    if growing == "omega":
-        coeffs, omega = position_coeffs(), lambda t: 1.3 + 0.01 * t
-        first = mo.default_step(1.3, coeffs.gamma)
-    else:  # gamma grows 30x over the window
-        coeffs = mo.TabulatedSchedule([0.0, 10.0], [asy.PositionCoefficients(0.1, 0.1, 0.0),
-                                                    asy.PositionCoefficients(3.0, 3.0, 0.0)])
-        omega, first = 1.0, mo.default_step(1.0, 0.1)
-    start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2)
-    with pytest.raises(StepSizeError):  # an explicit step stays fixed
-        mo.integrate(start, coeffs, 1.0, omega, 10.0, dt=first)
-    end = mo.integrate(start, coeffs, 1.0, omega, 10.0)
-    fine = mo.integrate(start, coeffs, 1.0, omega, 10.0, dt=1e-3)
-    assert end.times[-1] == 10.0
-    assert end.plus[-1] == pytest.approx(fine.plus[-1], abs=1e-8)
+@pytest.mark.parametrize("spacing, samples, name", [
+    (0.1, 0, "samples"), (0.1, -3, "samples"), (0.1, 2.0, "samples"), (0.1, "2", "samples"),
+    (0.0, 2, "spacing"), (-0.1, 2, "spacing"), (math.inf, 2, "spacing"), (math.nan, 2, "spacing"),
+])
+def test_integrate_refuses_bad_grid_arguments(spacing, samples, name):
+    with pytest.raises(ValueError, match=rf"^{name}="):
+        mo.integrate(VACUUM, position_coeffs(), 1.0, 1.0, spacing, samples)
 
 
-@pytest.mark.parametrize("t_final, steps", [(10.0, 10000), (10.0004, 10001)])
-@pytest.mark.parametrize("scheduled", [False, True], ids=["constant", "callable"])
-def test_fixed_step_run_ends_at_t_final(scheduled, t_final, steps):
-    # t0 + k dt from the step count, and an explicit last step onto t_final:
-    # the final state is sampled although 7 divides neither step count
-    omega = (lambda t: 1.3 + 0.01 * t) if scheduled else 1.3
-    start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2)
-    traj = mo.integrate(start, position_coeffs(), 1.0, omega, t_final, dt=1e-3, sample_every=7)
-    assert traj.times[-1] == t_final
-    assert len(traj.times) == len(traj.plus) == math.ceil(steps / 7) + 1
-    assert traj.times[-2] == pytest.approx(7e-3 * (steps // 7), abs=1e-12)
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, 0.1])
+def test_one_sample_is_the_start_row(spacing):
+    # one sample needs no spacing: it is the state itself, at its own time
+    start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2, time=0.25)
+    traj = mo.integrate(start, position_coeffs(), 1.0, 1.0, spacing, 1)
+    assert traj.times.tolist() == [0.25]
+    assert traj.plus.tolist() == [[1.1, 0.7, 0.3]]
+    assert traj.min_plus_det == 1.1 * 0.7 - 0.15**2
 
 
 def _rates(a, x2, p2, xp):
@@ -161,29 +146,28 @@ def _rates(a, x2, p2, xp):
     return (xp / m - a1 * x2 + a2, a3 * xp - a4 * p2 + a5, 2.0 * p2 / m - a6 * x2 - a7 * xp - a8)
 
 
-def _rk4(env, y, t, dt):
+def _rk4(a, y, dt):
     x2, p2, xp = y
     h = dt / 2.0
-    mid = env(t + h)
-    k1 = _rates(env(t), x2, p2, xp)
-    k2 = _rates(mid, x2 + h * k1[0], p2 + h * k1[1], xp + h * k1[2])
-    k3 = _rates(mid, x2 + h * k2[0], p2 + h * k2[1], xp + h * k2[2])
-    k4 = _rates(env(t + dt), x2 + dt * k3[0], p2 + dt * k3[1], xp + dt * k3[2])
+    k1 = _rates(a, x2, p2, xp)
+    k2 = _rates(a, x2 + h * k1[0], p2 + h * k1[1], xp + h * k1[2])
+    k3 = _rates(a, x2 + h * k2[0], p2 + h * k2[1], xp + h * k2[2])
+    k4 = _rates(a, x2 + dt * k3[0], p2 + dt * k3[1], xp + dt * k3[2])
     h = dt / 6.0
     return tuple(y[i] + h * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(3))
 
 
 def _float_loop(model, start, coeffs, mass, omega, t_final, dt, every):
     """The oracle: the plus moments marched one float RK4 step at a time,
-    sampled like ``integrate``; returns (step counts, times, plus rows)."""
-    form = mo._FORMS[model]
-    env = lambda t: form(*(v(t) if callable(v) else v for v in (mass, omega, coeffs)))
+    sampled every ``every`` steps and at the last, shorter one onto
+    ``t_final``; returns (step counts, times, plus rows)."""
+    a = mo._FORMS[model](mass, omega, coeffs)
     y, t = start.plus_block_moments(), start.time
     out = [(0, t, y)]
     n = math.ceil((t_final - t) / dt)
     for k in range(1, n + 1):
         step = min(dt, t_final - t)
-        y = _rk4(env, y, t, step)
+        y = _rk4(a, y, step)
         t += step
         det = y[0] * y[1] - (y[2] / 2.0) ** 2
         if min(y[0], y[1]) <= 0.0 or det <= 0.0:
@@ -195,25 +179,22 @@ def _float_loop(model, start, coeffs, mass, omega, t_final, dt, every):
     return np.array(steps), np.array(times), np.array(plus)
 
 
-@pytest.mark.parametrize("tabulated", [False, True], ids=["constant", "tabulated"])
-@pytest.mark.parametrize("model", ["position", "symmetric"])
-def test_integrate_equals_chained_steps(model, tabulated):
+@pytest.mark.parametrize("model", ["position", "symmetric"],
+                         ids=["position-constant", "symmetric-constant"])
+def test_integrate_equals_chained_steps(model):
     if model == "position":
         coeffs = position_coeffs()
-        table = [asy.PositionCoefficients(0.1, 0.2, 0.0),
-                 asy.PositionCoefficients(0.3, 0.4, 0.1)]
     else:
         coeffs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
-        table = [asy.SymmetricCoefficients(0.1, 0.2), asy.SymmetricCoefficients(0.2, 0.3)]
-    omega = 0.9
-    if tabulated:
-        coeffs = mo.TabulatedSchedule([0.0, 2.0], table, kind=model)
-        omega = lambda t: 0.9 + 0.01 * t
     start = mo.MomentState(1.1, 0.7, 0.3, 0.9, 0.6, -0.2, time=0.25)
-    # 3.0 / 0.007 is not an integer: the last step is a short one
-    traj = mo.integrate(start, coeffs, 1.3, omega, 3.25, dt=0.007, model=model,
-                        sample_every=25)
-    _, times, plus = _float_loop(model, start, coeffs, 1.3, omega, 3.25, 0.007, 25)
+    # 0.175 is no whole number of default steps at omega = 0.9: each spacing
+    # takes 16 equal steps, and the oracle steps by that size
+    spacing, samples = 0.175, 18
+    every = mo.whole_steps(spacing, 0.9, coeffs.gamma)
+    assert every == 16
+    traj = mo.integrate(start, coeffs, 1.3, 0.9, spacing, samples, model=model)
+    _, times, plus = _float_loop(model, start, coeffs, 1.3, 0.9, 0.25 + (samples - 1) * spacing,
+                                 spacing / every, every)
     assert len(traj.times) == len(times) > 10
     np.testing.assert_allclose(traj.times, times, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(traj.plus, plus, rtol=1e-12, atol=0.0)
@@ -230,7 +211,7 @@ def test_integrate_refuses_like_chained_steps():
     c = asy.PositionCoefficients(0.05, -0.5, 0.0)
     start = VACUUM
     with pytest.raises(UnphysicalStateError) as by_integrate:
-        mo.integrate(start, c, 1.0, 1.0, 50.0, sample_every=1000)
+        mo.integrate(start, c, 1.0, 1.0, 10.0, 6)
     with pytest.raises(UnphysicalStateError) as by_steps:
         _float_loop("position", start, c, 1.0, 1.0, 50.0, 0.01, 1000)
     assert str(by_integrate.value).startswith("plus block has nonpositive")
@@ -306,19 +287,6 @@ def test_tabulated_schedule_matches_np_interp(kind):
         assert all(getattr(sched(t), f) == cols[f][i] for f in fields)
 
 
-def test_schedule_reaches_time_dependent_fixed_point():
-    # coefficients that settle onto the asymptotic values drive the state
-    # to the same equilibrium as the constant schedule
-    c_end = position_coeffs()
-    vals = [asy.PositionCoefficients(0.0, 1e-12, 0.0), c_end, c_end]
-    sched = mo.TabulatedSchedule([0.0, 5.0, 10.0], vals)
-    start = VACUUM
-    traj = mo.integrate(start, sched, 1.0, 1.0, 80.0, sample_every=100)
-    dx, dp = asy.equilibrium_dispersions_position(c_end, 1.0, 1.0)
-    assert traj.plus[-1, 0] == pytest.approx(dx * dx, rel=1e-5)
-    assert traj.plus[-1, 1] == pytest.approx(dp * dp, rel=1e-5)
-
-
 @given(st.floats(-1.5, 1.5))
 @settings(max_examples=30, deadline=None)
 def test_negativity_readout_matches_gaussian_module(r):
@@ -333,7 +301,7 @@ def test_transient_dips_below_lindblad_bound_but_stays_positive():
     # the anomalous-diffusion term is first order in gamma: transients from
     # the vacuum undershoot det = 1/4 (non-Lindblad) yet never reach zero
     c = position_coeffs()
-    traj = mo.integrate(VACUUM, c, 1.0, 1.0, 30.0, sample_every=5)
+    traj = mo.integrate(VACUUM, c, 1.0, 1.0, 0.05, 601)
     x2, p2, xp = traj.plus.T
     dets = x2 * p2 - (xp / 2.0) ** 2
     assert min(dets) < 0.25 - 1e-3  # genuinely dips

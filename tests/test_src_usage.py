@@ -13,8 +13,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "entbath"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
-# allowed without a caller: the coefficient schedule that time-dependent
-# master-equation coefficients for the moment route (an open ROADMAP item) need
+# allowed without a caller: the coefficient table for time-dependent
+# master-equation coefficients (an open ROADMAP item).  ``moments.integrate``
+# takes constant coefficients only, and the table is to feed one exponential
+# per tabulation interval rather than a second RK4 march
 ALLOWED = {"TabulatedSchedule"}
 
 
