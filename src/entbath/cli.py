@@ -3,9 +3,9 @@
 Subcommands: negativity-trace, phase-diagram, moments, asymptotics, validate.
 Each one asks ``entbath.scenario.Scenario`` for its columns or payload and
 writes them.  All outputs are CSV/JSON; every artifact embeds the config
-echo and its sha256 hash.  Exit codes: 0 success, 2 config error, 3 physics
-refusal (recurrence window / unstable Hamiltonian / step size), 4 numerical
-failure.
+echo and its sha256 hash.  Exit codes: 0 success, 2 config error (an
+output path that cannot be opened for writing included), 3 physics refusal
+(recurrence window / unstable Hamiltonian / step size), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _warn_on_hash_change(path: str | None, digest: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             head = fh.read(4096)
-    except OSError:
+    except (OSError, UnicodeDecodeError):  # unreadable or not text: no artifact
         return
     if "config_sha256" in head and digest not in head:
         print(
@@ -67,6 +67,17 @@ def _cells(column):
     return map(repr, np.asarray(column, dtype=float).tolist())
 
 
+def _write(path: str, text: str, option: str) -> None:
+    """Write ``text`` to ``path``, refusing a path that cannot be opened for
+    writing as a config error of ``option``."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise ConfigError(f"{option}: cannot write {path} ({err.strerror})") from err
+    with fh:
+        fh.write(text)
+
+
 def write_csv(path: str, cfg: RunConfig, names: list[str], columns: list) -> None:
     """Deterministic CSV: shortest round-trip floats, config echo header."""
     canonical, digest = _echo(cfg)
@@ -78,12 +89,10 @@ def write_csv(path: str, cfg: RunConfig, names: list[str], columns: list) -> Non
         ",".join(names),
         *map(",".join, zip(*map(_cells, columns))),
     ]
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write(path, "\n".join(lines) + "\n", "--out")
 
 
-def write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
+def write_json(path: str | None, cfg: RunConfig, payload: dict, option: str = "--out") -> None:
     canonical, digest = _echo(cfg)
     _warn_on_hash_change(path, digest)
     doc = {
@@ -96,8 +105,7 @@ def write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(path, text, option)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +125,7 @@ def cmd_moments(cfg: RunConfig, out: str) -> int:
 def cmd_phase_diagram(cfg: RunConfig, out: str, summary_out: str | None) -> int:
     rows, summary = Scenario(cfg).phase_diagram()
     write_csv(out, cfg, PHASE_COLUMNS, [[row[k] for row in rows] for k in PHASE_COLUMNS])
-    write_json(summary_out, cfg, {"summary": summary})
+    write_json(summary_out, cfg, {"summary": summary}, option="--summary")
     return 0
 
 

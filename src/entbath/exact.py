@@ -60,7 +60,7 @@ from .gaussian import (
     require_two_mode,
     symplectic_form,
 )
-from .moments import check_step, step_matrices
+from .moments import check_step, step_matrix
 
 RK4_STEP_FACTOR = 0.05
 REDUCED_PHYSICALITY_ATOL = 1e-9
@@ -71,7 +71,8 @@ _PSD_TOL = 1e-10
 class EvolutionConfig:
     """Sampling plan for one evolution.
 
-    Samples fall every ``sample_stride`` steps of ``dt`` up to ``t_max``.
+    Samples fall every ``sample_stride`` steps of ``dt`` up to ``t_max``,
+    none past it by more than rounding (a few ulps).
     The normal-mode channel and propagator are evaluated directly at the
     sample times; ``evolve``'s RK4 oracle steps by ``dt`` and raises its
     step matrix to the stride by squaring.
@@ -82,13 +83,17 @@ class EvolutionConfig:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0 or self.dt <= 0:
-            raise ValueError("t_max and dt must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        for name in ("t_max", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}={value!r} must be finite and positive")
+        stride = self.sample_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError(f"sample_stride={stride!r} must be an integer >= 1")
 
     def sample_times(self) -> np.ndarray:
-        return self.dt * np.arange(0, int(round(self.t_max / self.dt)) + 1, self.sample_stride)
+        steps = math.floor(self.t_max / self.dt * (1.0 + 4.0 * np.finfo(float).eps))
+        return self.dt * np.arange(0, steps + 1, self.sample_stride)
 
 
 @dataclass(frozen=True)
@@ -885,8 +890,7 @@ def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
     """The moment route's RK4 step matrix of K raised to the sample stride,
     refusing a step above RK4_STEP_FACTOR / (fastest bath frequency)."""
     check_step(cfg.dt, float(drift.bath.frequencies[-1]), factor=RK4_STEP_FACTOR)
-    k = np.broadcast_to(drift.k, (3, drift.dim, drift.dim))
-    return np.linalg.matrix_power(step_matrices(k, cfg.dt), cfg.sample_stride)
+    return np.linalg.matrix_power(step_matrix(drift.k, cfg.dt), cfg.sample_stride)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,11 @@ number of equal steps, and the samples are rows of that matrix's orbit.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import PositionCoefficients, SymmetricCoefficients
 from .errors import StepSizeError, UnphysicalStateError
 from .gaussian import free_rotation, log_negativities, mix_modes
 
@@ -100,70 +97,21 @@ def _require_positive(tag: str, blocks, times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient schedules
-# ---------------------------------------------------------------------------
-
-class TabulatedSchedule:
-    """Linear interpolation over a strictly increasing time grid.
-
-    Evaluation outside the grid clamps to the endpoint values.  ``values``
-    is a sequence of coefficient tuples matching ``kind`` ("position" gives
-    PositionCoefficients, "symmetric" gives SymmetricCoefficients).
-    ``integrate`` takes constant coefficients; nothing consumes a table yet.
-    """
-
-    def __init__(self, times: Sequence[float], values, kind: str = "position"):
-        self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError("need at least two tabulation times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("tabulation times must be strictly increasing")
-        if kind == "position":
-            self._fields = ("gamma", "diffusion", "anomalous")
-            self._cls = PositionCoefficients
-        elif kind == "symmetric":
-            self._fields = ("gamma", "diffusion")
-            self._cls = SymmetricCoefficients
-        else:
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        nodes = np.array([[getattr(v, f) for f in self._fields] for v in values], dtype=float)
-        if len(nodes) != len(self.times):
-            raise ValueError("values length must match times length")
-        # np.interp's arithmetic, slope (t - t_j) + f_j, as Python floats:
-        # one bracket search per call serves every field
-        self._grid = self.times.tolist()
-        self._nodes = nodes.tolist()
-        self._slopes = (np.diff(nodes, axis=0) / np.diff(self.times)[:, None]).tolist()
-
-    def __call__(self, t: float):
-        t = float(t)
-        j = bisect.bisect_right(self._grid, t) - 1
-        if j < 0:
-            return self._cls(*self._nodes[0])
-        if j == len(self._slopes):
-            return self._cls(*self._nodes[-1])
-        dt = t - self._grid[j]
-        return self._cls(*(s * dt + f for s, f in zip(self._slopes[j], self._nodes[j])))
-
-
-# ---------------------------------------------------------------------------
 # RK4 stepping
 # ---------------------------------------------------------------------------
 
-def _excess(dt, omega, gamma=0.0, factor: float = STEP_FACTOR):
-    """Relative excess of steps dt over factor / max(|omega|, |gamma|)."""
-    return dt * np.maximum(np.abs(omega), np.abs(gamma)) / factor - 1.0
+def _excess(dt: float, omega: float, gamma: float = 0.0, factor: float = STEP_FACTOR) -> float:
+    """Relative excess of a step dt over factor / max(|omega|, |gamma|)."""
+    return dt * max(abs(omega), abs(gamma)) / factor - 1.0
 
 
-def check_step(dt, omega, gamma=0.0, factor: float = STEP_FACTOR) -> None:
-    """Refuse the first step dt above factor / max(|omega|, |gamma|), the
-    rates at its start, by more than STEP_SLACK; the arguments broadcast."""
-    dt, excess = np.broadcast_arrays(dt, _excess(dt, omega, gamma, factor))
-    bad = np.flatnonzero(excess > STEP_SLACK)
-    if bad.size:
-        h, e = float(dt.flat[bad[0]]), float(excess.flat[bad[0]])
-        raise StepSizeError(f"dt={h!r} exceeds {factor}/max rate = {h / (1.0 + e):.6g} "
-                            f"by {e:.3g} relative")
+def check_step(dt: float, omega: float, gamma: float = 0.0, factor: float = STEP_FACTOR) -> None:
+    """Refuse a step dt above factor / max(|omega|, |gamma|) by more than
+    STEP_SLACK."""
+    excess = _excess(dt, omega, gamma, factor)
+    if excess > STEP_SLACK:
+        raise StepSizeError(f"dt={float(dt)!r} exceeds {factor}/max rate = "
+                            f"{dt / (1.0 + excess):.6g} by {excess:.3g} relative")
 
 
 def whole_steps(span: float, omega: float, gamma: float) -> int:
@@ -197,38 +145,33 @@ def _symmetric_form(m, w, c) -> tuple:
             4.0 * c.gamma, 2.0 * c.diffusion, 2.0 * m * w2, 4.0 * c.gamma, 0.0)
 
 
-# the ODE coefficients (m, a1, ..., a8) of each model for _generators
+# the ODE coefficients (m, a1, ..., a8) of each model for _generator
 _FORMS = {"position": _position_form, "symmetric": _symmetric_form}
 
 
-def _generators(a: np.ndarray) -> np.ndarray:
-    """Generators A = [[M, b], [0, 0]] of y = (x2, p2, xp, 1) from stacked
-    ODE coefficients (..., 9) = (m, a1, ..., a8) of both models' form
+def _generator(form: tuple) -> np.ndarray:
+    """The generator A = [[M, b], [0, 0]] of y = (x2, p2, xp, 1) from the ODE
+    coefficients (m, a1, ..., a8) of both models' form
         d<x^2>/dt   = <{x,p}>/m - a1 <x^2> + a2
         d<p^2>/dt   = a3 <{x,p}> - a4 <p^2> + a5
         d<{x,p}>/dt = 2<p^2>/m - a6 <x^2> - a7 <{x,p}> - a8
     """
-    m, a1, a2, a3, a4, a5, a6, a7, a8 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    g = np.zeros(np.shape(m) + (4, 4))
-    g[..., 0, 0], g[..., 0, 2], g[..., 0, 3] = -a1, 1.0 / m, a2
-    g[..., 1, 1], g[..., 1, 2], g[..., 1, 3] = -a4, a3, a5
-    g[..., 2, 0], g[..., 2, 1], g[..., 2, 2], g[..., 2, 3] = -a6, 2.0 / m, -a7, -a8
-    return g
+    m, a1, a2, a3, a4, a5, a6, a7, a8 = form
+    return np.array([[-a1, 0.0, 1.0 / m, a2],
+                     [0.0, -a4, a3, a5],
+                     [-a6, 2.0 / m, -a7, -a8],
+                     [0.0, 0.0, 0.0, 0.0]])
 
 
-def step_matrices(g: np.ndarray, h) -> np.ndarray:
-    """Classical RK4 steps of y' = A(t) y as matrices, from the generators
-    g (..., 3, d, d) at each step's start, middle and end and the step sizes
-    h (...): k1 = A1 y, k2 = A2 (y + h k1/2), k3 = A2 (y + h k2/2) and
-    k4 = A3 (y + h k3).  For one constant A this is the Taylor polynomial
-    I + hA (I + hA/2 (I + hA/3 (I + hA/4)))."""
-    h = np.asarray(h, dtype=float)[..., None, None]
-    a1, a2, a3 = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
-    eye = np.eye(g.shape[-1])
-    k2 = a2 @ (eye + h / 2.0 * a1)
-    k3 = a2 @ (eye + h / 2.0 * k2)
-    k4 = a3 @ (eye + h * k3)
-    return eye + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+def step_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = A y as a matrix: k1 = A y,
+    k2 = A (y + h k1/2), k3 = A (y + h k2/2) and k4 = A (y + h k3), so the
+    Taylor polynomial I + hA (I + hA/2 (I + hA/3 (I + hA/4)))."""
+    eye = np.eye(len(a))
+    k2 = a @ (eye + h / 2.0 * a)
+    k3 = a @ (eye + h / 2.0 * k2)
+    k4 = a @ (eye + h * k3)
+    return eye + h / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _orbit(step: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
@@ -278,8 +221,7 @@ def integrate(
         y, every, spacing = y0[None], 1, 0.0
     else:
         every = whole_steps(spacing, omega, coeffs.gamma)
-        g = np.broadcast_to(_generators(_FORMS[model](m, omega, coeffs)), (3, 4, 4))
-        step = step_matrices(g, spacing / every)
+        step = step_matrix(_generator(_FORMS[model](m, omega, coeffs)), spacing / every)
         y = np.concatenate([y0[None], _orbit(step, y0, every * (samples - 1))])
     det = _require_positive("plus", y[:, :3], t0 + np.arange(len(y)) * (spacing / every))
     return Trajectory(t0 + np.arange(samples) * spacing, y[::every, :3], float(det.min()))

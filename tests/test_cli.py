@@ -202,15 +202,39 @@ def test_moments_shares_trace_schema(cfg_file, tmp_path):
 
 
 def test_moments_samples_on_the_trace_grid(cfg_file, tmp_path):
-    # dt does not divide t_max: both grids stop at 0.9, none passes t_max
-    sets = ["--set", "evolution.t_max=1.0", "--set", "evolution.dt=0.3",
+    # dt does not divide t_max: both grids stop at the last step within it,
+    # none passes t_max, also where t_max / dt rounds up (1 / 0.35 = 2.86)
+    for dt, last in (("0.3", 0.9), ("0.35", 0.7)):
+        sets = ["--set", "evolution.t_max=1.0", "--set", f"evolution.dt={dt}",
+                "--set", "evolution.sample_stride=1"]
+        trace, moments = tmp_path / "t.csv", tmp_path / "m.csv"
+        assert main(["negativity-trace", cfg_file, *sets, "--out", str(trace)]) == 0
+        assert main(["moments", cfg_file, *sets, "--out", str(moments)]) == 0
+        t = _read_csv(trace)["t"]
+        assert t[-1] == pytest.approx(last, abs=1e-12)
+        np.testing.assert_array_equal(_read_csv(moments)["t"], t)
+
+
+def test_trace_stays_inside_the_recurrence_window_it_checks(tmp_path, capsys):
+    # 2.5 / 0.45 = 5.56 steps: the last sample is 2.25, not 2.7, which lies
+    # past 0.8 of the 10-mode bath's recurrence time (2.513); a t_max of 2.7
+    # on the same bath is refused
+    from entbath.bath import RECURRENCE_MARGIN, grid_recurrence_time
+
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "ohmic_trace.yaml")
+    sets = ["--set", "bath.n_modes=10", "--set", "evolution.dt=0.45",
             "--set", "evolution.sample_stride=1"]
-    trace, moments = tmp_path / "t.csv", tmp_path / "m.csv"
-    assert main(["negativity-trace", cfg_file, *sets, "--out", str(trace)]) == 0
-    assert main(["moments", cfg_file, *sets, "--out", str(moments)]) == 0
-    t = _read_csv(trace)["t"]
-    assert t[-1] == pytest.approx(0.9, abs=1e-12)
-    np.testing.assert_array_equal(_read_csv(moments)["t"], t)
+    out = tmp_path / "t.csv"
+    assert main(["negativity-trace", yaml_path, *sets, "--set", "evolution.t_max=2.5",
+                 "--out", str(out)]) == 0
+    t = _read_csv(out)["t"]
+    cutoff = load_config(yaml_path).spectral.cutoff
+    assert t[-1] == pytest.approx(2.25, abs=1e-12)
+    assert t[-1] <= RECURRENCE_MARGIN * grid_recurrence_time(cutoff, 10)
+    assert main(["negativity-trace", yaml_path, *sets, "--set", "evolution.t_max=2.7",
+                 "--out", str(out)]) == 3
+    assert "recurrence" in capsys.readouterr().err
 
 
 def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
@@ -253,7 +277,8 @@ def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
 
 def test_sample_spacing_a_rounding_above_the_step_limit_takes_two_steps(tmp_path):
     # dt exceeds the symmetric config's 0.01 RK4 limit by 5e-10 relative: the
-    # moment route fits two steps per sample rather than refusing one
+    # moment route fits two steps per sample rather than refusing one.  The
+    # 100th step would pass t_max by 5e-10, so the grid stops at the 99th
     yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                              "symmetric_trace.yaml")
     out = tmp_path / "m.csv"
@@ -261,7 +286,7 @@ def test_sample_spacing_a_rounding_above_the_step_limit_takes_two_steps(tmp_path
                  "--set", "evolution.sample_stride=1", "--set", "evolution.t_max=1",
                  "--out", str(out)]) == 0
     t = _read_csv(out)["t"]
-    assert len(t) == 101 and t[-1] == pytest.approx(1.0, abs=1e-8)
+    assert len(t) == 100 and t[-1] == pytest.approx(0.99, abs=1e-8)
 
 
 @pytest.mark.parametrize("gamma0", ["0.1", "0.5", "1.0"])
@@ -464,6 +489,31 @@ def test_hash_mismatch_warning_on_overwrite(cfg_file, tmp_path, capsys):
         "--set", "initial_state.r=1.0",
     ]) == 0
     assert "different config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, case", [
+    ("moments", "non-utf8"), ("moments", "directory"), ("asymptotics", "missing-directory"),
+])
+def test_output_path_faults_are_named_not_tracebacks(command, case, cfg_file, tmp_path, capsys):
+    # bytes that are not UTF-8 are no artifact: overwritten without a warning;
+    # a path that cannot be opened for writing is a config error naming it
+    out = tmp_path / "out"
+    if case == "non-utf8":
+        out.write_bytes(b"config_sha256 \xff\xfe\n")
+    elif case == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out"
+    code = main([command, cfg_file, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if case == "non-utf8":
+        assert code == 0 and err == ""
+        assert out.read_text(encoding="utf-8").startswith("# entbath ")
+        assert len(_read_csv(out)["t"]) > 1
+    else:
+        assert code == 2
+        assert err.startswith("config error: --out:") and str(out) in err
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,28 @@ def test_sample_times_and_stride():
     cfg = ex.EvolutionConfig(1.0, 0.1, 5)
     times = cfg.sample_times()
     assert np.allclose(times, [0.0, 0.5, 1.0])
+    # the most steps within t_max: a fraction of a step is dropped, half or
+    # more included, and a whole step short of t_max by rounding only is kept
+    for t_max, dt, stride, count, last in [
+        (1.0, 0.6, 1, 2, 0.6), (2.5, 0.45, 1, 6, 2.25), (1.0, 0.35, 2, 2, 0.7),
+        (1.0, 0.1, 3, 4, 0.9), (0.3, 0.1, 1, 4, 0.3), (150.0, 0.02, 1, 7501, 150.0),
+        (150.0, 0.02, 10, 751, 150.0),
+    ]:
+        times = ex.EvolutionConfig(t_max, dt, stride).sample_times()
+        assert len(times) == count and times[-1] == pytest.approx(last, rel=1e-15)
+        assert times[-1] <= t_max + 4 * np.spacing(t_max)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((math.nan, 0.1), "t_max"), ((math.inf, 0.1), "t_max"), ((-1.0, 0.1), "t_max"),
+    ((1.0, math.nan), "dt"), ((1.0, math.inf), "dt"), ((1.0, 0.0), "dt"),
+    ((1.0, 0.1, 2.5), "sample_stride"), ((1.0, 0.1, 0), "sample_stride"),
+    ((1.0, 0.1, True), "sample_stride"),
+], ids=["nan-t_max", "inf-t_max", "negative-t_max", "nan-dt", "inf-dt", "zero-dt",
+        "fractional-stride", "zero-stride", "bool-stride"])
+def test_evolution_config_names_a_bad_field(args, field):
+    with pytest.raises(ValueError, match=rf"^{field}="):
+        ex.EvolutionConfig(*args)
 
 
 # ---------------------------------------------------------------------------

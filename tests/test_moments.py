@@ -252,41 +252,6 @@ def test_moment_columns_match_float_loop(name):
                                    err_msg=key)
 
 
-def test_tabulated_schedule_interpolation_and_clamping():
-    vals = [asy.PositionCoefficients(0.1, 0.2, 0.0),
-            asy.PositionCoefficients(0.3, 0.4, 0.1)]
-    sched = mo.TabulatedSchedule([0.0, 1.0], vals)
-    assert sched(0.5).gamma == pytest.approx(0.2)
-    assert sched(-1.0).gamma == pytest.approx(0.1)  # clamped
-    assert sched(5.0).diffusion == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        mo.TabulatedSchedule([1.0, 0.0], vals)
-    with pytest.raises(ValueError):
-        mo.TabulatedSchedule([0.0], vals[:1])
-
-
-@pytest.mark.parametrize("kind", ["position", "symmetric"])
-def test_tabulated_schedule_matches_np_interp(kind):
-    # one bracket search per call: every field is np.interp of its column,
-    # at the nodes, between them and clamped outside the grid
-    rng = np.random.default_rng(7)
-    grid = np.cumsum(rng.uniform(0.05, 2.0, 9)) - 3.0
-    cls = asy.PositionCoefficients if kind == "position" else asy.SymmetricCoefficients
-    fields = ("gamma", "diffusion", "anomalous")[:len(cls.__dataclass_fields__)]
-    cols = {f: rng.uniform(-2.0, 2.0, len(grid)) for f in fields}
-    sched = mo.TabulatedSchedule(grid, [cls(*row) for row in zip(*cols.values())], kind=kind)
-    between = rng.uniform(grid[0], grid[-1], 200)
-    outside = [grid[0] - 5.0, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + 5.0]
-    for ts in (grid, (grid[1:] + grid[:-1]) / 2.0, between, outside):
-        for t in ts:
-            got = sched(t)
-            for f in fields:
-                want = np.interp(t, grid, cols[f])
-                assert abs(getattr(got, f) - want) <= 1e-15 * abs(want), (f, t)
-    for i, t in enumerate(grid):
-        assert all(getattr(sched(t), f) == cols[f][i] for f in fields)
-
-
 @given(st.floats(-1.5, 1.5))
 @settings(max_examples=30, deadline=None)
 def test_negativity_readout_matches_gaussian_module(r):

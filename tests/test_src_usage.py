@@ -13,12 +13,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "entbath"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
-# allowed without a caller: the coefficient table for time-dependent
-# master-equation coefficients (an open ROADMAP item).  ``moments.integrate``
-# takes constant coefficients only, and the table is to feed one exponential
-# per tabulation interval rather than a second RK4 march
-ALLOWED = {"TabulatedSchedule"}
-
 
 def _names(node: ast.AST) -> Counter:
     """How often each name and attribute is read under ``node``."""
@@ -36,7 +30,7 @@ def test_src_has_no_test_only_functions_or_classes():
         for fname, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in ALLOWED | outside
+        and node.name not in outside
         # named only inside its own definition (recursion, its own methods)
         and in_src[node.name] == _names(node)[node.name]
     ]
