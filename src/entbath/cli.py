@@ -4,13 +4,15 @@ Subcommands: negativity-trace, phase-diagram, moments, asymptotics, validate.
 Each one asks ``entbath.scenario.Scenario`` for its columns or payload and
 writes them.  All outputs are CSV/JSON; every artifact embeds the config
 echo and its sha256 hash.  Exit codes: 0 success, 2 config error (an
-output path that cannot be opened for writing included), 3 physics refusal
-(recurrence window / unstable Hamiltonian / step size), 4 numerical failure.
+output path that cannot be opened for writing included, found before
+anything is computed or written), 3 physics refusal (recurrence window /
+unstable Hamiltonian / step size), 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -65,6 +67,22 @@ def _cells(column):
     if len(column) and isinstance(column[0], str):
         return column
     return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def _check_writable(path: str, option: str) -> None:
+    """Refuse, before anything is computed, an output path that ``_write``
+    could not open: a directory, one whose parent is missing or no
+    directory, or one without write permission."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"{option}: cannot write {path} ({os.strerror(code)})")
 
 
 def _write(path: str, text: str, option: str) -> None:
@@ -179,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
+        for option in ("out", "summary"):  # exit 2 writes nothing and computes nothing
+            if getattr(args, option, None) is not None:
+                _check_writable(getattr(args, option), f"--{option}")
         if args.command == "negativity-trace":
             return cmd_negativity_trace(cfg, args.out, args.with_moments)
         if args.command == "phase-diagram":

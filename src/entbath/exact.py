@@ -20,28 +20,34 @@ coupling the mass-weighted stiffness is an arrowhead too, and its modes
 solve a secular equation in O(N^2) time and memory.  So do the symmetric
 model's at c12 = c12_tilde, where the plus oscillator meets the bath
 through a beam splitter and its frequencies are the eigenvalues of a
-first-order arrowhead; any other H takes one real symmetric eigensolve of
-size N+2.  The reduced dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t)
-whose Z and N do not depend on the system state; the drift keeps the
-channel of its latest sampling plan, so each further state costs one 4x4
-congruence per sample.  The channel samples the rows of S(t) in the
-(x+, p+, x-, p-) basis.  Its noise is the reduced thermal state of H, which
-is stationary, less the sampled rows through a low-rank factor of the gap
-between that thermal state and the prepared one (system block zero, bath
-thermal); the factor is found once per channel, so no sample meets the
-(N+2)^2 mode matrices.  Sample times are uniform, so by angle addition the
-channel takes cos and sin of the in-chunk offsets k h omega once and of
-omega at each chunk's first time, and rotates the sampled rows' weights,
-not a table, to each chunk.  When H is unchanged by exchanging the two
-oscillators (every resonant builder config), x- and p- decouple from the
-rest: only x+ and p+ are sampled, and the minus rows are the closed-form
-free rotation, with no bath noise.
+first-order arrowhead; those two routes keep omega and the system rows of
+the mode matrices, and form the whole (N+2)^2 A and W only when read.  Any
+other H takes one real symmetric eigensolve of size N+2.  The reduced
+dynamics is a channel V_s(t) = Z V_s(0) Z^T + N(t) whose Z and N do not
+depend on the system state; the drift keeps the channel of its latest
+sampling plan, so each further state costs one 4x4 congruence per sample.
+The channel samples the rows of S(t) in the (x+, p+, x-, p-) basis.  Its
+noise is the reduced thermal state of H, which is stationary, less the
+sampled rows through a low-rank factor of the gap between that thermal
+state and the prepared one (system block zero, bath thermal).  By the
+Matsubara sum the gap is a short sum of resolvent gaps, each of low rank
+and known from the system rows through the identities
+A (Omega^2 + s)^-1 A^T = (K + s B^-1)^-1 and W^T (Omega^2 + s)^-1 W =
+B^-1 (K + s B^-1)^-1 B^-1; the factor is found once per channel, with no
+product against a bath column of A or W.  Sample times are uniform, so by
+angle addition the channel takes cos and sin of the in-chunk offsets
+k h omega once and of omega at each chunk's first time, and rotates the
+sampled rows' weights, not a table, to each chunk.  When H is unchanged by
+exchanging the two oscillators (every resonant builder config), x- and p-
+decouple from the rest: only x+ and p+ are sampled, and the minus rows are
+the closed-form free rotation, with no bath noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -317,7 +323,7 @@ class ReducedChannel:
         return _symmetrize(self.z @ system_v.matrix @ self.z.transpose(0, 2, 1) + self.noise)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalModes:
     """Real normal modes of H = x^T K x / 2 + p^T B p / 2.
 
@@ -330,14 +336,30 @@ class NormalModes:
     the unit-mass bath makes L = [[chol S, C], [0, I]], so for position
     coupling (C = 0) L is diagonal.  Also K^-1 = A diag(omega^-2) A^T and
     B^-1 = W^T W, which give the reduced channel its classical thermal part
-    from the system rows alone.  ``minus`` is the (mass, frequency) of a
-    minus pair that H leaves free, else None.
+    from the system rows alone.  ``a_s`` and ``w_s`` are the system rows of
+    A and columns of W, all the reduced channel reads; the whole ``a`` and
+    ``w`` are formed by ``form`` on first read (for ``propagator``) and
+    kept.  ``minus`` is the (mass, frequency) of a minus pair that H leaves
+    free, else None.
     """
 
     omega: np.ndarray
-    a: np.ndarray
-    w: np.ndarray
+    a_s: np.ndarray
+    w_s: np.ndarray
+    form: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     minus: tuple[float, float] | None = None
+
+    @classmethod
+    def from_matrices(cls, omega, a, w, minus=None) -> NormalModes:
+        """Modes whose whole A and W are at hand."""
+        return cls(omega, a[:2], w[:, :2], lambda: (a, w), minus)
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.form()
+
+    a = property(lambda self: self._matrices[0], doc="A, (N+2)^2, formed on first read")
+    w = property(lambda self: self._matrices[1], doc="W, (N+2)^2, formed on first read")
 
     def propagator(self, t: float) -> np.ndarray:
         """The full S(t) = exp(Kt) in FULL ordering."""
@@ -360,35 +382,39 @@ class NormalModes:
         stationary, less Delta = V_th - (0 (+) V_bath), whose Q-P block is
         zero.  So the noise of the sampled rows R(t) is
         N(t) = V_th,red - R(t) Delta R(t)^T, and V_th,red does not depend on
-        t.  Per quadrature, Delta is T times a rank-2 closed form (the block
-        inverse of the arrowheads K and B: T Y (A_s Y)^-1 Y^T on Q with
-        Y = Omega^-2 A_s^T, and T W_s (W_s^T W_s)^-1 W_s^T on P, A_s and W_s
-        the system rows of A and columns of W) plus a quantum remainder, with
-        no T / omega^2 terms to cancel, that ``_low_rank`` factors once per
-        channel from products with the bath columns of W and A.  The times
-        must be uniform; per chunk of samples, products of the offset tables
-        cos and sin(k h omega) with the rows' weights rotated to the chunk
-        (``_sampled_coordinates``) give Z (the rows through W_s and A_s^T)
-        and the rows' coordinates in the r columns of Delta's factor (at
-        T = 0 the remainder's alone).
+        t.  <Q^2> = coth(omega / 2T) / 2 omega is the Matsubara sum
+        sum_n T / (omega^2 + nu_n^2), nu_n = 2 pi n T, so per quadrature
+        Delta is a sum of resolvent gaps (``_quantum_gap``), each of low rank
+        and known from the system rows alone: its nu = 0 member is T times
+        the classical closed form (the block inverse of the arrowheads K and
+        B: T Y (A_s Y)^-1 Y^T on Q with Y = Omega^-2 A_s^T, and
+        T W_s (W_s^T W_s)^-1 W_s^T on P), and the quantum remainder, with no
+        T / omega^2 terms to cancel, is a short rule of shifts
+        (``_resolvent_rule``) factored once per channel; below T =
+        omega_min / _COLD the Bose factor is under exp(-_COLD) and Delta is
+        the ground state's.  The times must be uniform; per chunk of
+        samples, products of the offset tables cos and sin(k h omega) with
+        the rows' weights rotated to the chunk (``_sampled_coordinates``)
+        give Z (the rows through W_s and A_s^T) and the rows' coordinates in
+        the r columns of Delta's factor (at T = 0 the remainder's alone).
         With a free minus pair only x+ and p+ are sampled; the minus rows are
         the free rotation at ``minus``, which carries no bath noise.
         """
         om, t = self.omega, bath.temperature
-        a_s, w_s, w_b, a_b = self.a[:2], self.w[:, :2], self.w[:, 2:], self.a[2:]
-        f_m, f_b = quantum_part(om, t), quantum_part(bath.frequencies, t)
-        y = a_s.T / om[:, None] ** 2
-        # on Q and P: the columns that give Z, then Delta's factor, and its weights
-        on_q, lam_q = _thermal_gap(w_s, y, a_s @ y, t, *_low_rank(
-            lambda x: f_m[:, None] * x - w_b @ (f_b[:, None] * (w_b.T @ x)), len(om)))
-        on_p, lam_p = _thermal_gap(a_s.T, w_s, w_s.T @ w_s, t, *_low_rank(
-            lambda x: (om**2 * f_m)[:, None] * x
-            - a_b.T @ ((bath.frequencies**2 * f_b)[:, None] * (a_b @ x)), len(om)))
-        var_q = t / om**2 + f_m  # <Q^2> of V_th; <P^2> = omega^2 <Q^2>
+        a_s, w_s = self.a_s, self.w_s
         frame = MIX if self.minus is None else MIX[:2]
         rows = np.concatenate([frame[0::2], frame[1::2]])  # x rows, then p rows
         g = frame[0::2, 0::2] @ a_s    # x rows: g . (cos Q + sin P / omega)
         h = frame[1::2, 1::2] @ w_s.T  # p rows: h . (-omega sin Q + cos P)
+        freqs = np.concatenate([om, bath.frequencies])
+        t_gap = 0.0 if t <= freqs.min() / _COLD else t  # Delta's temperature
+        shifts, weights, inv = _resolvent_rule(freqs, t_gap)
+        (u_q, lam_q), (u_p, lam_p) = _quantum_gap(om, g.T, h.T, shifts, weights, inv[:len(om)])
+        y = a_s.T / om[:, None] ** 2
+        # on Q and P: the columns that give Z, then Delta's factor, and its weights
+        on_q, lam_q = _thermal_gap(w_s, y, a_s @ y, t_gap, u_q, lam_q)
+        on_p, lam_p = _thermal_gap(a_s.T, w_s, w_s.T @ w_s, t_gap, u_p, lam_p)
+        var_q = t / om**2 + quantum_part(om, t)  # <Q^2> of V_th; <P^2> = omega^2 <Q^2>
         kx, k = len(g), len(rows)
         stationary = np.zeros((k, k))
         stationary[:kx, :kx] = (g * var_q) @ g.T
@@ -475,35 +501,209 @@ def _thermal_gap(lead, cols, gram, temperature, u, lam):
     return np.hstack([lead, cols @ vec, u]), np.concatenate([temperature / gamma, lam])
 
 
-# _low_rank's randomized range finder: the seed of its test matrix, its first
-# width, the columns the cut must drop before the width stops doubling, and
-# the cut, relative to the largest eigenvalue of the projected operator
-_RANGE_SEED = 0
-_RANGE_START = 32
-_RANGE_OVERSAMPLE = 8
+# the resolvent rule sum_j weight_j / (omega^2 + shift_j) for quantum_part:
+# its relative error at every mode and bath frequency, and the refinements
+# it may take to get there; the sinc step in ln(nu) at T = 0, whose error is
+# about 4 exp(-pi^2 / step), and the Gauss nodes of each of its tails;
+# ln(1/error) of the Gauss rule in ln(nu) over the Matsubara frequencies
+# below 3 omega_max, and the Gauss nodes of those above and of the integral
+# past them
+_RULE_TOL = 1e-14
+_RULE_LEVELS = 4
+_SINC_STEP = math.pi**2 / 36.0
+_TAIL_NODES = 4
+_GAUSS_DIGITS = 37.0
+_FAR_NODES = 6
+# a Bose factor below exp(-_COLD) is dropped
+_COLD = 40.0
+# relative cuts: of the resolvent basis's singular values (columns of unit
+# norm), and of the eigenvalues of Delta's projection
+_BASIS_CUT = 1e-14
 _RANGE_CUT = 1e-14
 
 
-def _low_rank(apply, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, lam), U orthonormal n x r, with U diag(lam) U^T the symmetric
-    n x n operator ``apply`` (a map of n x l blocks) to rounding.
+def _resolvent_rule(freqs: np.ndarray, temperature: float):
+    """(shifts, weights, inv): sum_j weights_j inv[:, j] is quantum_part at
+    ``freqs``, inv[i, j] = 1 / (freqs_i^2 + shifts_j), to _RULE_TOL relative.
 
-    One pass of a randomized range finder (Halko, Martinsson & Tropp, SIAM
-    Rev. 53, 217 (2011)): the orthonormal basis Q of ``apply`` on a
-    Gaussian n x l block, then the eigenpairs of Q^T (apply Q) above
-    _RANGE_CUT of the largest |eigenvalue|.  The width l starts at
-    _RANGE_START, at most n, and doubles until the cut drops at least
-    _RANGE_OVERSAMPLE columns, so the range was captured, or l = n.
-    """
-    rng = np.random.default_rng(_RANGE_SEED)
-    width = min(_RANGE_START, n)
-    while True:
-        basis = np.linalg.qr(apply(rng.standard_normal((n, width))))[0]
-        lam, vec = np.linalg.eigh(basis.T @ apply(basis))
+    At T = 0, 1 / 2 omega = (1/pi) int_0^inf dnu / (omega^2 + nu^2), whose
+    trapezoid rule in ln(nu) converges as exp(-pi^2 / step) (``_sinc_rule``);
+    at T > 0 the sum is over the Matsubara frequencies (``_matsubara_rule``).
+    Each is checked at ``freqs`` and refined until it meets the tolerance:
+    a refinement halves the sinc step, doubles the Gauss nodes in ln(nu)
+    and the Matsubara frequencies summed, and adds two nodes per tail."""
+    want = quantum_part(freqs, temperature)
+    lo, hi = float(freqs.min()), float(freqs.max())
+    for level in range(_RULE_LEVELS):
+        shifts, weights = (_matsubara_rule(lo, hi, temperature, level) if temperature
+                           else _sinc_rule(lo, hi, level))
+        inv = 1.0 / np.add.outer(freqs**2, shifts)
+        if np.abs(inv @ weights / want - 1.0).max() <= _RULE_TOL:
+            return shifts, weights, inv
+    raise NumericalError(f"resolvent rule for T={temperature!r} on [{lo:.3e}, {hi:.3e}] "
+                         f"did not converge in {_RULE_LEVELS} refinements")
+
+
+def _sinc_rule(lo: float, hi: float, level: int):
+    """Trapezoid nodes nu_j = nu_lo e^(j step) from nu_lo = lo / 3 to
+    nu_hi, past 3 hi, of weight step nu_j / pi.  Past either end the nodes
+    are, scaled to nu = 1, atoms x = e^(-2 k step) of weight (step / pi)
+    e^(-k step), k >= 1, with x = (nu / nu_lo)^2 below and (nu_hi / nu)^2
+    above; each tail is folded into their Gauss rule, which is exact to
+    rounding for omega >= 3 nu_lo and omega <= nu_hi / 3."""
+    step = _SINC_STEP / 2**level
+    nu = lo / 3.0 * np.exp(step * np.arange(math.ceil(math.log(9.0 * hi / lo) / step) + 1))
+    k = np.arange(1, math.ceil(42.0 / step) + 1)
+    g, c = _gauss(np.exp(-2.0 * step * k), step / math.pi * np.exp(-step * k),
+                  _TAIL_NODES + 2 * level)
+    return (np.concatenate([nu[0] ** 2 * g, nu**2, nu[-1] ** 2 / g]),
+            np.concatenate([nu[0] * c, step / math.pi * nu, c * nu[-1] / g]))
+
+
+def _matsubara_rule(lo: float, hi: float, temperature: float, level: int):
+    """The Matsubara sum sum_(n >= 1) 2T / (omega^2 + nu_n^2), nu_n = 2 pi n T,
+    as a short rule for omega in [lo, hi].
+
+    The frequencies up to nu_hi = 3 hi become a Gauss rule in ln(nu) (an
+    integrand analytic in a strip of half-width pi/2 over a span L takes
+    about _GAUSS_DIGITS / (2 asinh(pi / L)) nodes), those above it up to n =
+    count one in (nu_hi / nu)^2 (``_gauss``), and the rest the integral from
+    nu* = 2 pi T (count + 1/2), by Gauss-Legendre in nu* / nu, with the
+    first Euler-Maclaurin term (pi T^2 / 6) d/dnu [1 / (omega^2 + nu^2)] at
+    nu* as a central difference; count makes the terms left out (about
+    4e-3 / T count^5) 1e-17 of quantum_part(hi)."""
+    t = temperature
+    nu_hi = 3.0 * hi
+    bound = 4e-3 / (1e-17 * t * float(quantum_part(np.array([hi]), t)[0]))
+    count = max(math.ceil(bound**0.2), math.ceil(nu_hi / (math.pi * t))) * 2**level
+    nu = 2.0 * math.pi * t * np.arange(1, count + 1)
+    low, nodes = nu <= nu_hi, _FAR_NODES + 2 * level
+    shifts, weights = [], []
+    if low.any():
+        span = max(math.log(nu_hi / nu[0]), _EPS)
+        u, c = _gauss(np.log(nu[low]), np.full(np.count_nonzero(low), 2.0 * t),
+                      math.ceil(2**level * _GAUSS_DIGITS / (2.0 * math.asinh(math.pi / span))))
+        shifts.append(np.exp(2.0 * u))
+        weights.append(c)
+    tau, c = _gauss((nu_hi / nu[~low]) ** 2, 2.0 * t / nu[~low] ** 2, nodes)
+    shifts.append(nu_hi**2 / tau)
+    weights.append(c * nu_hi**2 / tau)
+    star = 2.0 * math.pi * t * (count + 0.5)
+    sig, g = np.polynomial.legendre.leggauss(nodes)
+    sig = (sig + 1.0) / 2.0
+    shifts += [star**2 / sig**2, np.array([star - math.pi * t, star + math.pi * t]) ** 2]
+    weights += [g * star / (2.0 * math.pi * sig**2), np.array([-t / 12.0, t / 12.0])]
+    return np.concatenate(shifts), np.concatenate(weights)
+
+
+def _gauss(x: np.ndarray, w: np.ndarray, nodes: int):
+    """Gauss rule (points, weights) of the measure sum_i w_i delta(. - x_i),
+    w_i > 0, with ``nodes`` points (or the atoms themselves, if no more):
+    the eigenpairs of its Jacobi matrix, from Lanczos on diag(x) started at
+    sqrt(w) and fully reorthogonalized (Golub & Welsch, Math. Comp. 23, 221
+    (1969))."""
+    if len(x) <= nodes:
+        return x, w
+    total = w.sum()
+    q = np.sqrt(w / total)
+    basis = np.empty((nodes, len(x)))
+    jacobi = np.zeros((nodes, nodes))
+    for i in range(nodes):
+        basis[i] = q
+        v = x * q
+        jacobi[i, i] = q @ v
+        for _ in range(2):
+            v -= basis[:i + 1].T @ (basis[:i + 1] @ v)
+        if i + 1 < nodes:
+            jacobi[i, i + 1] = jacobi[i + 1, i] = beta = np.linalg.norm(v)
+            q = v / beta
+    points, vec = np.linalg.eigh(jacobi)
+    return points, total * vec[0] ** 2
+
+
+def _quantum_gap(om, a, w, shifts, weights, inv):
+    """Delta's quantum remainder on Q and on P, each as (U, lam) with U
+    orthonormal and U diag(lam) U^T the remainder to rounding, from the
+    columns ``a`` (the sampled x rows of A) and ``w`` (the p rows of W^T)
+    and a rule sum_j weights_j / (omega^2 + shifts_j), inv the (N+2) x J
+    table of 1 / (omega^2 + s_j).
+
+    Each term's gap (Omega^2 + s)^-1 - W_b (D + s)^-1 W_b^T on Q, with W_b
+    the bath columns of W and D = diag(w_k^2), is
+    X (X0^T X - diag(0, S_B / s))^-1 X^T, X = (Omega^2 + s)^-1 X0 and X0 =
+    [a, a - w S_B]: with G = K + s B^-1, A (Omega^2 + s)^-1 A^T = G^-1 and
+    W^T (Omega^2 + s)^-1 W = B^-1 G^-1 B^-1, so the gap is W (G^-1 - bath
+    block's inverse) W^T, and the bath block of G is D + s plus s C^T
+    S_B^-1 C, S_B = (w^T w)^-1 the momentum block's Schur complement
+    (Woodbury).  On P, Omega^2 (Omega^2 + s)^-1 - A_b^T D (D + s)^-1 A_b
+    is the same with M = B + s K^-1 for G: X = Omega^2 (Omega^2 + s)^-1 X0,
+    X0 = [w, w - Omega^-2 a S_K], S_K = (a^T Omega^-2 a)^-1.  No product
+    meets a bath column.  Every X lies in the span of w and of
+    (Omega^2 + s_j)^-1 a and w (``_resolvent_basis``), onto which the
+    weighted sum of the terms is projected and factored, keeping the
+    eigenvalues above _RANGE_CUT of the largest."""
+    k, om_sq = a.shape[1], om**2
+    s_b = np.linalg.inv(w.T @ w)
+    s_k = np.linalg.inv((a.T / om_sq) @ a)
+    basis = _resolvent_basis(np.hstack([a, w]), om_sq, inv, shifts)
+    n, width = len(om), basis.shape[1]
+    factors = []
+    for x0, scale, schur in ((np.hstack([a, a - w @ s_b]), inv, s_b),
+                             (np.hstack([w, w - (a / om_sq[:, None]) @ s_k]),
+                              om_sq[:, None] * inv, s_k)):
+        size = x0.shape[1]
+        gram = (scale.T @ (x0[:, :, None] * x0[:, None, :]).reshape(n, -1)).reshape(-1, size, size)
+        gram[:, k:, k:] -= schur / shifts[:, None, None]
+        mid = np.linalg.inv(gram) * weights[:, None, None]
+        # V^T X_j, as (shift, basis column, column of X0)
+        proj = np.stack([(col[:, None] * scale).T @ basis for col in x0.T], axis=2)
+        side = (proj @ mid).transpose(1, 0, 2).reshape(width, -1)
+        lam, vec = np.linalg.eigh(side @ proj.transpose(1, 0, 2).reshape(width, -1).T)
         keep = np.abs(lam) > _RANGE_CUT * np.abs(lam).max()
-        if width == n or width - np.count_nonzero(keep) >= _RANGE_OVERSAMPLE:
-            return basis @ vec[:, keep], lam[keep]
-        width = min(2 * width, n)
+        factors.append((basis @ vec[:, keep], lam[keep]))
+    return factors
+
+
+def _resolvent_basis(seed: np.ndarray, om_sq: np.ndarray, inv: np.ndarray,
+                     shifts: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning ``seed`` and (Omega^2 + s_j)^-1 seed at
+    every shift, the seed's own basis first, so that parallel columns (w
+    and a for position coupling) count once.  A shift above the seed's mean
+    omega^2 enters as Omega^2 (Omega^2 + s)^-1 seed, the same span less
+    the seed, so that P's columns, which are of that form and small beside
+    the seed there, are held to working precision too."""
+    seed = _orthonormal(seed)
+    pivot = float(np.sum(om_sq[:, None] * seed**2)) / seed.shape[1]
+    scale = np.where(shifts < pivot, inv, om_sq[:, None] * inv)
+    columns = (seed[:, :, None] * scale[:, None, :]).reshape(len(seed), -1)
+    return _orthonormal(np.hstack([seed, columns]))
+
+
+# columns per block of _orthonormal's block Gram-Schmidt
+_BLOCK = 16
+
+
+def _orthonormal(cols: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of ``cols``, each scaled to unit
+    norm, less directions below _BASIS_CUT: block classical Gram-Schmidt
+    run twice per block (BCGS2), each block's remainder factored by QR and
+    an SVD of R, its directions above the cut projected once more and
+    renormalized.  Most of the work is then matrix products: one QR of the
+    98 columns of the shipped symmetric channel took about three times as
+    long (N = 597, two cores, OpenBLAS)."""
+    cols = cols / np.linalg.norm(cols, axis=0)
+    basis = np.empty((len(cols), 0))
+    for lo in range(0, cols.shape[1], _BLOCK):
+        x = cols[:, lo:lo + _BLOCK]
+        for _ in range(2):
+            x = x - basis @ (basis.T @ x)
+        x = x[:, np.linalg.norm(x, axis=0) > _BASIS_CUT]
+        if x.shape[1]:
+            q, r = np.linalg.qr(x)
+            u, sig, _ = np.linalg.svd(r)
+            new = q @ u[:, sig > _BASIS_CUT]
+            basis = np.hstack([basis, np.linalg.qr(new - basis @ (basis.T @ new))[0]])
+    return basis
 
 
 def _free_minus(drift: DriftMatrix) -> tuple[float, float] | None:
@@ -533,16 +733,19 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
     mass-weighted vector.  In the mass-weighted (x+, x-, bath) coordinates
     only x+ touches the bath, and x- touches x+ alone, so L^T K L is an
     arrowhead with tip x+: its modes solve a secular equation
-    (``_arrowhead_eigh``).  The symmetric model at c12 = c12_tilde (decided
+    (``_arrowhead``).  The symmetric model at c12 = c12_tilde (decided
     from the blocks too, ``_beam_scales``) couples its plus oscillator to
     each bath mode through a beam splitter, so its frequencies are the
     eigenvalues of a first-order arrowhead solved the same way, with the
     free x- an uncoupled pole (``_beam_splitter_modes``).  Any other H (the
     symmetric model at c12 != c12_tilde, hand-built ones) forms L^T K L,
     A = L U and W = U^T L^-1 with row and column scalings plus n x 2 by
-    2 x n products, around one ``eigh``.  Whether the minus pair is free is decided here
-    too (``_free_minus``).  A drift is stable when made; the refusals here
-    (``UnstableHamiltonianError``) guard the boundary against rounding.
+    2 x n products, around one ``eigh``.  The two secular routes return
+    omega and the system rows of A and W, the whole matrices formed on
+    first read; the eigh route forms them.  Whether the minus pair is free
+    is decided here too (``_free_minus``).  A drift is stable when made;
+    the refusals here (``UnstableHamiltonianError``) guard the boundary
+    against rounding.
     """
     h_sys, cx, c = drift.system, drift.couplings[0::2], drift.couplings[1::2]
     freq = drift.bath.frequencies
@@ -554,14 +757,14 @@ def normal_modes(drift: DriftMatrix) -> NormalModes:
         ) from err
     l_sys = np.diagonal(low)
     if not np.any(c) and low[1, 0] == 0.0 and np.array_equal(l_sys[0] * cx[0], l_sys[1] * cx[1]):
-        w_sq, a, w = _position_modes(h_sys[0::2, 0::2], cx[0], freq**2, l_sys)
-    elif (scales := _beam_scales(drift)) is not None:
+        w_sq, *rows = _position_modes(h_sys[0::2, 0::2], cx[0], freq**2, l_sys)
+        return NormalModes(np.sqrt(w_sq), *rows, _free_minus(drift))
+    if (scales := _beam_scales(drift)) is not None:
         return NormalModes(*_beam_splitter_modes(cx[0], freq, *scales), scales[1])
-    else:  # the (N+2)^2 position block K of H
-        k = np.diag(np.concatenate([np.zeros(2), freq**2]))
-        k[:2, :2], k[:2, 2:], k[2:, :2] = h_sys[0::2, 0::2], cx, cx.T
-        w_sq, a, w = _factored_modes(k, low, c)
-    return NormalModes(np.sqrt(w_sq), a, w, _free_minus(drift))
+    k = np.diag(np.concatenate([np.zeros(2), freq**2]))  # the (N+2)^2 position block K of H
+    k[:2, :2], k[:2, 2:], k[2:, :2] = h_sys[0::2, 0::2], cx, cx.T
+    w_sq, a, w = _factored_modes(k, low, c)
+    return NormalModes.from_matrices(np.sqrt(w_sq), a, w, _free_minus(drift))
 
 
 def _beam_scales(drift: DriftMatrix):
@@ -587,26 +790,32 @@ def _beam_scales(drift: DriftMatrix):
 
 
 def _beam_splitter_modes(c, freq, plus, minus):
-    """(omega, A, W) of a beam-form H (``_beam_scales``), in O(N^2).
+    """(omega, A_s, W_s, form) of a beam-form H (``_beam_scales``), in
+    O(N^2): the system rows of A and columns of W, and ``form()``, which
+    gives the whole (A, W).
 
     In the quadratures X_i = sqrt(m_i omega_i) x_i, P_i = p_i / sqrt(m_i
     omega_i) of (x+, x-, bath), H = (X^T M X + P^T M P) / 2 with the
     first-order arrowhead M = [[omega+, g], [g, diag(omega-, omega_k)]],
     g = (0, sqrt(2) c_k / sqrt(m+ omega+ omega_k)): the free x- is a pole
-    without coupling, which ``_arrowhead_eigh`` deflates.  M = U diag(lam)
+    without coupling, which ``_arrowhead`` deflates.  M = U diag(lam)
     U^T gives the frequencies lam and A_ij = u_ij sqrt(lam_j / (m_i
     omega_i)), W^T_ij = u_ij sqrt(m_i omega_i / lam_j), whose x+ and x-
     rows ``_unmix`` takes to x1 and x2.
     """
     root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1], minus[0] * minus[1]], freq]))
     border = np.concatenate([[0.0], math.sqrt(2.0) * c / (root_mw[0] * root_mw[2:])])
-    lam, u = _arrowhead_eigh(plus[1], border, np.concatenate([[minus[1]], freq]))
+    lam, vectors = _arrowhead(plus[1], border, np.concatenate([[minus[1]], freq]))
     root_lam = np.sqrt(lam)
-    a = u * root_lam
-    a /= root_mw[:, None]
-    u /= root_lam
-    u *= root_mw[:, None]
-    return lam, _unmix(a), _unmix(u).T
+
+    def scaled(u):
+        a = u * root_lam
+        a /= root_mw[:len(u), None]
+        u /= root_lam
+        u *= root_mw[:len(u), None]
+        return _unmix(a), _unmix(u).T
+
+    return (lam, *scaled(vectors((0, 1))), lambda: scaled(vectors()))
 
 
 def _unmix(rows: np.ndarray) -> np.ndarray:
@@ -640,7 +849,8 @@ def _factored_modes(k, low, c):
 
 
 def _position_modes(k_ss, c, w_sq_bath, l_sys):
-    """(omega^2, A, W) of a position-coupled H, L = diag(l_sys, I) (unit-mass bath).
+    """(omega^2, A_s, W_s, form) of a position-coupled H, L = diag(l_sys, I)
+    (unit-mass bath), as ``_beam_splitter_modes`` returns them.
 
     With y = x / L, M = L K L has equal system-bath rows v, so in the
     (y+, y-, bath) coordinates, y± = (y1 ± y2)/sqrt(2), it is the arrowhead
@@ -655,11 +865,15 @@ def _position_modes(k_ss, c, w_sq_bath, l_sys):
     poles = np.empty_like(border)
     poles[0] = mean - m_ss[0, 1]
     poles[1:] = w_sq_bath
-    w_sq, u = _arrowhead_eigh(mean + m_ss[0, 1], border, poles)
-    _unmix(u)
-    a = np.concatenate([u[:2] * l_sys[:, None], u[2:]])
-    u[:2] /= l_sys[:, None]
-    return w_sq, a, u.T
+    w_sq, vectors = _arrowhead(mean + m_ss[0, 1], border, poles)
+
+    def scaled(u):
+        _unmix(u)
+        a = np.concatenate([u[:2] * l_sys[:, None], u[2:]])
+        u[:2] /= l_sys[:, None]
+        return a, u.T
+
+    return (w_sq, *scaled(vectors((0, 1))), lambda: scaled(vectors()))
 
 
 # secular tables are (block, K) for a block of roots or poles; K * block
@@ -669,9 +883,11 @@ _SECULAR_MAX_ITER = 50
 _EPS = np.finfo(float).eps
 
 
-def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of the symmetric
-    arrowhead [[alpha, border^T], [border, diag(poles)]], in O(n^2).
+def _arrowhead(alpha: float, border: np.ndarray, poles: np.ndarray):
+    """Eigenvalues (ascending) of the symmetric arrowhead [[alpha,
+    border^T], [border, diag(poles)]] in O(n^2), and ``vectors(rows)``,
+    which forms the given rows (the tip is row 0) of its orthonormal
+    eigenvectors in O(n) each, or all of them.
 
     A border entry below tol = 8 eps ||M|| is dropped, and two poles less
     than tol apart share one coupling after a Givens rotation (as LAPACK
@@ -682,7 +898,8 @@ def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
     eigenvalues; ``_secular_roots`` solves it.  Each eigenvector is
     (-1, bh_j / (p_j - lam)) normalized, with bh from the computed roots
     (Loewner; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)),
-    so the vectors are orthogonal to working precision.
+    so the vectors are orthogonal to working precision.  bh and the norms
+    come from one pass over the gaps, which keeps no vector.
     """
     n = len(poles)
     if poles.min() <= 0.0:
@@ -719,32 +936,42 @@ def _arrowhead_eigh(alpha: float, border: np.ndarray, poles: np.ndarray):
     order = np.argsort(lam, kind="stable")
     col = np.empty(n + 1, dtype=np.intp)
     col[order] = np.arange(n + 1)
-    sec, rows = col[:len(p) + 1], live + 1
-    u = np.zeros((n + 1, n + 1))
-    u[deflated + 1, col[len(p) + 1:]] = 1.0
-    u[0, sec] = -1.0
+    sec = col[:len(p) + 1]
+    bh = np.empty(len(p))
     sq = np.ones(n + 1)  # squared norms of the secular columns
-    sec_runs = _runs(sec)
     step = max(1, _SECULAR_TABLE // len(pole))
     for lo in range(0, len(p), step):
         blk = slice(lo, lo + step)
         gap = (p[blk, None] - pole[origin]) - tau  # p_j - lam_i
-        bh = np.sqrt(_loewner_sq(gap, p[blk], p, lo)) * np.sign(border[live[blk]])
-        vec = np.divide(bh[:, None], gap, out=gap)
+        bh[blk] = np.sqrt(_loewner_sq(gap, p[blk], p, lo)) * np.sign(border[live[blk]])
+        vec = np.divide(bh[blk, None], gap, out=gap)
         sq[sec] += np.einsum("ji,ji->i", vec, vec)
-        for r_src, r_dst in _runs(rows[blk]):
-            for c_src, c_dst in sec_runs:
-                u[r_dst, c_dst] = vec[r_src, c_src]
-    u /= np.sqrt(sq)
-    for i, j, c, s in reversed(rotations):
-        u[i + 1], u[j + 1] = c * u[i + 1] + s * u[j + 1], c * u[j + 1] - s * u[i + 1]
-    return lam[order], u
 
+    def vectors(rows=None):
+        # the wanted rows, and every row a rotation mixes into one of them
+        want = set(range(n + 1) if rows is None else rows)
+        pairs = [{i + 1, j + 1} for i, j, _, _ in rotations]
+        for _ in pairs:
+            want = want.union(*[pair for pair in pairs if pair & want])
+        slot = np.full(n + 1, -1)
+        slot[sorted(want)] = np.arange(len(want))
+        u = np.zeros((len(want), n + 1))
+        if slot[0] >= 0:
+            u[slot[0], sec] = -1.0
+        held = slot[deflated + 1] >= 0
+        u[slot[deflated[held] + 1], col[len(p) + 1:][held]] = 1.0
+        formed = np.flatnonzero(slot[live + 1] >= 0)
+        for lo in range(0, len(formed), step):
+            j = formed[lo:lo + step]
+            u[np.ix_(slot[live[j] + 1], sec)] = bh[j, None] / ((p[j, None] - pole[origin]) - tau)
+        u /= np.sqrt(sq)
+        for i, j, c, s in reversed(rotations):
+            if slot[i + 1] >= 0:
+                ui, uj = u[slot[i + 1]], u[slot[j + 1]]
+                u[slot[i + 1]], u[slot[j + 1]] = c * ui + s * uj, c * uj - s * ui
+        return u if rows is None else u[slot[list(rows)]]
 
-def _runs(idx: np.ndarray) -> list[tuple[slice, slice]]:
-    """(positions in ``idx``, values) as slice pairs, one per run of consecutive values."""
-    cut = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
-    return [(slice(a, b), slice(int(idx[a]), int(idx[a]) + b - a)) for a, b in zip(cut, cut[1:])]
+    return lam[order], vectors
 
 
 def _loewner_sq(gap, pj, p, lo):

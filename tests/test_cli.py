@@ -516,6 +516,25 @@ def test_output_path_faults_are_named_not_tracebacks(command, case, cfg_file, tm
         assert err.startswith("config error: --out:") and str(out) in err
 
 
+@pytest.mark.parametrize("bad", ["--out", "--summary"])
+def test_unwritable_output_is_refused_before_anything_is_written(bad, cfg_file, tmp_path,
+                                                                 capsys, monkeypatch):
+    # exit 2 writes nothing and computes nothing: phase-diagram checks both
+    # output paths before the sweep, so a missing --summary directory no
+    # longer leaves the CSV behind
+    from entbath.scenario import Scenario
+
+    monkeypatch.setattr(Scenario, "phase_diagram", lambda self: pytest.fail("the sweep ran"))
+    paths = {"--out": tmp_path / "pd.csv", "--summary": tmp_path / "s.json"}
+    paths[bad] = tmp_path / "missing" / paths[bad].name
+    code = main(["phase-diagram", cfg_file, "--out", str(paths["--out"]),
+                 "--summary", str(paths["--summary"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {bad}: cannot write {paths[bad]} (")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
 @pytest.mark.parametrize(
     "key", ["bath.n_modes", "evolution.sample_stride", "sweep.parallelism"]
 )

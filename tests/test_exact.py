@@ -451,8 +451,8 @@ def test_channel_built_once_per_drift_and_plan(build, monkeypatch):
     assert np.array_equal(tr.e_n, ex.negativity_trace(states[0], build(OSC, bath), other).e_n)
     assert np.array_equal(ex.negativity_trace(states[1], drift, cfg).e_n, first[1])
     assert builds == [16] * 5 + [13, 13, 16]
-    # the range finder's seed is fixed: fresh drifts of a large bath give
-    # the same channel
+    # the channel is deterministic: fresh drifts of a large bath give the
+    # same channel
     big = discretize(OHMIC, 597, 0.5)
     one, two = (build(OSC, big).reduced_channel(cfg.sample_times()) for _ in range(2))
     assert builds == [16] * 5 + [13, 13, 16, 16, 16]
@@ -567,7 +567,7 @@ def _dense_normal_modes(drift):
     h = drift.hamiltonian
     low = np.linalg.cholesky(h[1::2, 1::2])
     w_sq, u = np.linalg.eigh(low.T @ h[0::2, 0::2] @ low)
-    return ex.NormalModes(np.sqrt(w_sq), low @ u, np.linalg.solve(low.T, u).T)
+    return ex.NormalModes.from_matrices(np.sqrt(w_sq), low @ u, np.linalg.solve(low.T, u).T)
 
 
 @pytest.mark.parametrize("n_modes", [8, 48, 597])
@@ -617,7 +617,7 @@ def _factored_oracle(drift):
     c = b[:2, 2:]
     low = np.linalg.cholesky(b[:2, :2] - c @ c.T)
     w_sq, a, w = ex._factored_modes(k, low, c)
-    return ex.NormalModes(np.sqrt(w_sq), a, w, ex._free_minus(drift))
+    return ex.NormalModes.from_matrices(np.sqrt(w_sq), a, w, ex._free_minus(drift))
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
@@ -648,7 +648,8 @@ def _inserted_minus_modes(drift):
     plus, (m_minus, omega_minus) = ex._beam_scales(drift)
     c, freq = drift.couplings[0], drift.bath.frequencies
     root_mw = np.sqrt(np.concatenate([[plus[0] * plus[1]], freq]))
-    lam, u = ex._arrowhead_eigh(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]), freq)
+    lam, vectors = ex._arrowhead(plus[1], math.sqrt(2.0) * c / (root_mw[0] * root_mw[1:]), freq)
+    u = vectors()
     at = int(np.searchsorted(lam, omega_minus))
 
     def spread(rows, minus):
@@ -658,7 +659,8 @@ def _inserted_minus_modes(drift):
 
     a = spread(u * np.sqrt(lam) / root_mw[:, None], math.sqrt(0.5 / m_minus))
     wt = spread(u / np.sqrt(lam) * root_mw[:, None], math.sqrt(0.5 * m_minus))
-    return ex.NormalModes(np.insert(lam, at, omega_minus), a, wt.T, (m_minus, omega_minus))
+    return ex.NormalModes.from_matrices(np.insert(lam, at, omega_minus), a, wt.T,
+                                        (m_minus, omega_minus))
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
@@ -810,8 +812,8 @@ def _eigh_position_modes(drift):
     h = drift.hamiltonian
     lw = np.sqrt(np.diagonal(h)[1::2])
     w_sq, u = np.linalg.eigh(lw[:, None] * h[0::2, 0::2] * lw)
-    return ex.NormalModes(np.sqrt(w_sq), lw[:, None] * u, (u / lw[:, None]).T,
-                          ex._free_minus(drift))
+    return ex.NormalModes.from_matrices(np.sqrt(w_sq), lw[:, None] * u, (u / lw[:, None]).T,
+                                        ex._free_minus(drift))
 
 
 def _secular_sizes(monkeypatch):
@@ -909,7 +911,8 @@ def test_arrowhead_eigh_is_an_orthonormal_eigenbasis(case):
     elif case == "uncoupled":
         border[:] = 0.0
     alpha = float(np.sum(border**2 / poles)) + 0.5
-    lam, u = ex._arrowhead_eigh(alpha, border, poles)
+    lam, vectors = ex._arrowhead(alpha, border, poles)
+    u = vectors()
     m = np.diag(np.concatenate([[alpha], poles]))
     m[0, 1:] = m[1:, 0] = border
     norm = np.abs(m).max()
@@ -917,6 +920,9 @@ def test_arrowhead_eigh_is_an_orthonormal_eigenbasis(case):
     assert np.abs(lam - np.linalg.eigvalsh(m)).max() <= 1e-14 * norm
     assert np.abs(m @ u - u * lam).max() <= 1e-14 * norm
     assert np.abs(u.T @ u - np.eye(61)).max() <= 1e-14
+    # rows formed alone (the tip, a rotated pole, a deflated one) are those rows
+    rows = (4, 0, 6, 18, 3)
+    assert np.array_equal(vectors(rows), u[list(rows)])
 
 
 def test_secular_route_is_decided_from_the_hamiltonian(monkeypatch):
@@ -1050,72 +1056,65 @@ def test_free_minus_pair_is_decided_from_the_hamiltonian():
             assert np.abs(block[i] - 0.5 * (ref + ref.T)).max() <= 1e-10
 
 
-class _Recorded(np.ndarray):
-    """W or A of a NormalModes that logs every matmul it is an operand of."""
-
-    def __array_finalize__(self, obj):
-        self.tag, self.log = getattr(obj, "tag", None), getattr(obj, "log", None)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [np.asarray(x) for x in inputs]
-        if ufunc is np.matmul:
-            for x in inputs:
-                if isinstance(x, _Recorded):
-                    x.log.append((x.tag, plain[0].shape, plain[1].shape))
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
 @pytest.mark.parametrize("osc, rows", [
     (OSC, 2),
     (OscillatorParams(1.0, 1.0, 1.0, 0.2), 2),
     (OscillatorParams(1.0, 1.05, 0.95), 4),
 ], ids=["resonant", "resonant-c12", "detuned"])
-def test_channel_multiplies_the_sampled_rows_only(osc, rows):
-    # nothing meets the (N+2)^2 W or A^T: the system rows of A and W weigh
-    # the sampled rows, 2 for a free minus pair and 4 otherwise, and the
-    # bath columns of W and A enter only the factor of Delta, whose products
-    # are the same at one chunk of samples and at several
-    from dataclasses import replace
+def test_channel_multiplies_the_sampled_rows_only(osc, rows, monkeypatch):
+    # a trace reads omega and the system rows of A and W: the whole A and W
+    # are never formed, so no product meets their bath columns, and
+    # tracemalloc's peak over a fresh drift's trace (normal modes, channel,
+    # readout) stays below one (N+2) x N array of doubles.  Delta's factor
+    # is found once per channel from the sampled rows' weights, 2 for a
+    # free minus pair and 4 otherwise, the same at one chunk of samples and
+    # at several
+    import tracemalloc
 
-    n_modes = 40
-    bath = discretize(OHMIC, n_modes, 1.0)
+    seeds = []
+    original = ex._quantum_gap
+    monkeypatch.setattr(ex, "_quantum_gap", lambda om, a, w, *rule: seeds.append((a, w))
+                        or original(om, a, w, *rule))
+    n_modes = 1194
+    drift = ex.build_position_model(osc, discretize(OHMIC, n_modes, 0.3))
+    tracemalloc.start()
+    try:
+        ex.negativity_trace(separable_squeezed(1.0), drift, ex.EvolutionConfig(150.0, 0.02, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_matrices" not in drift.normal_modes.__dict__
+    assert peak < 8 * (n_modes + 2) * n_modes
+    bath = discretize(OHMIC, 40, 1.0)
     modes = ex.normal_modes(ex.build_position_model(osc, bath))
-    logs, sizes = [], []
-    for t_max in (5.0, 20.0):
-        log = []
-        views = {}
-        for tag in ("a", "w"):
-            views[tag] = getattr(modes, tag).view(_Recorded)
-            views[tag].tag, views[tag].log = tag, log
-        times = ex.EvolutionConfig(t_max, 0.05, 1).sample_times()
-        channel = replace(modes, **views).reduced_channel(bath, times)
-        plain = modes.reduced_channel(bath, times)
-        assert np.array_equal(channel.z, plain.z) and np.array_equal(channel.noise, plain.noise)
-        logs.append(log)
-        sizes.append(len(times))
+    sizes = [len(modes.reduced_channel(bath, ex.EvolutionConfig(t_max, 0.05, 1).sample_times())
+                 .times) for t_max in (5.0, 20.0)]
     assert sizes[0] <= ex.SAMPLE_CHUNK < 3 * ex.SAMPLE_CHUNK < sizes[1]
-    assert logs[0] == logs[1]
-    square, system = (n_modes + 2, n_modes + 2), (2, n_modes + 2)
-    assert not [entry for entry in log if square in entry[1:]]
-    assert sum(left[0] for _, left, right in log if right == system) == rows
-    assert {tag for tag, _, right in log if right == system} == {"a", "w"}
+    assert [a.shape for a, _ in seeds] == [w.shape for _, w in seeds] == \
+        [(n_modes + 2, rows // 2)] + [(42, rows // 2)] * 2
+    assert all(np.array_equal(x, y) for x, y in zip(seeds[1], seeds[2]))
+    # the matrices formed on a later read are the ones the rows came from
+    assert np.array_equal(modes.a[:2], modes.a_s) and np.array_equal(modes.w[:, :2], modes.w_s)
 
 
-# the channel grid: both builders, criterion 9's detuned pair, small and
-# shipped bath sizes, and temperatures from the ground state to T >> omega
+# the channel grid: both builders, criterion 9's detuned pair, sub- and
+# super-ohmic baths, small and shipped bath sizes, and temperatures from the
+# ground state to T >> omega
 CHANNEL_CASES = {
-    "position": (POSITION, OSC),
-    "symmetric": (SYMMETRIC, OSC),
-    "detuned": (POSITION, OscillatorParams(1.0, 1.05, 0.95)),
+    "position": (POSITION, OSC, OHMIC),
+    "symmetric": (SYMMETRIC, OSC, OHMIC),
+    "detuned": (POSITION, OscillatorParams(1.0, 1.05, 0.95), OHMIC),
+    "sub-ohmic": (POSITION, OSC, SpectralDensity(0.5, 0.1, 20.0)),
+    "super-ohmic": (SYMMETRIC, OSC, SpectralDensity(3.0, 0.1, 20.0)),
 }
-channel_grid = pytest.mark.parametrize("temperature", [0.0, 0.01, 1.0, 10.0])
+channel_grid = pytest.mark.parametrize("temperature", [0.0, 0.01, 0.3, 1.0, 10.0])
 channel_cases = pytest.mark.parametrize("case", list(CHANNEL_CASES))
 channel_sizes = pytest.mark.parametrize("n_modes", [48, 597])
 
 
 def _channel_plan(n_modes, case, temperature):
-    build, osc = CHANNEL_CASES[case]
-    bath = discretize(OHMIC, n_modes, temperature)
+    build, osc, sd = CHANNEL_CASES[case]
+    bath = discretize(sd, n_modes, temperature)
     cfg = ex.EvolutionConfig(min(150.0, 0.7 * bath.recurrence_time), 0.02, 10)
     return build(osc, bath), cfg.sample_times()
 
@@ -1149,8 +1148,8 @@ def test_long_window_channel_matches_the_full_mode_reference(temperature):
     # 6.9e-15 measured (the reference's phases are long double)
     from entbath.bath import modes_for_window
 
-    build, osc = CHANNEL_CASES["detuned"]
-    drift = build(osc, discretize(OHMIC, modes_for_window(OHMIC.cutoff, 300.0), temperature))
+    build, osc, sd = CHANNEL_CASES["detuned"]
+    drift = build(osc, discretize(sd, modes_for_window(sd.cutoff, 300.0), temperature))
     times = ex.EvolutionConfig(300.0, 0.02, 10).sample_times()
     modes = drift.normal_modes
     a, w, om = np.abs(modes.a[:2]), np.abs(modes.w[:, :2]), modes.omega
@@ -1177,29 +1176,64 @@ def test_channel_is_completely_positive(n_modes, case, temperature):
     assert np.linalg.eigvalsh(form).min() >= -1e-13
 
 
-def test_range_finder_doubles_its_width_from_any_start(monkeypatch):
-    calls = []
-    original = ex._low_rank
-
-    def recorded(apply, n):
-        calls.append([])
-        return original(lambda x: calls[-1].append(x.shape[1]) or apply(x), n)
-
-    monkeypatch.setattr(ex, "_low_rank", recorded)
-    # n = 26 < _RANGE_START: every column from the first pass
-    _assert_channel_matches_reference(*_channel_plan(24, "detuned", 1.0))
-    assert calls == [[26, 26]] * 2
-    # from a width of 1 the width doubles until the cut drops the
-    # oversampling, and the channel still meets the grid bounds
-    monkeypatch.setattr(ex, "_RANGE_START", 1)
-    for case, temperature in (("position", 0.0), ("symmetric", 0.01), ("detuned", 10.0)):
-        calls.clear()
+def test_resolvent_rule_refines_a_coarse_start(monkeypatch):
+    # a deliberately coarse start (a sinc step of 1, two Gauss nodes per
+    # tail, a quarter of the Gauss nodes on the Matsubara frequencies) misses
+    # the rule's tolerance at the mode and bath frequencies; the rule refines
+    # itself until it meets it, and the channel meets the grid bounds
+    levels = []
+    for name in ("_sinc_rule", "_matsubara_rule"):
+        original = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *args, rule=original: levels.append(args[-1])
+                            or rule(*args))
+    monkeypatch.setattr(ex, "_SINC_STEP", 1.0)
+    monkeypatch.setattr(ex, "_TAIL_NODES", 2)
+    monkeypatch.setattr(ex, "_FAR_NODES", 2)
+    monkeypatch.setattr(ex, "_GAUSS_DIGITS", ex._GAUSS_DIGITS / 4.0)
+    for case, temperature in (("position", 0.0), ("symmetric", 0.01), ("detuned", 0.3),
+                              ("sub-ohmic", 10.0)):
+        levels.clear()
         _assert_channel_matches_reference(*_channel_plan(597, case, temperature))
-        assert len(calls) == 2
-        for widths in calls:
-            passes = len(widths) // 2
-            assert passes > 2
-            assert widths == [2**i for i in range(passes) for _ in range(2)]
+        assert levels == list(range(len(levels))) and len(levels) >= 2
+
+
+@pytest.mark.parametrize("build, osc", [
+    (POSITION, OSC),
+    (POSITION, OscillatorParams(1.0, 1.05, 0.95, 0.1)),
+    (SYMMETRIC, OSC),
+], ids=["position", "detuned", "beam-splitter"])
+def test_mode_matrices_formed_on_demand_match_the_eager_ones(build, osc):
+    # the secular routes keep omega and the system rows; A and W formed on
+    # first read are, bit for bit, the eager construction: the whole
+    # arrowhead eigenbasis, scaled and unmixed to x1 and x2 as before
+    drift = build(osc, discretize(OHMIC, 147, 1.0))
+    modes = ex.normal_modes(drift)
+    assert "_matrices" not in modes.__dict__
+    h_sys, c, freq = drift.system, drift.couplings[0], drift.bath.frequencies
+    if build is POSITION:
+        l_sys = np.sqrt(np.diagonal(h_sys)[1::2])
+        m_ss = l_sys[:, None] * h_sys[0::2, 0::2] * l_sys
+        mean, half = (m_ss[0, 0] + m_ss[1, 1]) / 2.0, (m_ss[0, 0] - m_ss[1, 1]) / 2.0
+        lam, vectors = ex._arrowhead(mean + m_ss[0, 1], np.r_[half, math.sqrt(2.0) * l_sys[0] * c],
+                                     np.r_[mean - m_ss[0, 1], freq**2])
+        u = ex._unmix(vectors())
+        a = np.concatenate([u[:2] * l_sys[:, None], u[2:]])
+        u[:2] /= l_sys[:, None]
+        lam, w = np.sqrt(lam), u.T
+    else:
+        plus, minus = ex._beam_scales(drift)
+        root_mw = np.sqrt(np.r_[plus[0] * plus[1], minus[0] * minus[1], freq])
+        border = np.r_[0.0, math.sqrt(2.0) * c / (root_mw[0] * root_mw[2:])]
+        lam, vectors = ex._arrowhead(plus[1], border, np.r_[minus[1], freq])
+        u = vectors()
+        a = u * np.sqrt(lam)
+        a /= root_mw[:, None]
+        u /= np.sqrt(lam)
+        u *= root_mw[:, None]
+        a, w = ex._unmix(a), ex._unmix(u).T
+    assert np.array_equal(modes.omega, lam)
+    assert np.array_equal(modes.a, a) and np.array_equal(modes.w, w)
+    assert np.array_equal(modes.a_s, a[:2]) and np.array_equal(modes.w_s, w[:, :2])
 
 
 def _loop_built(drift, osc, symmetric):

@@ -104,33 +104,40 @@ def test_each_refusal_is_raised_by_its_owner_only():
     assert sites == {(owner, name) for name, owner in RAISE_OWNERS.items()}, sites
 
 
-def test_every_random_draw_in_src_is_seeded():
-    # an artifact must not vary from run to run: every generator is
-    # np.random.default_rng of an int literal, or of a module constant bound
-    # to one, and no legacy global np.random draw or stdlib random appears
+def _random_use(tree: ast.AST) -> tuple[list[int], list[str]]:
+    """(lines of np.random.default_rng calls, random uses that are not a
+    default_rng of an int literal or of a module constant bound to one)."""
+    fixed = {
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+        for target in node.targets if isinstance(target, ast.Name)
+    }
     draws, unseeded = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names += [alias.name for alias in node.names]
+            unseeded += [f"import {name}" for name in names
+                         if name == "random" or name.startswith("numpy.random")]
+        elif (isinstance(node, ast.Attribute) and node.attr != "default_rng"
+              and getattr(node.value, "attr", None) == "random"):
+            unseeded.append(f"{node.lineno} random.{node.attr}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng":
+            draws.append(node.lineno)
+            seed = node.args[0] if len(node.args) == 1 and not node.keywords else None
+            if not ((isinstance(seed, ast.Constant) and type(seed.value) is int)
+                    or (isinstance(seed, ast.Name) and seed.id in fixed)):
+                unseeded.append(f"{node.lineno} default_rng")
+    return draws, unseeded
+
+
+def test_every_random_draw_in_src_is_seeded():
+    # an artifact must not vary from run to run: src draws no random numbers
+    # at all, and the walker finds seeded and unseeded draws in a sample
+    sample = ast.parse("import random\nimport numpy as np\nSEED = 3\n"
+                       "a = np.random.default_rng(SEED)\nb = np.random.default_rng()\n"
+                       "c = np.random.rand(2)\n")
+    assert _random_use(sample) == ([4, 5], ["import random", "5 default_rng", "6 random.rand"])
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        fixed = {
-            target.id
-            for node in tree.body if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
-            for target in node.targets if isinstance(target, ast.Name)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-                names += [alias.name for alias in node.names]
-                unseeded += [f"{path.name}: import {name}" for name in names
-                             if name == "random" or name.startswith("numpy.random")]
-            elif (isinstance(node, ast.Attribute) and node.attr != "default_rng"
-                  and getattr(node.value, "attr", None) == "random"):
-                unseeded.append(f"{path.name}:{node.lineno} random.{node.attr}")
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng":
-                draws.append(f"{path.name}:{node.lineno}")
-                seed = node.args[0] if len(node.args) == 1 and not node.keywords else None
-                if not ((isinstance(seed, ast.Constant) and type(seed.value) is int)
-                        or (isinstance(seed, ast.Name) and seed.id in fixed)):
-                    unseeded.append(f"{path.name}:{node.lineno} default_rng")
-    assert draws, "no generator found: the guard checks nothing"
-    assert not unseeded, unseeded
+        assert _random_use(ast.parse(path.read_text(encoding="utf-8"))) == ([], []), path.name
