@@ -5,8 +5,10 @@ Each one asks ``entbath.scenario.Scenario`` for its columns or payload and
 writes them.  All outputs are CSV/JSON; every artifact embeds the config
 echo and its sha256 hash.  Exit codes: 0 success, 2 config error (an
 output path that cannot be opened for writing included, found before
-anything is computed or written), 3 physics refusal (recurrence window /
-unstable Hamiltonian / step size), 4 numerical failure.
+anything is computed or written), 3 physics refusal (recurrence window;
+an unstable Hamiltonian and an RK4 step above its limit are library
+refusals that no CLI input reaches, mapped here to 3 as well), 4 numerical
+failure.
 """
 
 from __future__ import annotations

@@ -504,14 +504,17 @@ def _thermal_gap(lead, cols, gram, temperature, u, lam):
 # the resolvent rule sum_j weight_j / (omega^2 + shift_j) for quantum_part:
 # its relative error at every mode and bath frequency, and the refinements
 # it may take to get there; the sinc step in ln(nu) at T = 0, whose error is
-# about 4 exp(-pi^2 / step), and the Gauss nodes of each of its tails;
-# ln(1/error) of the Gauss rule in ln(nu) over the Matsubara frequencies
+# about 4 exp(-pi^2 / step), and the Gauss nodes of each of its tails; the
+# lowest Matsubara frequencies kept as exact shifts (compressed, they leave
+# an error floor near 1.1e-14 at omega_min for T around 3e-3, which no
+# refinement lowers), ln(1/error) of the Gauss rule in ln(nu) over the rest
 # below 3 omega_max, and the Gauss nodes of those above and of the integral
 # past them
 _RULE_TOL = 1e-14
 _RULE_LEVELS = 4
 _SINC_STEP = math.pi**2 / 36.0
 _TAIL_NODES = 4
+_EXACT_MATSUBARA = 4
 _GAUSS_DIGITS = 37.0
 _FAR_NODES = 6
 # a Bose factor below exp(-_COLD) is dropped
@@ -564,7 +567,8 @@ def _matsubara_rule(lo: float, hi: float, temperature: float, level: int):
     """The Matsubara sum sum_(n >= 1) 2T / (omega^2 + nu_n^2), nu_n = 2 pi n T,
     as a short rule for omega in [lo, hi].
 
-    The frequencies up to nu_hi = 3 hi become a Gauss rule in ln(nu) (an
+    The first _EXACT_MATSUBARA frequencies up to nu_hi = 3 hi are shifts of
+    their own; the others up to nu_hi become a Gauss rule in ln(nu) (an
     integrand analytic in a strip of half-width pi/2 over a span L takes
     about _GAUSS_DIGITS / (2 asinh(pi / L)) nodes), those above it up to n =
     count one in (nu_hi / nu)^2 (``_gauss``), and the rest the integral from
@@ -577,15 +581,16 @@ def _matsubara_rule(lo: float, hi: float, temperature: float, level: int):
     bound = 4e-3 / (1e-17 * t * float(quantum_part(np.array([hi]), t)[0]))
     count = max(math.ceil(bound**0.2), math.ceil(nu_hi / (math.pi * t))) * 2**level
     nu = 2.0 * math.pi * t * np.arange(1, count + 1)
-    low, nodes = nu <= nu_hi, _FAR_NODES + 2 * level
-    shifts, weights = [], []
-    if low.any():
-        span = max(math.log(nu_hi / nu[0]), _EPS)
-        u, c = _gauss(np.log(nu[low]), np.full(np.count_nonzero(low), 2.0 * t),
+    low, nodes = np.count_nonzero(nu <= nu_hi), _FAR_NODES + 2 * level
+    exact = min(low, _EXACT_MATSUBARA)
+    shifts, weights = [nu[:exact] ** 2], [np.full(exact, 2.0 * t)]
+    if low > exact:
+        span = max(math.log(nu_hi / nu[exact]), _EPS)
+        u, c = _gauss(np.log(nu[exact:low]), np.full(low - exact, 2.0 * t),
                       math.ceil(2**level * _GAUSS_DIGITS / (2.0 * math.asinh(math.pi / span))))
         shifts.append(np.exp(2.0 * u))
         weights.append(c)
-    tau, c = _gauss((nu_hi / nu[~low]) ** 2, 2.0 * t / nu[~low] ** 2, nodes)
+    tau, c = _gauss((nu_hi / nu[low:]) ** 2, 2.0 * t / nu[low:] ** 2, nodes)
     shifts.append(nu_hi**2 / tau)
     weights.append(c * nu_hi**2 / tau)
     star = 2.0 * math.pi * t * (count + 0.5)

@@ -48,6 +48,9 @@ from .gaussian import (
 DISPERSIONS = ["dx_plus_sq", "dp_plus_sq", "dx_minus_sq", "dp_minus_sq"]
 PHASE_COLUMNS = ["r", "T", "phase", "e_mean", "e_amp", "r_crit", "s_crit", "e_c"]
 VALIDATE_MODES = 48  # bath size of validate's downsized copy
+# largest NORMAL (+,-) cross block, relative to the state's largest entry,
+# that the moment route may drop; the shipped state kinds leave at most 4e-17
+CROSS_BLOCK_RTOL = 1e-12
 # bytes that the two (N+2)^2 float64 mode matrices A and W of a config's
 # bath may take (N = 8190 at most); a larger bath is refused before it is made
 MODE_MATRIX_BUDGET = 1 << 30
@@ -282,18 +285,32 @@ class Scenario:
 
     # -- routes -----------------------------------------------------------
 
-    def _moment_columns(self, v_sys: CovarianceMatrix, times: np.ndarray, coeffs) -> dict:
-        """Moment-route E_N and dispersion columns at the uniform ``times``
-        under ``coeffs``: the plus rows are sampled at the grid's spacing,
-        and the minus rows are rotated exactly to ``times``."""
-        m_plus, m_minus, omega_minus = self.route_scales()
+    def _moment_state(self, v_sys: CovarianceMatrix) -> np.ndarray:
+        """The NORMAL matrix of ``v_sys``, refused for the moment route when
+        its (+,-) cross block is not negligible: the route evolves the plus
+        and minus blocks apart and would drop it."""
         nm = basis_change(v_sys, Ordering.NORMAL).matrix
-        state = mo.MomentState(nm[0, 0], nm[1, 1], 2 * nm[0, 1], nm[2, 2], nm[3, 3], 2 * nm[2, 3])
+        cross, scale = float(np.abs(nm[:2, 2:]).max()), float(np.abs(nm).max())
+        if cross > CROSS_BLOCK_RTOL * scale:
+            raise ConfigError(
+                f"initial_state.covariance: the moment route needs a state without a (+,-) "
+                f"cross block, but its NORMAL (+,-) block reaches {cross:.4g}, "
+                f"{cross / scale:.3g} of the largest entry (above {CROSS_BLOCK_RTOL:g})"
+            )
+        return nm
+
+    def _moment_columns(self, nm: np.ndarray, times: np.ndarray, coeffs) -> dict:
+        """Moment-route E_N and dispersion columns at the uniform ``times``
+        under ``coeffs`` from the NORMAL matrix ``nm`` of ``_moment_state``:
+        the plus blocks are sampled at the grid's spacing, and the minus
+        blocks are rotated exactly to ``times``."""
+        m_plus, m_minus, omega_minus = self.route_scales()
         spacing = float(times[1] - times[0]) if len(times) > 1 else 0.0
-        plus = mo.integrate(state, coeffs, m_plus, self.plus_frequency(), spacing, len(times),
-                            model=self.model).plus
-        minus = state.minus_rows(m_minus, omega_minus, times)
-        cols = [mo.negativities(plus, minus), *plus.T[:2], *minus.T[:2]]
+        plus = mo.integrate(nm[:2, :2], coeffs, m_plus, self.plus_frequency(), spacing,
+                            len(times), model=self.model).plus
+        minus = mo.minus_blocks(nm[2:, 2:], m_minus, omega_minus, times)
+        cols = [mo.negativities(plus, minus), plus[:, 0, 0], plus[:, 1, 1],
+                minus[:, 0, 0], minus[:, 1, 1]]
         return dict(zip(["E_N_moments", *DISPERSIONS], cols))
 
     def _asymptotic_column(self, v_sys, drift, times) -> np.ndarray:
@@ -315,6 +332,7 @@ class Scenario:
         drift = self.drift(self.bath())
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)
+        nm = self._moment_state(v_sys) if with_moments else None
         ev = self.cfg.evolution
         tr = ex.negativity_trace(
             v_sys, drift, ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride)
@@ -322,7 +340,7 @@ class Scenario:
         names, cols = ["t", "E_N_exact"], [tr.times, tr.e_n]
         if with_moments:
             names.append("E_N_moments")
-            cols.append(self._moment_columns(v_sys, tr.times, coeffs)["E_N_moments"])
+            cols.append(self._moment_columns(nm, tr.times, coeffs)["E_N_moments"])
         if asymptotic:
             names.append("E_N_asymptotic")
             cols.append(self._asymptotic_column(v_sys, drift, tr.times))
@@ -336,7 +354,7 @@ class Scenario:
         v_sys = self.initial_state(m_minus, omega_minus)
         ev = self.cfg.evolution
         times = ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride).sample_times()
-        cols = self._moment_columns(v_sys, times, coeffs)
+        cols = self._moment_columns(self._moment_state(v_sys), times, coeffs)
         return ["t", *cols], [times, *cols.values()]
 
     def phase_diagram(self) -> tuple[list[dict], dict]:

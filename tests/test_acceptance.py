@@ -29,7 +29,7 @@ from entbath.gaussian import (
 OHMIC = SpectralDensity.ohmic(0.1, 20.0)
 OSC = OscillatorParams(1.0, 1.0, 1.0)
 EN_FLOOR = 1e-10
-VACUUM = mo.MomentState(0.5, 0.5, 0.0, 0.5, 0.5, 0.0)  # both modes, m = omega = 1
+VACUUM = np.eye(2) / 2.0  # the plus block at m = omega = 1
 
 
 @pytest.fixture
@@ -129,7 +129,8 @@ def test_criterion_2_fixed_points(announce):
         c = asy.coefficient_limits(OHMIC, 1.0, t_bath, "position")
         dx, dp = asy.equilibrium_dispersions_position(c, 1.0, 1.0)
         traj = mo.integrate(VACUUM, c, 1.0, 1.0, 1.0 / c.gamma, 51)
-        x2, p2, xp = traj.plus[-1]
+        (x2, v01), (_, p2) = traj.plus[-1]
+        xp = 2.0 * v01  # <{x,p}>
         scale = max(dx * dx, dp * dp)
         assert abs(x2 - dx * dx) < 1e-8 * scale
         assert abs(p2 - dp * dp) < 1e-8 * scale
@@ -139,8 +140,8 @@ def test_criterion_2_fixed_points(announce):
     cs = asy.coefficient_limits(OHMIC, 1.0, 0.3, "symmetric")
     coth = 1.0 / math.tanh(1.0 / (2.0 * 0.3))
     traj = mo.integrate(VACUUM, cs, 1.0, 1.0, 1.0 / cs.gamma, 51, model="symmetric")
-    assert abs(traj.plus[-1, 0] - coth / 2.0) < 1e-8
-    assert abs(traj.plus[-1, 1] - coth / 2.0) < 1e-8
+    assert abs(traj.plus[-1, 0, 0] - coth / 2.0) < 1e-8
+    assert abs(traj.plus[-1, 1, 1] - coth / 2.0) < 1e-8
     cases.append("symmetric T=0.3")
     announce(f"PASS: criterion 2 — moment fixed points within 1e-8 ({', '.join(cases)})")
 

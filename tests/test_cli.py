@@ -262,16 +262,14 @@ def test_moment_columns_are_taken_at_the_trace_times(tmp_path):
     np.testing.assert_allclose(cols["dp_minus_sq"], rot[:, 1, 1], rtol=0, atol=1e-12)
     # a 100-times finer reference on the same grid (the parent's interpolated
     # columns were off by 1.0e-2 in dx_plus_sq and 1.5e-3 in E_N)
-    state = mo.MomentState(nm[0, 0], nm[1, 1], 2.0 * nm[0, 1], nm[2, 2], nm[3, 3],
-                           2.0 * nm[2, 3])
     t = cols["t"]
-    fine = mo.integrate(state, scenario.moment_coefficients(), m_plus,
+    fine = mo.integrate(nm[:2, :2], scenario.moment_coefficients(), m_plus,
                         scenario.plus_frequency(), (t[1] - t[0]) / 100, 100 * (len(t) - 1) + 1)
     times, plus = fine.times[::100], fine.plus[::100]
     np.testing.assert_allclose(times, t, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(cols["dx_plus_sq"], plus[:, 0], rtol=0, atol=1e-6)
-    np.testing.assert_allclose(cols["dp_plus_sq"], plus[:, 1], rtol=0, atol=1e-6)
-    e_n = mo.negativities(plus, state.minus_rows(m_minus, omega_minus, times))
+    np.testing.assert_allclose(cols["dx_plus_sq"], plus[:, 0, 0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cols["dp_plus_sq"], plus[:, 1, 1], rtol=0, atol=1e-6)
+    e_n = mo.negativities(plus, mo.minus_blocks(nm[2:, 2:], m_minus, omega_minus, times))
     np.testing.assert_allclose(cols["E_N_moments"], e_n, rtol=0, atol=1e-6)
 
 
@@ -929,6 +927,30 @@ def test_asymptotics_reads_custom_covariance(cfg_file, tmp_path):
         assert doc["phase"] == asy.classify(r, cp.r_crit, cp.s_crit).value
         docs.append(doc)
     assert docs[0]["s_crit"] != pytest.approx(docs[1]["s_crit"], rel=1e-3)
+
+
+@pytest.mark.parametrize("command", [["moments"], ["negativity-trace", "--with-moments"]])
+def test_moment_route_refuses_a_plus_minus_cross_block(command, cfg_file, tmp_path, capsys):
+    # a squeezed oscillator beside a vacuum one has a NORMAL (+,-) block of
+    # 1.75, which the moment route would drop (it read E_N = 0 while the
+    # exact trace read 0.15); the exact trace alone still takes the state
+    out = tmp_path / "out.csv"
+    overrides = []
+    for item in _custom_overrides([4.0, 0.0625, 0.5, 0.5]):
+        overrides += ["--set", item]
+    assert main([*command, cfg_file, "--out", str(out), *overrides]) == 2
+    assert capsys.readouterr().err.startswith("config error: initial_state.covariance:")
+    assert not out.exists()
+    assert main(["negativity-trace", cfg_file, "--out", str(out), *overrides]) == 0
+
+
+def test_low_temperature_trace_is_not_refused(tmp_path):
+    # T = 0.0032 sits where the resolvent rule's error had a floor above its
+    # tolerance (exit 4 with "did not converge in 4 refinements")
+    yaml_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "ohmic_trace.yaml")
+    assert main(["negativity-trace", yaml_path, "--set", "bath.temperature=0.0032",
+                 "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_phase_diagram_refuses_custom_covariance(cfg_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 of the two integrators, renormalization identities and refusals."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from entbath.gaussian import (
 
 OHMIC = SpectralDensity.ohmic(0.1, 20.0)
 OSC = OscillatorParams(1.0, 1.0, 1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_setup(n=32, temperature=0.0):
@@ -1098,7 +1100,8 @@ def test_channel_multiplies_the_sampled_rows_only(osc, rows, monkeypatch):
 
 
 # the channel grid: both builders, criterion 9's detuned pair, sub- and
-# super-ohmic baths, small and shipped bath sizes, and temperatures from the
+# super-ohmic baths, the symmetric model with c12 != c12_tilde (its general
+# eigh route), small and shipped bath sizes, and temperatures from the
 # ground state to T >> omega
 CHANNEL_CASES = {
     "position": (POSITION, OSC, OHMIC),
@@ -1106,6 +1109,7 @@ CHANNEL_CASES = {
     "detuned": (POSITION, OscillatorParams(1.0, 1.05, 0.95), OHMIC),
     "sub-ohmic": (POSITION, OSC, SpectralDensity(0.5, 0.1, 20.0)),
     "super-ohmic": (SYMMETRIC, OSC, SpectralDensity(3.0, 0.1, 20.0)),
+    "symmetric-c12-tilde": (SYMMETRIC, OscillatorParams(1.0, 1.0, 1.0, 0.2, 0.1), OHMIC),
 }
 channel_grid = pytest.mark.parametrize("temperature", [0.0, 0.01, 0.3, 1.0, 10.0])
 channel_cases = pytest.mark.parametrize("case", list(CHANNEL_CASES))
@@ -1195,6 +1199,23 @@ def test_resolvent_rule_refines_a_coarse_start(monkeypatch):
         levels.clear()
         _assert_channel_matches_reference(*_channel_plan(597, case, temperature))
         assert levels == list(range(len(levels))) and len(levels) >= 2
+
+
+@pytest.mark.parametrize("name", ["ohmic_trace", "symmetric_trace"])
+def test_resolvent_rule_needs_no_refinement_at_low_temperatures(name, monkeypatch):
+    # compressed into the Gauss rule, the lowest Matsubara frequencies left
+    # a relative error floor near 1.1e-14 at omega_min that no refinement
+    # lowered, so T = 0.0032 was refused on the shipped ohmic bath; kept as
+    # exact shifts, the rule meets its tolerance at its first level
+    from entbath.config import load_config
+    from entbath.scenario import Scenario
+
+    monkeypatch.setattr(ex, "_RULE_LEVELS", 1)
+    scenario = Scenario(load_config(str(CONFIGS / f"{name}.yaml")))
+    drift = scenario.drift(scenario.bath())
+    freqs = np.concatenate([drift.normal_modes.omega, drift.bath.frequencies])
+    for temperature in np.geomspace(1e-3, 1e-2, 21):
+        ex._resolvent_rule(freqs, temperature)
 
 
 @pytest.mark.parametrize("build, osc", [
