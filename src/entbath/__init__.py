@@ -24,7 +24,6 @@ from .errors import (
     NumericalError,
     OrderingError,
     RecurrenceWindowError,
-    StepSizeError,
     UnphysicalStateError,
     UnstableHamiltonianError,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "OscillatorParams",
     "RecurrenceWindowError",
     "SpectralDensity",
-    "StepSizeError",
     "UnphysicalStateError",
     "UnstableHamiltonianError",
     "asymptotic_gamma",

@@ -6,9 +6,8 @@ writes them.  All outputs are CSV/JSON; every artifact embeds the config
 echo and its sha256 hash.  Exit codes: 0 success, 2 config error (an
 output path that cannot be opened for writing included, found before
 anything is computed or written), 3 physics refusal (recurrence window;
-an unstable Hamiltonian and an RK4 step above its limit are library
-refusals that no CLI input reaches, mapped here to 3 as well), 4 numerical
-failure.
+an unstable Hamiltonian is a library refusal that no CLI input reaches,
+mapped here to 3 as well), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .errors import (
     ConfigError,
     NumericalError,
     RecurrenceWindowError,
-    StepSizeError,
     UnphysicalStateError,
     UnstableHamiltonianError,
 )
@@ -214,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RecurrenceWindowError, UnstableHamiltonianError, StepSizeError) as err:
+    except (RecurrenceWindowError, UnstableHamiltonianError) as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUSAL
     except (NumericalError, UnphysicalStateError) as err:

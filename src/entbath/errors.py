@@ -25,9 +25,5 @@ class RecurrenceWindowError(EntbathError):
     """Requested evolution time exceeds the discrete-bath recurrence window."""
 
 
-class StepSizeError(EntbathError):
-    """Integration step too large for the fastest frequency present."""
-
-
 class NumericalError(EntbathError):
     """A numerical routine failed to converge or produced invalid output."""

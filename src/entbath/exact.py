@@ -9,8 +9,8 @@ bath block is w_k^2 on q_k and 1 on pi_k.
 Traces read a normal-mode channel (below).  ``evolve`` gives the full
 covariance by the normal-mode propagator S(t) = exp(Kt) (exactly
 symplectic, arbitrary t) or, as the independent oracle that ``validate`` and
-the tests compare against, by the RK4 step matrix raised to the stride by
-squaring, the one place K is formed.
+the tests compare against, by the RK4 step matrix raised to the steps per
+sample by squaring, the one place K is formed.
 A drift has no x-p cross terms, H = x^T K x / 2 + p^T B p / 2, so its
 normal modes are real and second order, computed once per drift and cached
 on it.  The factor of the momentum block B costs O(N^2), because B is an
@@ -66,7 +66,7 @@ from .gaussian import (
     require_two_mode,
     symplectic_form,
 )
-from .moments import check_step, step_matrix
+from .moments import step_matrix, whole_steps
 
 RK4_STEP_FACTOR = 0.05
 REDUCED_PHYSICALITY_ATOL = 1e-9
@@ -80,8 +80,8 @@ class EvolutionConfig:
     Samples fall every ``sample_stride`` steps of ``dt`` up to ``t_max``,
     none past it by more than rounding (a few ulps).
     The normal-mode channel and propagator are evaluated directly at the
-    sample times; ``evolve``'s RK4 oracle steps by ``dt`` and raises its
-    step matrix to the stride by squaring.
+    sample times; ``evolve``'s RK4 oracle splits each ``dt`` into whole
+    steps and raises its step matrix to the steps per sample by squaring.
     """
 
     t_max: float
@@ -1094,7 +1094,7 @@ def evolve(
     """Full-covariance time series at the configured sample times, by the
     normal-mode propagator or, with ``rk4``, by the RK4 oracle: V <- hop V
     hop^T per sample, RK4 on every phase-space trajectory, with hop the
-    step matrix raised to the stride."""
+    step matrix raised to the steps per sample."""
     v0.require(Ordering.FULL)
     if v0.dim != drift.dim:
         raise ValueError("state and drift dimensions differ")
@@ -1119,10 +1119,11 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
 
 
 def _rk4_hop(drift: DriftMatrix, cfg: EvolutionConfig) -> np.ndarray:
-    """The moment route's RK4 step matrix of K raised to the sample stride,
-    refusing a step above RK4_STEP_FACTOR / (fastest bath frequency)."""
-    check_step(cfg.dt, float(drift.bath.frequencies[-1]), factor=RK4_STEP_FACTOR)
-    return np.linalg.matrix_power(step_matrix(drift.k, cfg.dt), cfg.sample_stride)
+    """The moment route's RK4 step matrix of K over one sample stride: each
+    dt is ``whole_steps`` equal steps, none above RK4_STEP_FACTOR / (fastest
+    bath frequency)."""
+    n = whole_steps(cfg.dt, float(drift.bath.frequencies[-1]), RK4_STEP_FACTOR)
+    return np.linalg.matrix_power(step_matrix(drift.k, cfg.dt / n), n * cfg.sample_stride)
 
 
 # ---------------------------------------------------------------------------

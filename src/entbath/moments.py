@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeError, UnphysicalStateError
+from .errors import UnphysicalStateError
 from .gaussian import free_rotation, log_negativities, mix_modes
 
 UNCERTAINTY_ATOL = 1e-9
@@ -70,26 +70,12 @@ def minus_blocks(block: np.ndarray, m: float, omega: float, times: np.ndarray) -
 # RK4 stepping
 # ---------------------------------------------------------------------------
 
-def _excess(dt: float, omega: float, gamma: float = 0.0, factor: float = STEP_FACTOR) -> float:
-    """Relative excess of a step dt over factor / max(|omega|, |gamma|)."""
-    return dt * max(abs(omega), abs(gamma)) / factor - 1.0
-
-
-def check_step(dt: float, omega: float, gamma: float = 0.0, factor: float = STEP_FACTOR) -> None:
-    """Refuse a step dt above factor / max(|omega|, |gamma|) by more than
-    STEP_SLACK."""
-    excess = _excess(dt, omega, gamma, factor)
-    if excess > STEP_SLACK:
-        raise StepSizeError(f"dt={float(dt)!r} exceeds {factor}/max rate = "
-                            f"{dt / (1.0 + excess):.6g} by {excess:.3g} relative")
-
-
-def whole_steps(span: float, omega: float, gamma: float) -> int:
-    """Fewest equal steps of ``span`` that ``check_step`` accepts at these
-    rates: ceil(span / (default_step (1 + STEP_SLACK))), moved where rounding
-    puts that count one off."""
-    fits = lambda n: _excess(span / n, omega, gamma) <= STEP_SLACK
-    n = max(1, math.ceil(span / (default_step(omega, gamma) * (1.0 + STEP_SLACK))))
+def whole_steps(span: float, rate: float, factor: float = STEP_FACTOR) -> int:
+    """Fewest equal steps of ``span``, none above factor / rate by more than
+    STEP_SLACK: ceil(span rate / (factor (1 + STEP_SLACK))), moved where
+    rounding puts that count one off."""
+    fits = lambda n: span / n * rate / factor - 1.0 <= STEP_SLACK
+    n = max(1, math.ceil(span / (factor / rate * (1.0 + STEP_SLACK))))
     while n > 1 and fits(n - 1):
         n -= 1
     while not fits(n):
@@ -145,11 +131,6 @@ def _orbit(step: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("pij,kj->kpi", np.array(powers), np.concatenate(bases)).reshape(-1, 4)[:n]
 
 
-def default_step(omega: float, gamma: float) -> float:
-    """Fixed RK4 step: min(0.01/omega, 0.01/gamma)."""
-    return STEP_FACTOR / max(abs(omega), abs(gamma))
-
-
 def integrate(
     block: np.ndarray,
     coeffs,
@@ -163,8 +144,8 @@ def integrate(
     ``block`` at t = 0, sampled at the ``samples`` times j spacing
     (j = 0, 1, ...).
 
-    Each spacing is ``whole_steps`` equal RK4 steps of one step matrix, so
-    every step stays within ``check_step``'s bound.  Only the plus block is
+    Each spacing is ``whole_steps`` equal RK4 steps of one step matrix, none
+    above STEP_FACTOR / max(|omega|, |gamma|).  Only the plus block is
     marched: the minus block never sees the bath, and ``minus_blocks``
     rotates it exactly to any times.  The plus block must stay positive at
     every step, not only at the samples.
@@ -179,7 +160,7 @@ def integrate(
     if samples == 1:
         y, every, spacing = y0[None], 1, 0.0
     else:
-        every = whole_steps(spacing, omega, coeffs.gamma)
+        every = whole_steps(spacing, max(abs(omega), abs(coeffs.gamma)))
         step = step_matrix(a, spacing / every)
         y = np.concatenate([y0[None], _orbit(step, y0, every * (samples - 1))])
     plus = np.empty((len(y), 2, 2))

@@ -10,11 +10,7 @@ from oracles import bare_drift, reference_channel
 
 from entbath import exact as ex
 from entbath.bath import RECURRENCE_MARGIN, DiscreteBath, SpectralDensity, discretize
-from entbath.errors import (
-    RecurrenceWindowError,
-    StepSizeError,
-    UnstableHamiltonianError,
-)
+from entbath.errors import RecurrenceWindowError, UnstableHamiltonianError
 from entbath.gaussian import (
     CovarianceMatrix,
     Ordering,
@@ -26,6 +22,7 @@ from entbath.gaussian import (
     symplectic_eigenvalues,
     two_mode_squeezed,
 )
+from entbath.moments import step_matrix
 
 OHMIC = SpectralDensity.ohmic(0.1, 20.0)
 OSC = OscillatorParams(1.0, 1.0, 1.0)
@@ -255,13 +252,19 @@ def test_recurrence_window_refusal():
         ex.negativity_trace(separable_squeezed(1.0), drift, cfg)
 
 
-def test_rk4_step_refusal():
+def test_rk4_oracle_splits_a_long_step_into_whole_steps():
+    # dt = 0.02 is 8 times 0.05/20: each sample takes 8 steps of 0.0025
     bath, drift = small_setup(32)
     v0 = ex.initial_covariance(separable_squeezed(1.0), bath)
-    cfg = ex.EvolutionConfig(1.0, 0.02, 1)  # 8 times 0.05/20
-    excess = r"dt=0\.02 exceeds 0\.05/max rate = 0\.0025 by 7 relative"
-    with pytest.raises(StepSizeError, match=excess):
-        ex.evolve(v0, drift, cfg, rk4=True)
+    cfg = ex.EvolutionConfig(1.0, 0.02, 1)
+    hop = np.linalg.matrix_power(step_matrix(drift.k, 0.0025), 8)
+    assert np.array_equal(ex._rk4_hop(drift, cfg), hop)
+    _, rk = ex.evolve(v0, drift, cfg, rk4=True)
+    _, nm = ex.evolve(v0, drift, cfg)
+    first = hop @ v0.matrix @ hop.T
+    assert np.array_equal(rk[1].matrix, 0.5 * (first + first.T))
+    for a, b in zip(rk, nm):
+        assert np.abs(a.matrix - b.matrix).max() <= 3e-7 * np.abs(b.matrix).max()
 
 
 # ---------------------------------------------------------------------------

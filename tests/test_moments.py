@@ -14,7 +14,7 @@ from entbath import asymptotics as asy
 from entbath import moments as mo
 from entbath.bath import SpectralDensity
 from entbath.config import load_config
-from entbath.errors import StepSizeError, UnphysicalStateError
+from entbath.errors import UnphysicalStateError
 from entbath.gaussian import (
     Ordering,
     basis_change,
@@ -99,26 +99,31 @@ def test_minus_block_rotation_is_exact():
     np.testing.assert_allclose(np.linalg.det(blocks), np.linalg.det(start), rtol=1e-12)
 
 
+def _fits(dt, rate, factor=mo.STEP_FACTOR):
+    # the step limit: dt above factor / rate by no more than STEP_SLACK
+    return dt * rate / factor - 1.0 <= mo.STEP_SLACK
+
+
 def test_step_size_guard():
-    excess = r"dt=0\.5 exceeds 0\.01/max rate = 0\.01 by 49 relative"
-    with pytest.raises(StepSizeError, match=excess):
-        mo.check_step(0.5, 1.0, 0.2)
-    assert mo.default_step(1.0, 0.2) == pytest.approx(0.01)
-    assert mo.default_step(1.0, 3.0) == pytest.approx(0.01 / 3.0)
+    # a step above the limit is split, never refused: 0.5 at rate 1 takes
+    # 50 steps of 0.01, at rate 3 150, and at factor 0.05 10
+    assert mo.whole_steps(0.5, 1.0) == 50
+    assert mo.whole_steps(0.5, 3.0) == 150
+    assert mo.whole_steps(0.5, 1.0, 0.05) == 10
+    assert mo.whole_steps(0.004, 1.0) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 20])
 @pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 5e-10, 1e-9])
 def test_whole_step_fit_is_the_fewest_steps_the_check_accepts(k, offset):
-    # a span of k default steps, off by a relative offset: within STEP_SLACK
-    # it takes k steps, beyond it k + 1, and the limit check agrees
-    omega, gamma = 1.3, 0.2
-    span = k * mo.default_step(omega, gamma) * (1.0 + offset)
-    n = mo.whole_steps(span, omega, gamma)
-    mo.check_step(span / n, omega, gamma)
+    # a span of k limit steps, off by a relative offset: within STEP_SLACK
+    # it takes k steps, beyond it k + 1, and none fewer fits the limit
+    rate = 1.3
+    span = k * (mo.STEP_FACTOR / rate) * (1.0 + offset)
+    n = mo.whole_steps(span, rate)
+    assert _fits(span / n, rate)
     if n > 1:
-        with pytest.raises(StepSizeError):
-            mo.check_step(span / (n - 1), omega, gamma)
+        assert not _fits(span / (n - 1), rate)
     if offset != mo.STEP_SLACK:  # at the slack itself rounding decides
         assert n == (k if offset < mo.STEP_SLACK else k + 1)
 
@@ -200,7 +205,7 @@ def test_integrate_equals_chained_steps(model):
     # 0.175 is no whole number of default steps at omega = 0.9: each spacing
     # takes 16 equal steps, and the oracle steps by that size
     spacing, samples = 0.175, 18
-    every = mo.whole_steps(spacing, 0.9, coeffs.gamma)
+    every = mo.whole_steps(spacing, max(0.9, coeffs.gamma))
     assert every == 16
     traj = mo.integrate(START, coeffs, 1.3, 0.9, spacing, samples, model=model)
     _, times, plus = _float_loop(model, START, coeffs, 1.3, 0.9, (samples - 1) * spacing,
@@ -242,7 +247,7 @@ def test_moment_columns_match_float_loop(name):
     omega = sc.plus_frequency()
     nm = basis_change(sc.initial_state(m_minus, omega_minus), Ordering.NORMAL).matrix
     t = got["t"]
-    dt = mo.default_step(omega, coeffs.gamma)
+    dt = mo.STEP_FACTOR / max(omega, abs(coeffs.gamma))
     steps, _, plus = _float_loop(sc.model, nm[:2, :2], coeffs, m_plus, omega, t[-1], dt, 5)
     grid = np.minimum(steps * dt, t[-1])
     minus = free_rotation(nm[2:, 2:], m_minus, omega_minus, grid)

@@ -84,8 +84,7 @@ def test_src_imports_only_the_standard_library_and_its_runtime_dependencies():
 # each refusal rule has one owner module, the only one that raises its error
 # (an unstable configured system is the scenario's ConfigError, not a second
 # raiser of the drift's UnstableHamiltonianError)
-RAISE_OWNERS = {"StepSizeError": "moments.py", "RecurrenceWindowError": "bath.py",
-                "UnstableHamiltonianError": "exact.py"}
+RAISE_OWNERS = {"RecurrenceWindowError": "bath.py", "UnstableHamiltonianError": "exact.py"}
 
 
 def _raised(exc: ast.expr) -> str | None:
