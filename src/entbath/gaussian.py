@@ -104,10 +104,10 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     of V J.  At d = 4, so(4) = su(2) + su(2) splits X into its self-dual and
     anti-self-dual parts, the 3-vectors s and a (``_two_mode_upper``), and
     the larger nu is (|s| + |a|) / 2, a sum of norms with no cancellation.
-    At d > 4 each nu^2 appears twice among the eigenvalues of
-    X^T X = -X^2.  Either route gives a small nu only to about eps nu_max,
-    so the smallest is taken from prod nu = det R = prod diag R instead,
-    which the factor gives to relative accuracy.  A matrix that is not
+    At d > 4 each nu appears twice among the singular values of X.  Either
+    route gives a small nu only to about eps nu_max, so the smallest is
+    taken from prod nu = det R = prod diag R instead, which the factor
+    gives to relative accuracy.  A matrix that is not
     positive definite has no symplectic spectrum and is refused with
     ``UnphysicalStateError``.
     """
@@ -122,7 +122,7 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     if m.shape[-1] == 4:
         upper = _two_mode_upper(x)[..., None]
     else:
-        upper = np.sqrt(np.linalg.eigvalsh(-(x @ x))[..., 2::2])
+        upper = np.linalg.svd(x, compute_uv=False)[..., :-2:2]
     # in logs, so that the determinant neither overflows nor underflows
     log_det = np.log(np.diagonal(r, axis1=-2, axis2=-1)).sum(axis=-1)
     lowest = np.exp(log_det - np.log(upper).sum(axis=-1))

@@ -130,9 +130,10 @@ OVERRIDES = [
     "initial_state.covariance=2020-01-01", "initial_state.covariance=[[1,2]]",
     "initial_state.kind=custom_covariance", "initial_state.r=.nan", "initial_state.r=1.0",
     "initial_state.r=355", "initial_state.r=400", "initial_state.r=-400",
-    "model=symmetric", "spectral.gamma0=.nan", "spectral.n=3", "sweep.parallelism=1",
-    "sweep.parallelism=2", "sweep.parallelism=true", "sweep.r_grid=null",
-    "sweep.r_grid=[400]", "sweep.r_grid=[800]",
+    "initial_state.purity_product=1000", "initial_state.purity_product=1.0e+8",
+    "model=symmetric", "spectral.cutoff=1.5", "spectral.gamma0=.nan", "spectral.gamma0=5",
+    "spectral.n=3", "sweep.parallelism=1", "sweep.parallelism=2", "sweep.parallelism=true",
+    "sweep.r_grid=null", "sweep.r_grid=[400]", "sweep.r_grid=[800]",
     "system.c12=0.1", "system.c12=0.2", "system.c12=1.5", "system.omega1=1.05",
     "system.omega1=25", "system.omega2=0.95", "system.omega2=25",
     *UNPARSABLE_OVERRIDES,
@@ -478,6 +479,34 @@ def test_validate_reports_physicality_margin(cfg_file, capsys, monkeypatch):
     assert "FAIL: reduced-state physicality" in capsys.readouterr().out
 
 
+def _validate_details(argv, capsys):
+    main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    return {line.partition(": ")[2].split(" (")[0]: line for line in lines if " (" in line}
+
+
+def test_validate_passes_a_mixed_state(capsys):
+    # the rk4 check reads its difference relative to the state, which the
+    # purity product scales: 7.1e-10 here, as on the pure state
+    argv = ["validate", os.path.join(CONFIG_DIR, "ohmic_trace.yaml"),
+            "--set", "initial_state.purity_product=1000"]
+    assert main(argv) == 0
+    rk4 = _validate_details(argv, capsys)["rk4 vs normal-mode"]
+    assert float(rk4.rstrip(")").partition("max rel diff=")[2]) < 3e-9
+
+
+def test_validate_purity_drift_is_finite_on_a_very_mixed_state(capsys):
+    # nu from the singular values of X, with no square root of a rounded
+    # negative eigenvalue; the drift (1.7e-6) itself reflects the state's
+    # conditioning, so only its finiteness is checked here
+    argv = ["validate", os.path.join(CONFIG_DIR, "ohmic_trace.yaml"),
+            "--set", "initial_state.purity_product=1.0e+8"]
+    details = _validate_details(argv, capsys)
+    purity = details["purity conservation"].rstrip(")").partition("rel drift=")[2]
+    assert math.isfinite(float(purity))
+    assert details["rk4 vs normal-mode"].startswith("ok: ")
+
+
 def test_hash_mismatch_warning_on_overwrite(cfg_file, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["negativity-trace", cfg_file, "--out", str(out)]) == 0
@@ -791,6 +820,20 @@ def test_moment_route_checks_its_fixed_point(command, temperature, code, cfg_fil
         assert "fixed point has dx+ dp+ = 0.3019 < 1/2" in err
         assert "spectral.n=1, T=0.3" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["moments"], ["negativity-trace", "--with-moments"]])
+def test_moment_route_refuses_a_negative_diffusion(command, tmp_path, capsys):
+    # the T = 0 ohmic D = m gamma omega + (2 m gamma^2 / pi)(2 ln(cutoff/omega) - 1)
+    # turns negative below cutoff = e^(1/2) omega+ at strong damping: -2.037 here
+    out = tmp_path / "out.csv"
+    argv = [*command, os.path.join(CONFIG_DIR, "ohmic_trace.yaml"), "--out", str(out),
+            "--set", "spectral.cutoff=1.5", "--set", "spectral.gamma0=5"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the moment route's diffusion D = -2.037 ")
+    assert "spectral.n=1, T=0.0" in err
+    assert not out.exists()
 
 
 def test_detuned_trace_leaves_out_asymptotic_column(cfg_file, tmp_path):
