@@ -199,6 +199,8 @@ def modes_for_window(cutoff: float, t_max: float) -> int:
         raise ValueError("t_max must be positive")
     fits = lambda n: t_max <= RECURRENCE_MARGIN * grid_recurrence_time(cutoff, n)
     n = max(1, math.ceil(cutoff * t_max / (2.0 * math.pi * RECURRENCE_MARGIN)))
+    if n > 2**52:  # floats no longer tell n from n - 1: no rounding to mend
+        return n
     while n > 1 and fits(n - 1):
         n -= 1
     while not fits(n):

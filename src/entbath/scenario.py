@@ -54,6 +54,10 @@ CROSS_BLOCK_RTOL = 1e-12
 # bytes that the two (N+2)^2 float64 mode matrices A and W of a config's
 # bath may take (N = 8190 at most); a larger bath is refused before it is made
 MODE_MATRIX_BUDGET = 1 << 30
+# samples a run may take, and RK4 steps the moment route may take, each a
+# row of its orbit (751 and 15000 on the shipped configs): far past it the
+# sample grid or the orbit alone would take gigabytes
+SAMPLE_BUDGET = 1 << 20
 # system_hamiltonian's one structural refusal per model, as the field to blame
 STRUCTURE_ERRORS = {
     "symmetric": "system.omega2: symmetric model requires omega1 == omega2",
@@ -329,21 +333,43 @@ class Scenario:
         e = asy.entanglement_oscillation(r, r_crit, s_crit, omega_minus, times)
         return np.maximum(e, 0.0)
 
+    def sample_plan(self) -> ex.EvolutionConfig:
+        """The evolution's sampling plan, refused past SAMPLE_BUDGET samples."""
+        ev = self.cfg.evolution
+        samples = ev.t_max / ev.dt / ev.sample_stride
+        if samples > SAMPLE_BUDGET:
+            raise ConfigError(
+                f"evolution.dt: t_max={ev.t_max!r} in steps of dt={ev.dt!r}, sampled every "
+                f"{ev.sample_stride}, gives {samples:.4g} samples, above the budget of "
+                f"{SAMPLE_BUDGET}")
+        return ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride)
+
+    def _moment_plan(self) -> tuple[ex.EvolutionConfig, object]:
+        """``sample_plan`` and ``moment_coefficients`` of a moment run,
+        refused past SAMPLE_BUDGET RK4 steps."""
+        plan, coeffs = self.sample_plan(), self.moment_coefficients()
+        rate = max(self.plus_frequency(), abs(coeffs.gamma))
+        span = float(plan.sample_times()[-1])
+        steps = span * rate / mo.STEP_FACTOR
+        if steps > SAMPLE_BUDGET:
+            raise ConfigError(
+                f"evolution.t_max: the moment route would take {steps:.4g} RK4 steps of at "
+                f"most {mo.STEP_FACTOR}/{rate:.4g} to t={span!r}, above the budget of "
+                f"{SAMPLE_BUDGET}")
+        return plan, coeffs
+
     def negativity_trace(self, with_moments: bool) -> tuple[list[str], list]:
         """Exact E_N and dispersions; the moment column on request and the
         closed-form column for resonant oscillators."""
         asymptotic = self.oscillator.resonant
         if with_moments or asymptotic:
             self.plus_frequency()  # refuse before the exact run
-        coeffs = self.moment_coefficients() if with_moments else None
+        plan, coeffs = self._moment_plan() if with_moments else (self.sample_plan(), None)
         drift = self.drift(self.bath())
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)
         nm = self._moment_state(v_sys) if with_moments else None
-        ev = self.cfg.evolution
-        tr = ex.negativity_trace(
-            v_sys, drift, ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride)
-        )
+        tr = ex.negativity_trace(v_sys, drift, plan)
         names, cols = ["t", "E_N_exact"], [tr.times, tr.e_n]
         if with_moments:
             names.append("E_N_moments")
@@ -356,11 +382,10 @@ class Scenario:
 
     def moments(self) -> tuple[list[str], list]:
         """Moment-route trace on the evolution's sample grid."""
-        coeffs = self.moment_coefficients()
+        plan, coeffs = self._moment_plan()
         _, m_minus, omega_minus = self.route_scales()
         v_sys = self.initial_state(m_minus, omega_minus)
-        ev = self.cfg.evolution
-        times = ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride).sample_times()
+        times = plan.sample_times()
         cols = self._moment_columns(self._moment_state(v_sys), times, coeffs)
         return ["t", *cols], [times, *cols.values()]
 

@@ -119,10 +119,12 @@ CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "config
 OVERRIDES = [
     "bath.n_modes=4", "bath.n_modes=true", "bath.temperature=0", "bath.temperature=0.3",
     "bath.temperature=1", "bath.temperature=10", "bath.temperature=10.5", "bath.unknown=1",
-    "evolution.dt=0.02", "evolution.dt=0.3", "evolution.integrator=rk4",
+    "evolution.dt=0.01", "evolution.dt=0.02", "evolution.dt=0.3", "evolution.dt=1.0e-9",
+    "evolution.dt=1.0e+299", "evolution.integrator=rk4",
     "evolution.sample_stride=1", "evolution.sample_stride=true", "evolution.t_max=.inf",
     "evolution.t_max=0.01", "evolution.t_max=0.1",
     "evolution.t_max=1.0", "evolution.t_max=100", "evolution.t_max=150", "evolution.t_max=50",
+    "evolution.t_max=75", "evolution.t_max=1.0e+300",
     "initial_state.covariance=[[a,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
     "initial_state.covariance=[[0.1,0,0,0],[0,0.1,0,0],[0,0,0.5,0],[0,0,0,0.5]]",
     "initial_state.covariance=[[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], "
@@ -769,6 +771,25 @@ def test_bath_beyond_budget_is_refused_before_it_is_made(overrides, named, n_mod
     assert f"N={n_modes}" in err and f"{16 * (n_modes + 2) ** 2} bytes" in err
 
 
+@pytest.mark.parametrize("command, overrides, refusal", [
+    ("negativity-trace", ["evolution.dt=1.0e-9"],
+     "evolution.dt: t_max=5.0 in steps of dt=1e-09, sampled every 10, gives 5e+08 samples"),
+    ("moments", ["evolution.t_max=1.0e+300"], "evolution.dt: t_max=1e+300 in steps of"),
+    ("moments", ["evolution.t_max=1.0e+300", "evolution.dt=1.0e+299"],
+     "evolution.t_max: the moment route would take 1e+302 RK4 steps"),
+    # a bath of N ~ 4e300 modes, sized at once instead of one mode at a time
+    ("negativity-trace", ["evolution.t_max=1.0e+300", "evolution.dt=1.0e+299"],
+     "spectral.cutoff/evolution.t_max: cutoff=20.0 and t_max=1e+300 size a bath of N="),
+])
+def test_runs_past_their_budgets_are_refused_by_name(command, overrides, refusal, cfg_file,
+                                                      tmp_path, capsys):
+    argv = [command, cfg_file, "--out", str(tmp_path / "out.csv")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {refusal}")
+
+
 def test_weak_coupling_form_left_out_outside_its_domain(tmp_path):
     # ln(cutoff / omega+) = ln 2 < 1 at gamma = 3 takes the log of a negative
     # number in s_crit; asymptotics leaves the form out with a note
@@ -849,6 +870,34 @@ def _read_csv(path) -> dict:
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
     return dict(zip(lines[0].split(","), rows.T))
+
+
+# every frequency doubled: omega1 = omega2, cutoff, gamma0 and T, with t_max
+# and dt halved; the bath keeps its N and the trace its sample count
+DOUBLED = ["system.omega1=2", "system.omega2=2", "spectral.cutoff=40", "spectral.gamma0=0.2",
+           "evolution.t_max=75", "evolution.dt=0.01"]
+
+
+@pytest.mark.parametrize("name, n, temperature", [
+    *(("ohmic_trace", n, t) for n, t in ((1, 0), (1, 0.5), (0.5, 0.5))),
+    *(("symmetric_trace", n, t) for n in (1, 0.5, 3) for t in (0, 0.5)),
+])
+def test_every_route_is_invariant_under_doubled_frequencies(name, n, temperature, tmp_path):
+    # powers of two scale exactly, so each E_N column moves only by rounding
+    # (1.5e-13 at most measured); the moment route's refusals are left out
+    traces = []
+    for doubled in (False, True):
+        out = tmp_path / f"{doubled}.csv"
+        sets = [f"spectral.n={n}", f"bath.temperature={temperature * (2 if doubled else 1)}",
+                *(DOUBLED if doubled else [])]
+        argv = ["negativity-trace", os.path.join(CONFIG_DIR, f"{name}.yaml"), "--with-moments",
+                "--out", str(out), *itertools.chain.from_iterable(("--set", s) for s in sets)]
+        assert main(argv) == 0
+        traces.append(_read_csv(out))
+    base, scaled = traces
+    assert np.array_equal(2.0 * scaled["t"], base["t"])
+    for key in ("E_N_exact", "E_N_moments", "E_N_asymptotic"):
+        np.testing.assert_allclose(scaled[key], base[key], rtol=0.0, atol=1e-12, err_msg=key)
 
 
 def test_master_equation_taken_at_omega_plus(cfg_file, tmp_path):
