@@ -107,9 +107,8 @@ def symplectic_eigenvalues(v: CovarianceMatrix | np.ndarray) -> np.ndarray:
     At d > 4 each nu appears twice among the singular values of X.  Either
     route gives a small nu only to about eps nu_max, so the smallest is
     taken from prod nu = det R = prod diag R instead, which the factor
-    gives to relative accuracy.  A matrix that is not
-    positive definite has no symplectic spectrum and is refused with
-    ``UnphysicalStateError``.
+    gives to relative accuracy.  A matrix that is not positive definite has
+    no symplectic spectrum and is refused with ``UnphysicalStateError``.
     """
     m = _as_matrix(v)
     try:

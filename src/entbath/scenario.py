@@ -333,7 +333,7 @@ class Scenario:
         e = asy.entanglement_oscillation(r, r_crit, s_crit, omega_minus, times)
         return np.maximum(e, 0.0)
 
-    def sample_plan(self) -> ex.EvolutionConfig:
+    def _sample_plan(self) -> ex.EvolutionConfig:
         """The evolution's sampling plan, refused past SAMPLE_BUDGET samples."""
         ev = self.cfg.evolution
         samples = ev.t_max / ev.dt / ev.sample_stride
@@ -345,9 +345,9 @@ class Scenario:
         return ex.EvolutionConfig(ev.t_max, ev.dt, ev.sample_stride)
 
     def _moment_plan(self) -> tuple[ex.EvolutionConfig, object]:
-        """``sample_plan`` and ``moment_coefficients`` of a moment run,
+        """``_sample_plan`` and ``moment_coefficients`` of a moment run,
         refused past SAMPLE_BUDGET RK4 steps."""
-        plan, coeffs = self.sample_plan(), self.moment_coefficients()
+        plan, coeffs = self._sample_plan(), self.moment_coefficients()
         rate = max(self.plus_frequency(), abs(coeffs.gamma))
         span = float(plan.sample_times()[-1])
         steps = span * rate / mo.STEP_FACTOR
@@ -364,7 +364,7 @@ class Scenario:
         asymptotic = self.oscillator.resonant
         if with_moments or asymptotic:
             self.plus_frequency()  # refuse before the exact run
-        plan, coeffs = self._moment_plan() if with_moments else (self.sample_plan(), None)
+        plan, coeffs = self._moment_plan() if with_moments else (self._sample_plan(), None)
         drift = self.drift(self.bath())
         _, m_minus, omega_minus = self.route_scales(drift)
         v_sys = self.initial_state(m_minus, omega_minus)

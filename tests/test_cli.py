@@ -481,10 +481,11 @@ def test_validate_reports_physicality_margin(cfg_file, capsys, monkeypatch):
     assert "FAIL: reduced-state physicality" in capsys.readouterr().out
 
 
-def _validate_details(argv, capsys):
-    main(argv)
+def _validate(argv, capsys):
+    """``validate``'s exit code and its printed lines by check name."""
+    code = main(argv)
     lines = capsys.readouterr().out.splitlines()
-    return {line.partition(": ")[2].split(" (")[0]: line for line in lines if " (" in line}
+    return code, {line.partition(": ")[2].split(" (")[0]: line for line in lines if " (" in line}
 
 
 def test_validate_passes_a_mixed_state(capsys):
@@ -492,9 +493,10 @@ def test_validate_passes_a_mixed_state(capsys):
     # purity product scales: 7.1e-10 here, as on the pure state
     argv = ["validate", os.path.join(CONFIG_DIR, "ohmic_trace.yaml"),
             "--set", "initial_state.purity_product=1000"]
-    assert main(argv) == 0
-    rk4 = _validate_details(argv, capsys)["rk4 vs normal-mode"]
-    assert float(rk4.rstrip(")").partition("max rel diff=")[2]) < 3e-9
+    code, details = _validate(argv, capsys)
+    assert code == 0
+    rk4 = details["rk4 vs normal-mode"].rstrip(")").partition("max rel diff=")[2]
+    assert float(rk4) < 3e-9
 
 
 def test_validate_purity_drift_is_finite_on_a_very_mixed_state(capsys):
@@ -503,7 +505,7 @@ def test_validate_purity_drift_is_finite_on_a_very_mixed_state(capsys):
     # conditioning, so only its finiteness is checked here
     argv = ["validate", os.path.join(CONFIG_DIR, "ohmic_trace.yaml"),
             "--set", "initial_state.purity_product=1.0e+8"]
-    details = _validate_details(argv, capsys)
+    _, details = _validate(argv, capsys)
     purity = details["purity conservation"].rstrip(")").partition("rel drift=")[2]
     assert math.isfinite(float(purity))
     assert details["rk4 vs normal-mode"].startswith("ok: ")
