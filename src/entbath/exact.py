@@ -882,7 +882,9 @@ def _position_modes(k_ss, c, w_sq_bath, l_sys):
 
 
 # secular tables are (block, K) for a block of roots or poles; K * block
-# stays near this many doubles (512 kB, which stays in cache)
+# stays near this many doubles (512 kB, which stays in cache).  The root
+# solve and the Loewner pass each allocate two once per solve and write
+# every block into them: fresh tables per block cost more than the arithmetic
 _SECULAR_TABLE = 1 << 16
 _SECULAR_MAX_ITER = 50
 _EPS = np.finfo(float).eps
@@ -904,7 +906,8 @@ def _arrowhead(alpha: float, border: np.ndarray, poles: np.ndarray):
     (-1, bh_j / (p_j - lam)) normalized, with bh from the computed roots
     (Loewner; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)),
     so the vectors are orthogonal to working precision.  bh and the norms
-    come from one pass over the gaps, which keeps no vector.
+    come from one pass over the gaps, block by block in two reused tables
+    (gaps and ratios), which keeps no vector.
     """
     n = len(poles)
     if poles.min() <= 0.0:
@@ -945,10 +948,12 @@ def _arrowhead(alpha: float, border: np.ndarray, poles: np.ndarray):
     bh = np.empty(len(p))
     sq = np.ones(n + 1)  # squared norms of the secular columns
     step = max(1, _SECULAR_TABLE // len(pole))
+    gaps, ratios = np.empty((min(step, len(p)), len(pole))), np.empty((min(step, len(p)), len(p)))
     for lo in range(0, len(p), step):
         blk = slice(lo, lo + step)
-        gap = (p[blk, None] - pole[origin]) - tau  # p_j - lam_i
-        bh[blk] = np.sqrt(_loewner_sq(gap, p[blk], p, lo)) * np.sign(border[live[blk]])
+        gap = np.subtract(p[blk, None], pole[origin], out=gaps[:len(p[blk])])
+        gap -= tau  # p_j - lam_i
+        bh[blk] = np.sqrt(_loewner_sq(gap, p[blk], p, lo, ratios)) * np.sign(border[live[blk]])
         vec = np.divide(bh[blk, None], gap, out=gap)
         sq[sec] += np.einsum("ji,ji->i", vec, vec)
 
@@ -979,14 +984,17 @@ def _arrowhead(alpha: float, border: np.ndarray, poles: np.ndarray):
     return lam[order], vectors
 
 
-def _loewner_sq(gap, pj, p, lo):
+def _loewner_sq(gap, pj, p, lo, table):
     """bh_j^2 for the live poles ``pj`` = p[lo:lo + len(pj)] from their gaps
     p_j - lam_i to every root: -prod_i (p_j - lam_i) / prod_(k != j) (p_j - p_k),
-    as |p_j - lam_0| |p_j - lam_j| times the ratios (p_j - lam_k) / (p_j - p_k)."""
+    as |p_j - lam_0| |p_j - lam_j| times the ratios (p_j - lam_k) / (p_j - p_k),
+    which are formed in the first len(pj) rows of ``table`` (at least len(pj)
+    by len(p), reused across blocks)."""
     rows = np.arange(len(pj))
-    denom = pj[:, None] - p
-    denom[rows, lo + rows] = gap[rows, lo + rows + 1]  # ratio 1 at k = j
-    return np.abs(gap[:, 0] * gap[rows, lo + rows + 1] * np.prod(gap[:, 1:] / denom, axis=1))
+    ratio = np.subtract(pj[:, None], p, out=table[:len(pj)])
+    ratio[rows, lo + rows] = gap[rows, lo + rows + 1]  # ratio 1 at k = j
+    np.divide(gap[:, 1:], ratio, out=ratio)
+    return np.abs(gap[:, 0] * gap[rows, lo + rows + 1] * np.prod(ratio, axis=1))
 
 
 def _secular_roots(pole: np.ndarray, z_sq: np.ndarray):
@@ -999,9 +1007,10 @@ def _secular_roots(pole: np.ndarray, z_sq: np.ndarray):
     (pole_j - pole[origin]) - tau to high relative accuracy.  The start is
     LAPACK dlaed4's two-pole guess at the bracket's midpoint; the steps are
     its fixed-weight (middle way) rational steps, bisecting whenever one
-    leaves the bracket, over the still-live roots of a block at once.  A
-    root has converged when |f| is within the rounding of its evaluation
-    or the step is below the rounding of tau.
+    leaves the bracket, over the still-live roots of a block at once, in
+    two block x size tables allocated once and reused by every block and
+    iteration.  A root has converged when |f| is within the rounding of its
+    evaluation or the step is below the rounding of tau.
     """
     size = len(pole)
     if size == 1:
@@ -1010,15 +1019,17 @@ def _secular_roots(pole: np.ndarray, z_sq: np.ndarray):
     origin = np.empty(size, dtype=np.intp)
     tau = np.empty(size)
     step = max(1, _SECULAR_TABLE // size)
+    tables = np.empty((2, min(step, size), size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, size, step):
             idx = np.arange(start, min(size, start + step))
-            origin[idx], tau[idx] = _secular_block(pole, z_sq, total, idx)
+            origin[idx], tau[idx] = _secular_block(pole, z_sq, total, idx, tables)
     return origin, tau
 
 
-def _secular_block(pole, z_sq, total, idx):
-    """(origin, tau) of the roots ``idx`` of ``_secular_roots``."""
+def _secular_block(pole, z_sq, total, idx, tables):
+    """(origin, tau) of the roots ``idx`` of ``_secular_roots``, with its
+    block-by-size tables written into ``tables`` (2 x at least len(idx) x size)."""
     size = len(pole)
     lo = np.minimum(idx, size - 2)
     hi = lo + 1
@@ -1028,7 +1039,9 @@ def _secular_block(pole, z_sq, total, idx):
     zlo, zhi = z_sq[lo], z_sq[hi]
     # f at the midpoint, from the pole below the root
     below = np.where(last, pole[hi], pole[lo])
-    w = z_sq / ((pole - below[:, None]) - half[:, None])
+    w = np.subtract(pole, below[:, None], out=tables[0, :len(idx)])
+    w -= half[:, None]
+    np.divide(z_sq, w, out=w)
     f_mid = 1.0 + w.sum(axis=1)
     rows = np.arange(len(idx))
     c = f_mid - w[rows, lo] - w[rows, hi]
@@ -1049,14 +1062,14 @@ def _secular_block(pole, z_sq, total, idx):
     lower = np.where(left, 0.0, np.where(last, np.where(beyond, half, 0.0), -half))
     upper = np.where(left, half, np.where(last, np.where(beyond, total, half), 0.0))
     origin = np.where(left, lo, hi)
-    # iterate on the roots still live, in two reused tables
+    # iterate on the roots still live, in the two tables
     live = np.arange(len(idx))
-    shifted = pole - pole[origin][:, None]
-    inv, work = np.empty_like(shifted), np.empty_like(shifted)
+    inv, work = tables
     for _ in range(_SECULAR_MAX_ITER):
         lv, t = live, tau[live]
         r = np.arange(len(lv))
-        delta = np.subtract(shifted, t[:, None], out=inv[:len(lv)])
+        delta = np.subtract(pole, pole[origin[lv]][:, None], out=inv[:len(lv)])
+        delta -= t[:, None]  # (pole - pole[origin]) - t, as the gaps are kept
         d_lo, d_hi = delta[r, lo[lv]], delta[r, hi[lv]]
         np.reciprocal(delta, out=delta)
         f = 1.0 + delta @ z_sq
@@ -1082,7 +1095,7 @@ def _secular_block(pole, z_sq, total, idx):
                        (np.where(right, upper[lv], lower[lv]) + t) / 2.0, new)
         tau[lv] = np.where(done, t, new)
         done |= np.abs(new - t) <= 2.0 * _EPS * np.abs(new)
-        live, shifted = live[~done], shifted[~done]
+        live = live[~done]
         if not len(live):
             return origin, tau
     raise NumericalError(f"secular equation: {len(live)} roots did not converge")

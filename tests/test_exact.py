@@ -544,6 +544,24 @@ def test_drift_build_holds_only_its_blocks(build):
     assert len(held) == 4 and max(a.size for a in held) <= 4 * n_modes
 
 
+@pytest.mark.parametrize("build", [POSITION, SYMMETRIC], ids=["position", "symmetric"])
+def test_normal_modes_reuse_their_secular_tables(build):
+    # the root solve and the Loewner pass each hold two block x N tables of
+    # about _SECULAR_TABLE doubles, allocated once per solve: fresh tables
+    # per block (and per iteration's compaction) peaked at 2.6 MiB here
+    import tracemalloc
+
+    ex.normal_modes(POSITION(OSC, discretize(OHMIC, 8)))  # numpy's lazy imports
+    drift = build(OSC, discretize(OHMIC, 1194))
+    tracemalloc.start()
+    try:
+        ex.normal_modes(drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * ex._SECULAR_TABLE
+
+
 def test_real_modes_refuse_xp_coupling():
     # an x row couples to q_k and a p row to pi_k, so an x-p term can sit
     # only in the system block, which the drift refuses when it is made
