@@ -7,7 +7,8 @@ echo and its sha256 hash.  Exit codes: 0 success, 2 config error (an
 output path that cannot be opened for writing included, found before
 anything is computed or written), 3 physics refusal (recurrence window;
 an unstable Hamiltonian is a library refusal that no CLI input reaches,
-mapped here to 3 as well), 4 numerical failure.
+mapped here to 3 as well), 4 numerical failure (a non-finite number in a
+command's columns or payload included, found before anything is written).
 """
 
 from __future__ import annotations
@@ -67,6 +68,22 @@ def _cells(column):
     if len(column) and isinstance(column[0], str):
         return column
     return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def _require_finite(value, where: str = "") -> None:
+    """Refuse a non-finite number anywhere in a command's columns (a dict
+    of name to column) or JSON payload before anything is written: a
+    ``NumericalError`` that names the column or the key path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{where}.{key}" if where else key)
+        return
+    numbers = np.asarray(value)  # text and None are not numbers here
+    if numbers.dtype.kind == "f" and not np.isfinite(numbers).all():
+        bad = np.flatnonzero(~np.isfinite(numbers))[0]
+        at = f" at row {bad}" if numbers.ndim else ""
+        raise NumericalError(
+            f"non-finite {where}: {float(numbers.flat[bad])!r}{at}; nothing was written")
 
 
 def _check_writable(path: str, option: str) -> None:
@@ -131,24 +148,32 @@ def write_json(path: str | None, cfg: RunConfig, payload: dict, option: str = "-
 # ---------------------------------------------------------------------------
 
 def cmd_negativity_trace(cfg: RunConfig, out: str, with_moments: bool) -> int:
-    write_csv(out, cfg, *Scenario(cfg).negativity_trace(with_moments))
+    names, columns = Scenario(cfg).negativity_trace(with_moments)
+    _require_finite(dict(zip(names, columns)))
+    write_csv(out, cfg, names, columns)
     return 0
 
 
 def cmd_moments(cfg: RunConfig, out: str) -> int:
-    write_csv(out, cfg, *Scenario(cfg).moments())
+    names, columns = Scenario(cfg).moments()
+    _require_finite(dict(zip(names, columns)))
+    write_csv(out, cfg, names, columns)
     return 0
 
 
 def cmd_phase_diagram(cfg: RunConfig, out: str, summary_out: str | None) -> int:
     rows, summary = Scenario(cfg).phase_diagram()
-    write_csv(out, cfg, PHASE_COLUMNS, [[row[k] for row in rows] for k in PHASE_COLUMNS])
+    columns = [[row[k] for row in rows] for k in PHASE_COLUMNS]
+    _require_finite({**dict(zip(PHASE_COLUMNS, columns)), "summary": summary})
+    write_csv(out, cfg, PHASE_COLUMNS, columns)
     write_json(summary_out, cfg, {"summary": summary}, option="--summary")
     return 0
 
 
 def cmd_asymptotics(cfg: RunConfig, out: str | None) -> int:
-    write_json(out, cfg, Scenario(cfg).asymptotics())
+    payload = Scenario(cfg).asymptotics()
+    _require_finite(payload)
+    write_json(out, cfg, payload)
     return 0
 
 

@@ -566,6 +566,36 @@ def test_unwritable_output_is_refused_before_anything_is_written(bad, cfg_file, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
+@pytest.mark.parametrize("command, method, key, value, named", [
+    ("moments", "_moment_columns", "E_N_moments", math.nan, "E_N_moments"),
+    ("asymptotics", "zero_t_criticals", "r1", math.inf, "r1"),
+    ("phase-diagram", "zero_t_criticals", "r2", -math.inf, "summary.r2"),
+])
+def test_non_finite_output_is_numerical_error_and_writes_nothing(
+        command, method, key, value, named, cfg_file, tmp_path, capsys, monkeypatch):
+    # a NaN or an infinity is no artifact (nor valid JSON): exit 4 names the
+    # column or key path, and neither a file nor stdout is written, the
+    # phase-diagram CSV included when only its summary is at fault
+    from entbath.scenario import Scenario
+
+    original = getattr(Scenario, method)
+
+    def poisoned(self, *args):
+        out = dict(original(self, *args))
+        out[key] = value if np.ndim(out[key]) == 0 else np.append(out[key][:-1], value)
+        return out
+
+    monkeypatch.setattr(Scenario, method, poisoned)
+    argv = {"moments": ["--out", str(tmp_path / "m.csv")], "asymptotics": [],
+            "phase-diagram": ["--out", str(tmp_path / "pd.csv"),
+                              "--summary", str(tmp_path / "s.json")]}[command]
+    assert main([command, cfg_file, *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"numerical failure: non-finite {named}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
 @pytest.mark.parametrize(
     "key", ["bath.n_modes", "evolution.sample_stride", "sweep.parallelism"]
 )
